@@ -21,7 +21,6 @@ import numpy as np
 
 from .checkpoint import load_json, load_tensors, save_json
 from .cipher import (
-    full_vocab_dictionary,
     generate_cipher_pair,
     read_gold_pairs,
     token_inventory,

@@ -1,8 +1,11 @@
 """Extraction, editing, and candidate scoring.
 
-Extraction is an exact brute-force nearest-neighbor scan over a snapshot
-matrix of target-corpus sentence embeddings (the index is rebuilt once per
-training episode, never per batch). Editing max-pools the source embedding
+Extraction is an exact nearest-neighbor search over a snapshot matrix of
+target-corpus sentence embeddings (the index is rebuilt once per training
+episode, never per batch, by encoding the corpus in length-sorted
+batches). One GEMM per query block screens every row, and the few rows
+that pass are re-ranked with the exact distance, so the result equals a
+brute-force scan bit for bit. Editing max-pools the source embedding
 with an extracted sentence's embedding and greedily decodes the pooled
 vector; the decoded sentence is re-encoded so all ranking candidates live
 in the same representation space. Scoring projects embeddings through a
@@ -14,6 +17,7 @@ scaled softmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +40,9 @@ __all__ = [
     "write_extraction_dump",
     "read_extraction_dump",
 ]
+
+_INDEX_CHUNK = 256  # rows per encode in build_index; bounds its per-token states
+_SCREEN_SLACK = 1e-9  # kNN screen margin, relative to (max ||r|| + ||q||)^2
 
 
 class EvaluationNetwork:
@@ -86,6 +93,11 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def sq_norms(self) -> np.ndarray:
+        """Squared L2 norm of every row, computed once for the kNN screen."""
+        return (self.rows * self.rows).sum(axis=1)
+
     def is_stale(self, current_episode: int) -> bool:
         return self.episode != current_episode
 
@@ -104,16 +116,23 @@ def build_index(corpus: Corpus, model: TranslationModel,
                 episode: int) -> EmbeddingIndex:
     """Encode every corpus sentence forward-only under current parameters.
 
-    Sentences are encoded one at a time so each row is bit-identical to a
-    standalone encode() call (batched GEMM rounds differently per shape).
+    Sentences are ordered by length (stable argsort) and encoded in chunks
+    of at most ``_INDEX_CHUNK`` rows, so a chunk carries little padding
+    and its per-token states stay small; each pooled row is scattered back
+    to its corpus position. Rows are bit-identical to standalone encode()
+    calls, because ``tensor`` computes a row's products the same way in
+    every batch.
     """
     if len(corpus) == 0:
         raise DegenerateInputError("cannot index an empty corpus")
-    rows = np.empty((len(corpus), model.config.hidden_size))
+    sentences = corpus.sentences
+    order = np.argsort([len(s) for s in sentences], kind="stable")
+    rows = np.empty((len(sentences), model.config.hidden_size))
     with T.no_grad():
-        for i, sentence in enumerate(corpus):
-            _, pooled, _ = model.encode_batch([sentence])
-            rows[i] = pooled.data[0]
+        for start in range(0, len(order), _INDEX_CHUNK):
+            chunk = order[start : start + _INDEX_CHUNK]
+            _, pooled, _ = model.encode_batch([sentences[i] for i in chunk])
+            rows[chunk] = pooled.data
     return EmbeddingIndex(rows=rows, episode=episode, lang=corpus.lang)
 
 
@@ -123,16 +142,35 @@ def extract_topk_batch(queries: np.ndarray, index: EmbeddingIndex,
 
     Returns (indices (B,k), distances (B,k)) in ascending distance order;
     exact ties resolve to the lower corpus index (stable sort).
+
+    One GEMM screens every row: a = ||r||^2 - 2 q.r is the squared distance
+    less ||q||^2. Rows with a <= a_(k) + tau (a_(k) the k-th smallest) are
+    re-ranked with the exact distance sqrt(sum((r - q)^2)) and a stable
+    argsort. With M = (max ||r|| + ||q||)^2, u the unit roundoff and
+    gamma_n = n u / (1 - n u), the screen's error is at most gamma_{d+2} M
+    and so is the exact formula's, so tau >= 4 gamma_{d+2} M (plus 6 u M,
+    which keeps two squared distances that far apart distinct after the
+    square root) makes every row left out strictly farther than k rows
+    that were kept. Every exact tie with the k-th distance is kept, so the
+    result equals a full scan with the exact formula bit for bit. tau is
+    1e-9 M, above the bound for any width d below two million, at the
+    cost of a few extra candidates.
     """
     if k < 1 or k > len(index):
         raise ValueError(f"k must be in [1, {len(index)}], got {k}")
     queries = np.atleast_2d(queries)
+    rows = index.rows
+    q_norm = np.sqrt((queries * queries).sum(axis=1))
+    tau = _SCREEN_SLACK * (np.sqrt(index.sq_norms.max()) + q_norm) ** 2
+    screen = index.sq_norms - 2.0 * (queries @ rows.T)
+    kth = np.partition(screen, k - 1, axis=1)[:, k - 1]
     out_idx = np.empty((len(queries), k), dtype=np.int64)
     out_dist = np.empty((len(queries), k))
     for i, q in enumerate(queries):
-        dist = np.sqrt(((index.rows - q) ** 2).sum(axis=1))
+        cand = np.flatnonzero(screen[i] <= kth[i] + tau[i])
+        dist = np.sqrt(((rows[cand] - q) ** 2).sum(axis=1))
         order = np.argsort(dist, kind="stable")[:k]
-        out_idx[i] = order
+        out_idx[i] = cand[order]
         out_dist[i] = dist[order]
     return out_idx, out_dist
 

@@ -21,15 +21,6 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
-try:
-    # the workload is all small GEMMs; BLAS thread fan-out only adds latency.
-    # the limiter object must stay referenced or the limit is rolled back.
-    from threadpoolctl import threadpool_limits
-
-    _BLAS_SINGLE_THREAD = threadpool_limits(limits=1, user_api="blas")
-except Exception:  # pragma: no cover - threadpoolctl is optional
-    _BLAS_SINGLE_THREAD = None
-
 __all__ = [
     "Tensor",
     "Tape",
@@ -86,6 +77,19 @@ def _as_f64(x) -> np.ndarray:
 def _check_finite(data: np.ndarray, op: str) -> None:
     if not np.all(np.isfinite(data)):
         raise NonFiniteError(f"{op} produced non-finite values")
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product whose rows do not depend on how many rows ``a`` has.
+
+    BLAS sends a 1-row product down its matrix-vector path, which rounds
+    differently from the matrix-matrix path every larger batch takes; a
+    1-row ``a`` is therefore computed as a 2-row product and trimmed, so a
+    sentence encodes to the same bits alone or inside any batch.
+    """
+    if a.shape[0] == 1:
+        return (np.concatenate((a, a)) @ b)[:1]
+    return a @ b
 
 
 class Tensor:
@@ -330,7 +334,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_mm(a.data, b.data))
     _check_finite(out.data, "matmul")
 
     def bwd(og):
@@ -610,9 +614,9 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, mask: np.ndarray | None = None) -> Te
         raise DimensionError("gru_step weight shapes do not match the hidden size")
     if x.data.shape[-1] != w_ih.data.shape[0]:
         raise DimensionError("gru_step input width does not match w_ih")
-    gi = x.data @ w_ih.data
+    gi = _mm(x.data, w_ih.data)
     gi += b_ih.data
-    gh = h.data @ w_hh.data
+    gh = _mm(h.data, w_hh.data)
     gh += b_hh.data
     rz = _sigmoid_raw(gi[:, : 2 * d] + gh[:, : 2 * d])  # one call covers both gates
     r = rz[:, :d]

@@ -269,9 +269,9 @@ class Trainer:
         in_phase = max(self.state.step - self.config.pretrain_steps, 0)
         return in_phase // self.config.episode_len
 
-    def _ensure_indexes(self) -> None:
+    def _ensure_indexes(self, langs: tuple[int, ...] = (SRC, TGT)) -> None:
         episode = self._current_episode()
-        for lang in (SRC, TGT):
+        for lang in langs:
             idx = self.indexes.get(lang)
             if idx is None or idx.is_stale(episode):
                 self.indexes[lang] = build_index(self.corpora[lang], self.model, episode)
@@ -453,7 +453,7 @@ class Trainer:
 
     def extract_corpus(self, limit: int | None = None) -> list[ExtractionResult]:
         """Top-k extractions plus edits for every source sentence (or a prefix)."""
-        self._ensure_indexes()
+        self._ensure_indexes((TGT,))  # only the target side is searched
         cfg = self.config
         corpus = self.corpora[SRC]
         n = len(corpus) if limit is None else min(limit, len(corpus))

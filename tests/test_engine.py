@@ -127,6 +127,61 @@ class TestExtractTopK:
             np.testing.assert_array_equal(bdist[i], sdist)
 
 
+def full_scan(queries, rows, k):
+    """Brute-force oracle: exact distance to every row, stable argsort."""
+    out_idx, out_dist = [], []
+    for q in queries:
+        dist = np.sqrt(((rows - q) ** 2).sum(axis=1))
+        order = np.argsort(dist, kind="stable")[:k]
+        out_idx.append(order)
+        out_dist.append(dist[order])
+    return np.array(out_idx), np.array(out_dist)
+
+
+class TestExtractTopKAdversarial:
+    """The GEMM screen must never change the full scan's answer, bit for bit."""
+
+    def check(self, queries, rows, ks):
+        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        for k in ks:
+            idx, dist = extract_topk_batch(queries, index, k)
+            o_idx, o_dist = full_scan(queries, rows, k)
+            np.testing.assert_array_equal(idx, o_idx)
+            np.testing.assert_array_equal(dist, o_dist)
+
+    def test_duplicate_rows(self, rng):
+        base = rng.normal(size=(12, 8))
+        rows = base[rng.integers(0, 12, size=60)]
+        queries = np.concatenate([base[:4], rng.normal(size=(4, 8))])
+        self.check(queries, rows, [1, 3, 7, 60])
+
+    def test_rows_one_ulp_apart(self, rng):
+        base = rng.normal(size=8)
+        rows = np.stack([base] * 40)
+        for i in range(1, 40):
+            j = i % 8
+            rows[i, j] = np.nextafter(rows[i - 1, j], np.inf)
+        queries = np.stack([base, base + 1e-12, rng.normal(size=8)])
+        self.check(queries, rows, [1, 5, 40])
+
+    def test_large_offset_cancellation(self, rng):
+        """+1e3 offset: ||r||^2 - 2q.r loses ~6 digits, the re-rank must not."""
+        rows = 1e3 + rng.normal(size=(80, 16)) * 1e-6
+        rows[40:] = rows[:40] + rng.normal(size=(40, 16)) * 1e-13
+        queries = 1e3 + rng.normal(size=(8, 16)) * 1e-6
+        self.check(queries, rows, [1, 10, 80])
+
+    def test_k_one_and_k_all(self, rng):
+        rows = rng.normal(size=(33, 5))
+        queries = rng.normal(size=(5, 5))
+        self.check(queries, rows, [1, 33])
+
+    def test_query_block_of_64(self, rng):
+        rows = rng.normal(size=(500, 64)).round(1)  # many near and exact ties
+        queries = np.concatenate([rows[:32], rng.normal(size=(32, 64)).round(1)])
+        self.check(queries, rows, [1, 10, 500])
+
+
 class TestEdit:
     def test_pooled_vector_dominates_both_inputs(self, rng):
         """Every pooled coordinate >= both embeddings' coordinates."""

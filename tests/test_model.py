@@ -52,6 +52,23 @@ class TestEncode:
         with pytest.raises(DegenerateInputError):
             tiny_model().encode(np.array([], dtype=np.int64))
 
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_embedding_independent_of_batch(self, d):
+        """A sentence's pooled row is bit-identical in every batch it joins."""
+        m = tiny_model(d=d, vocab=30)
+        r = np.random.default_rng(d)
+        s = r.integers(4, 30, size=5)
+        shorter = [r.integers(4, 30, size=n) for n in (1, 2, 3, 4)]
+        longer = [r.integers(4, 30, size=n) for n in (6, 9, 12)]
+        many = [r.integers(4, 30, size=r.integers(1, 13)) for _ in range(255)]
+        with T.no_grad():
+            _, alone, _ = m.encode_batch([s])
+            batches = ((shorter + [s], 4), ([s] + longer, 0),
+                       (shorter[:2] + [s] + longer, 2), (many[:100] + [s] + many[100:], 100))
+            for batch, pos in batches:
+                _, pooled, _ = m.encode_batch(batch)
+                np.testing.assert_array_equal(pooled.data[pos], alone.data[0])
+
     def test_encoder_gradient_matches_fd(self, rng):
         """cosine(e_s, fixed) wrt encoder weights, rel err < 1e-4, d_h=8."""
         m = tiny_model(d=8, layers=2)
