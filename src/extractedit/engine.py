@@ -7,7 +7,9 @@ batches). One GEMM per query block screens every row, and the few rows
 that pass are re-ranked with the exact distance, so the result equals a
 brute-force scan bit for bit. Editing max-pools the source embedding
 with an extracted sentence's embedding and greedily decodes the pooled
-vector; the decoded sentence is re-encoded so all ranking candidates live
+vector; callers supply both embeddings (an extraction dump takes the
+extracted ones straight from the index rows), and the trainer encodes the
+decoded sentences with its other ranking candidates, so all of them live
 in the same representation space. Scoring projects embeddings through a
 shared MLP into a joint space, measures cosine similarity to the source
 there, and turns the similarities into a ranking distribution with a
@@ -182,19 +184,20 @@ def extract_topk(query: np.ndarray, index: EmbeddingIndex,
     return idx[0], dist[0]
 
 
-def edit_batch(e_src: np.ndarray, extracted: list[np.ndarray],
+def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
                model: TranslationModel, out_lang: int,
                max_len: int | None = None) -> list[np.ndarray]:
     """Edit extracted sentences toward the source embeddings, row-aligned.
 
-    Pools each (source embedding, extracted embedding) pair element-wise
-    by max and greedily decodes the pooled vectors. Decoding is forward
-    only; callers re-encode the results when gradients are needed.
+    e_src and e_extracted are (B, d) embeddings the caller already has
+    (for instance index rows, which equal fresh encodes while the
+    parameters have not moved since the index was built). Pools each pair
+    element-wise by max and greedily decodes the pooled vectors. Encodes
+    nothing and is forward only; callers encode the results when
+    gradients are needed.
     """
-    with T.no_grad():
-        _, e_t, _ = model.encode_batch(extracted)
-        pooled = np.maximum(e_src, e_t.data)
-        edited, _ = model.decode_from_vector(Tensor(pooled), out_lang, max_len=max_len)
+    pooled = np.maximum(e_src, e_extracted)
+    edited, _ = model.decode_from_vector(Tensor(pooled), out_lang, max_len=max_len)
     return edited
 
 
@@ -203,8 +206,10 @@ def edit(e_src: np.ndarray, sentence: np.ndarray, model: TranslationModel,
     """Edit one sentence; returns (edited sentence, its re-encoded embedding)."""
     if len(sentence) == 0:
         raise DegenerateInputError("cannot edit an empty sentence")
-    edited = edit_batch(e_src[None, :], [sentence], model, out_lang, max_len=max_len)[0]
     with T.no_grad():
+        _, e_t = model.encode(sentence)
+        edited = edit_batch(e_src[None, :], e_t.data[None, :], model, out_lang,
+                            max_len=max_len)[0]
         _, e_edited = model.encode(edited)
     return edited, e_edited.data
 

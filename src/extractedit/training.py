@@ -282,24 +282,33 @@ class Trainer:
     def _prepare_direction(self, sources: list[np.ndarray], out_lang: int) -> _DirectionBatch:
         """Non-differentiable half of a step: translate, extract, edit."""
         cfg = self.config
-        t_star, _ = self.model.translate_batch(sources, out_lang)
+        with T.no_grad():
+            h_enc, pooled, mask = self.model.encode_batch(sources)
+        t_star, _ = self.model.decode_greedy_batch(pooled, h_enc, mask, out_lang)
         keep = [i for i, s in enumerate(t_star) if len(s) > 0]
         skipped = len(sources) - len(keep)
         if skipped:
             sources = [sources[i] for i in keep]
             t_star = [t_star[i] for i in keep]
-        with T.no_grad():
-            _, pooled, _ = self.model.encode_batch(sources)
-        e_src = pooled.data
-        index = self.indexes[out_lang]
-        idxs, dists = extract_topk_batch(e_src, index, cfg.k)
-        corpus = self.corpora[out_lang]
-        flat = [corpus[int(j)] for row in idxs for j in row]
-        edited = edit_batch(np.repeat(e_src, cfg.k, axis=0), flat, self.model, out_lang,
+        # a row's encode does not depend on its batch, so the kept rows are
+        # exactly what encoding the kept sources alone would give
+        e_src = pooled.data[keep]
+        idxs, dists = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
+        edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
+                            self._encode_corpus_rows(out_lang, idxs), self.model, out_lang,
                             max_len=cfg.max_len)
         return _DirectionBatch(sources=sources, out_lang=out_lang, t_star=t_star,
                                extracted_idx=idxs, extracted_dist=dists,
                                edited=edited, skipped=skipped)
+
+    def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
+        """Forward-only embeddings (idxs.size, d) of the corpus sentences at
+        ``idxs`` in row-major order; each distinct sentence is encoded once."""
+        uniq, inverse = np.unique(idxs, return_inverse=True)
+        corpus = self.corpora[lang]
+        with T.no_grad():
+            _, pooled, _ = self.model.encode_batch([corpus[int(j)] for j in uniq])
+        return pooled.data[inverse.ravel()]
 
     def _encode_directions(self, directions: list[_DirectionBatch]
                            ) -> list[tuple[Tensor, Tensor]]:
@@ -452,8 +461,20 @@ class Trainer:
     # -- extraction dumps ----------------------------------------------------------
 
     def extract_corpus(self, limit: int | None = None) -> list[ExtractionResult]:
-        """Top-k extractions plus edits for every source sentence (or a prefix)."""
+        """Top-k extractions plus edits for every source sentence (or a prefix).
+
+        The edits start from the index rows of the extracted sentences when
+        this call built the index, because the parameters cannot have moved
+        since; an index that was already there (say, restored with a
+        checkpoint from the middle of an episode) may predate the current
+        parameters, so the extracted sentences are encoded afresh.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        previous = self.indexes.get(TGT)
         self._ensure_indexes((TGT,))  # only the target side is searched
+        index = self.indexes[TGT]
+        fresh = index is not previous
         cfg = self.config
         corpus = self.corpora[SRC]
         n = len(corpus) if limit is None else min(limit, len(corpus))
@@ -463,9 +484,10 @@ class Trainer:
             sents = [corpus[i] for i in rows]
             with T.no_grad():
                 _, pooled, _ = self.model.encode_batch(sents)
-            idxs, dists = extract_topk_batch(pooled.data, self.indexes[TGT], cfg.k)
-            flat = [self.corpora[TGT][int(j)] for row in idxs for j in row]
-            edited = edit_batch(np.repeat(pooled.data, cfg.k, axis=0), flat,
+            idxs, dists = extract_topk_batch(pooled.data, index, cfg.k)
+            e_extracted = (index.rows[idxs.ravel()] if fresh
+                           else self._encode_corpus_rows(TGT, idxs))
+            edited = edit_batch(np.repeat(pooled.data, cfg.k, axis=0), e_extracted,
                                 self.model, TGT, max_len=cfg.max_len)
             for bi, src_i in enumerate(rows):
                 out.append(ExtractionResult(

@@ -167,6 +167,12 @@ class TestExtractAndEvaluate:
         assert len(first[1].split()) == 3  # k target indices
         assert len(first) == 3 + 3  # header cols + k edited sentences
 
+    def test_extract_negative_limit_fails(self, tmp_path, corpus_dir, run_dir):
+        dump = tmp_path / "extractions.tsv"
+        assert run("extract", "--checkpoint", checkpoint_of(run_dir),
+                   "--data", corpus_dir, "--out-file", dump, "--limit", -5) == 1
+        assert not dump.exists()
+
     def test_evaluate_writes_reports(self, tmp_path, corpus_dir, run_dir):
         out = tmp_path / "eval"
         assert run("evaluate", "--checkpoint", checkpoint_of(run_dir),

@@ -8,10 +8,17 @@ import numpy as np
 import pytest
 
 from extractedit import tensor as T
+from extractedit import training
 from extractedit.cipher import CipherSpec, full_vocab_dictionary, generate_cipher_pair
-from extractedit.engine import EvaluationNetwork, ExtractionResult, score_candidates_batch
+from extractedit.engine import (
+    EvaluationNetwork,
+    ExtractionResult,
+    edit_batch,
+    extract_topk_batch,
+    score_candidates_batch,
+)
 from extractedit.metrics import token_accuracy
-from extractedit.model import SRC, TGT
+from extractedit.model import SRC, TGT, TranslationModel
 from extractedit.optim import Adam
 from extractedit.tensor import Tape, Tensor
 from extractedit.training import (
@@ -425,3 +432,147 @@ class TestDeterminismAndResume:
         other = micro_trainer(pair, pretrain_steps=2, main_steps=0)
         with pytest.raises(ValueError, match="config mismatch"):
             other.restore(ckpt)
+
+
+def reference_edits(trainer, e_src, out_lang):
+    """Extract and edit by encoding every extracted sentence afresh: the
+    reference the trainer's reuse of embeddings must equal bit for bit.
+    Returns (indices, distances, extracted embeddings, edited sentences)."""
+    cfg = trainer.config
+    idxs, dists = extract_topk_batch(e_src, trainer.indexes[out_lang], cfg.k)
+    corpus = trainer.corpora[out_lang]
+    with T.no_grad():
+        _, e_x, _ = trainer.model.encode_batch([corpus[int(j)] for j in idxs.ravel()])
+    edited, _ = trainer.model.decode_from_vector(
+        Tensor(np.maximum(np.repeat(e_src, cfg.k, axis=0), e_x.data)), out_lang,
+        max_len=cfg.max_len)
+    return idxs, dists, e_x.data, edited
+
+
+def spy_edit_inputs(monkeypatch) -> list[np.ndarray]:
+    """Record the extracted embeddings the trainer hands to edit_batch."""
+    seen = []
+
+    def spy(e_src, e_extracted, *args, **kwargs):
+        seen.append(e_extracted)
+        return edit_batch(e_src, e_extracted, *args, **kwargs)
+
+    monkeypatch.setattr(training, "edit_batch", spy)
+    return seen
+
+
+def count_encoded_rows(monkeypatch) -> list[int]:
+    """Record the batch size of every TranslationModel.encode_batch call."""
+    rows = []
+    inner = TranslationModel.encode_batch
+
+    def counting(self, sentences):
+        rows.append(len(sentences))
+        return inner(self, sentences)
+
+    monkeypatch.setattr(TranslationModel, "encode_batch", counting)
+    return rows
+
+
+class TestEncodeOnce:
+    """Edits reuse embeddings already computed, and equal the path that
+    encodes every extracted sentence again."""
+
+    def check_extraction(self, tr, results, seen, n):
+        cfg = tr.config
+        assert len(results) == n
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
+            batch = results[start : start + cfg.batch_size]
+            with T.no_grad():
+                _, pooled, _ = tr.model.encode_batch([tr.corpora[SRC][r.source_index]
+                                                      for r in batch])
+            idxs, dists, e_x, edited = reference_edits(tr, pooled.data, TGT)
+            np.testing.assert_array_equal(seen[b], e_x)
+            np.testing.assert_array_equal(np.stack([r.indices for r in batch]), idxs)
+            np.testing.assert_array_equal(np.stack([r.distances for r in batch]), dists)
+            got = [e for r in batch for e in r.edited]
+            assert len(got) == len(edited)
+            for x, y in zip(got, edited):
+                np.testing.assert_array_equal(x, y)
+
+    def test_extract_fresh_index_edits_from_its_rows(self, pair, monkeypatch):
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
+        tr.run()
+        seen = spy_edit_inputs(monkeypatch)
+        results = tr.extract_corpus(limit=20)
+        rows = tr.indexes[TGT].rows
+        for b, start in enumerate(range(0, 20, tr.config.batch_size)):
+            idxs = np.stack([r.indices for r in results[start : start + tr.config.batch_size]])
+            np.testing.assert_array_equal(seen[b], rows[idxs.ravel()])
+        self.check_extraction(tr, results, seen, 20)
+
+    def test_extract_stale_index_reencodes(self, pair, monkeypatch):
+        """An index built earlier in the episode predates the last update,
+        so its rows are not the current encodes and must not be edited from."""
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=5)
+        tr.run(until=3)
+        tr.adversarial_step()
+        index = tr.indexes[TGT]
+        with T.no_grad():
+            _, now, _ = tr.model.encode_batch(tr.corpora[TGT].sentences)
+        assert not np.array_equal(index.rows, now.data)
+        seen = spy_edit_inputs(monkeypatch)
+        results = tr.extract_corpus(limit=20)
+        assert tr.indexes[TGT] is index
+        self.check_extraction(tr, results, seen, 20)
+
+    def test_extract_encodes_corpus_and_sources_once(self, pair, monkeypatch):
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
+        tr.run()
+        rows = count_encoded_rows(monkeypatch)
+        tr.extract_corpus(limit=20)
+        assert sum(rows) == len(tr.corpora[TGT]) + 20
+
+    def test_prepare_direction_encodes_each_sentence_once(self, pair, monkeypatch):
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=5, k=5)
+        tr.run(until=3)
+        tr._ensure_indexes()
+        sources = tr._sample_batch(SRC)
+        rows = count_encoded_rows(monkeypatch)
+        d = tr._prepare_direction(sources, TGT)
+        assert d.skipped == 0
+        assert sum(rows) == len(sources) + len(np.unique(d.extracted_idx))
+
+    def test_prepare_direction_matches_encode_everything(self, pair, monkeypatch):
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=5, k=5)
+        tr.run(until=3)
+        tr._ensure_indexes()
+        corpus = tr.corpora[SRC]
+        sources = [corpus[0], corpus[1], corpus[2], corpus[0], corpus[7], corpus[7]]
+        inner = tr.model.decode_greedy_batch
+
+        def blank_second_translation(init, h_enc, *args, **kwargs):
+            out, truncated = inner(init, h_enc, *args, **kwargs)
+            if h_enc is not None:
+                out[1] = out[1][:0]
+            return out, truncated
+
+        monkeypatch.setattr(tr.model, "decode_greedy_batch", blank_second_translation)
+        t_star, _ = tr.model.translate_batch(sources, TGT)
+        kept = [s for s, t in zip(sources, t_star) if len(t)]
+        with T.no_grad():
+            _, pooled, _ = tr.model.encode_batch(kept)
+        idxs, dists, _, edited = reference_edits(tr, pooled.data, TGT)
+
+        d = tr._prepare_direction(sources, TGT)
+        assert d.skipped == 1
+        assert len(np.unique(d.extracted_idx)) < d.extracted_idx.size
+        assert len(d.sources) == len(kept)
+        for x, y in zip(d.t_star, [t for t in t_star if len(t)]):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(d.extracted_idx, idxs)
+        np.testing.assert_array_equal(d.extracted_dist, dists)
+        assert len(d.edited) == len(edited)
+        for x, y in zip(d.edited, edited):
+            np.testing.assert_array_equal(x, y)
+
+    def test_negative_limit_rejected(self, pair):
+        tr = micro_trainer(pair, pretrain_steps=0, main_steps=0)
+        with pytest.raises(ValueError, match="limit"):
+            tr.extract_corpus(limit=-5)
+        assert not tr.indexes
