@@ -11,7 +11,12 @@ import numpy as np
 
 from extractedit import CipherSpec, generate_cipher_pair
 from extractedit.cipher import full_vocab_dictionary
-from extractedit.engine import build_index, edit, extract_topk, score_candidates
+from extractedit.engine import (
+    build_index,
+    edit_batch,
+    extract_topk_batch,
+    score_candidates_batch,
+)
 from extractedit.model import TGT
 from extractedit.tensor import Tensor
 from extractedit.training import TrainConfig, Trainer
@@ -35,26 +40,24 @@ print("gold translation:", " ".join(vocab.decode(pair.gold[0][1])))
 
 # extract: top-k real target sentences by L2 distance in embedding space
 index = build_index(pair.tgt_train, trainer.model, episode=0)
-_, e_s = trainer.model.encode(source)
-idx, dist = extract_topk(e_s.data, index, k=5)
+_, e_s, _ = trainer.model.encode_batch([source])
+idx, dist = extract_topk_batch(e_s.data, index, k=5)
 print("\nextracted set M:")
-for i, d in zip(idx, dist):
+for i, d in zip(idx[0], dist[0]):
     print(f"   [{i}] d={d:.3f}  ", " ".join(vocab.decode(pair.tgt_train[int(i)])))
 
-# edit: max-pool each extraction's embedding with the source's, re-decode
+# edit: max-pool each extraction's embedding (its index row) with the
+# source's, re-decode
 print("\nedited set M':")
-edited = []
-for i in idx:
-    t_new, _ = edit(e_s.data, pair.tgt_train[int(i)], trainer.model, TGT)
-    edited.append(t_new)
+edited = edit_batch(np.repeat(e_s.data, 5, axis=0), index.rows[idx[0]], trainer.model, TGT)
+for t_new in edited:
     print("   ", " ".join(vocab.decode(t_new)))
 
 # evaluate: rank the model's own translation among the edited candidates
 t_star, _ = trainer.model.translate_batch([source], TGT)
 print("\nmodel translation t*:", " ".join(vocab.decode(t_star[0])))
-cands = [Tensor(trainer.model.encode(e)[1].data) for e in edited]
-cands.append(Tensor(trainer.model.encode(t_star[0])[1].data))
-probs = score_candidates(Tensor(e_s.data), cands, trainer.evaluator, 0.5)
+_, cands, _ = trainer.model.encode_batch(edited + [t_star[0]])
+probs = score_candidates_batch(e_s, Tensor(cands.data[None]), trainer.evaluator, 0.5)
 print("ranking distribution over M' + {t*}:",
-      np.array2string(probs.data, precision=3))
-print(f"P(t*) = {probs.data[-1]:.3f}")
+      np.array2string(probs.data[0], precision=3))
+print(f"P(t*) = {probs.data[0, -1]:.3f}")

@@ -13,9 +13,9 @@ from .engine import (
     EmbeddingIndex,
     EvaluationNetwork,
     build_index,
-    edit,
-    extract_topk,
-    score_candidates,
+    edit_batch,
+    extract_topk_batch,
+    score_candidates_batch,
 )
 from .metrics import corpus_bleu, hits_at_k, token_accuracy
 from .model import ModelConfig, TranslationModel
@@ -42,13 +42,13 @@ __all__ = [
     "apply_noise",
     "build_index",
     "corpus_bleu",
-    "edit",
-    "extract_topk",
+    "edit_batch",
+    "extract_topk_batch",
     "generate_cipher_pair",
     "hits_at_k",
     "load_corpus",
     "no_grad",
-    "score_candidates",
+    "score_candidates_batch",
     "token_accuracy",
     "write_cipher_pair",
 ]

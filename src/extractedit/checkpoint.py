@@ -4,7 +4,9 @@ Tensor container format (version 1): a plain-text manifest, then the raw
 bytes. The manifest's first line is ``tensors <format-version> <count>``;
 each following line is ``name<TAB>comma-separated-shape<TAB>byte-offset``
 (offset into the binary section); a single blank line terminates the
-manifest. Tensors are raw little-endian float64, row-major.
+manifest. Tensors are raw little-endian float64, row-major, stored back
+to back in manifest order; the payload holds nothing else, and a manifest
+that does not tile it exactly is rejected on load.
 
 A checkpoint directory holds ``params.bin`` (model + evaluator weights),
 ``optim.bin`` (Adam moments), ``index.bin`` (embedding-index snapshots),
@@ -15,6 +17,7 @@ history) so a run can resume bit-exactly.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -66,13 +69,34 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     if len(header_lines) - 1 != count:
         raise CheckpointError(f"{path}: manifest count mismatch")
     out: dict[str, np.ndarray] = {}
+    end = 0
     for line in header_lines[1:]:
-        name, shape_s, offset_s = line.split("\t")
-        shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
-        n = int(np.prod(shape)) if shape else 1
-        offset = int(offset_s)
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise CheckpointError(f"{path}: bad manifest line {line!r}")
+        name, shape_s, offset_s = fields
+        try:
+            shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
+            offset = int(offset_s)
+        except ValueError:
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: bad shape or offset in {line!r}") from None
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: tensor {name!r}: negative dimension {shape}")
+        if offset != end:
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: offset {offset}, expected {end}")
+        n = math.prod(shape)
+        end += 8 * n
+        if end > len(binary):
+            raise CheckpointError(
+                f"{path}: tensor {name!r}: payload ends at byte {len(binary)}, "
+                f"tensor needs {end}")
         arr = np.frombuffer(binary, dtype="<f8", count=n, offset=offset)
         out[name] = arr.reshape(shape).astype(np.float64)
+    if end != len(binary):
+        raise CheckpointError(
+            f"{path}: {len(binary) - end} trailing bytes after the last tensor")
     return out
 
 

@@ -15,6 +15,7 @@ import datetime
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from .engine import read_extraction_dump, write_extraction_dump
 from .metrics import corpus_bleu, hits_at_k, token_accuracy
 from .model import SRC, TGT
 from .text import Corpus, Vocabulary, load_corpus
-from .training import Trainer
+from .training import TrainConfig, Trainer
 
 ENV_OUT_ROOT = "EXTRACTEDIT_RUNS"
 
@@ -159,8 +160,7 @@ def _load_data(data_dir: Path, max_len: int):
     return vocab, corpora, dictionary, meta
 
 
-def _make_trainer(cfg: dict, data_dir: Path) -> Trainer:
-    tc = train_config_from(cfg)
+def _make_trainer(tc: TrainConfig, data_dir: Path) -> Trainer:
     vocab, corpora, dictionary, _ = _load_data(data_dir, tc.max_len)
     if tc.init_mode == "oracle" and dictionary is None:
         raise CliError("init_mode=oracle needs an oracle dictionary in the data directory "
@@ -241,7 +241,7 @@ def cmd_train(args, cfg: dict) -> int:
     manifest = RunManifest(out, "train", cfg)
     try:
         data_dir = Path(args.data)
-        trainer = _make_trainer(cfg, data_dir)
+        trainer = _make_trainer(train_config_from(cfg), data_dir)
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
         manifest.add_output(out / "config.txt")
 
@@ -310,9 +310,7 @@ def cmd_extract(args, cfg: dict) -> int:
     try:
         ckpt = Path(args.checkpoint)
         meta = load_json(ckpt / "state.json")
-        cfg = dict(cfg)
-        cfg.update({k: meta["config"][k] for k in meta["config"]})
-        trainer = _make_trainer(cfg, Path(args.data))
+        trainer = _make_trainer(TrainConfig(**meta["config"]), Path(args.data))
         trainer.restore(ckpt)
         results = trainer.extract_corpus(limit=args.limit)
         write_extraction_dump(args.out_file, results, trainer.vocab)
@@ -394,9 +392,8 @@ def cmd_sweep_k(args, cfg: dict) -> int:
         data_dir = Path(args.data)
 
         # shared pretrained initialization: pretrain once, reuse per k
-        pre_cfg = dict(cfg)
-        pre_cfg["main_steps"] = 0
-        pre_trainer = _make_trainer(pre_cfg, data_dir)
+        tc = train_config_from(cfg)
+        pre_trainer = _make_trainer(replace(tc, main_steps=0), data_dir)
         pre_trainer.run()
         pre_dir = pre_trainer.save_checkpoint(out / "pretrained")
 
@@ -407,9 +404,7 @@ def cmd_sweep_k(args, cfg: dict) -> int:
 
         rows = []
         for k in ks:
-            k_cfg = dict(cfg)
-            k_cfg["k"] = k
-            trainer = _make_trainer(k_cfg, data_dir)
+            trainer = _make_trainer(replace(tc, k=k), data_dir)
             trainer.restore(pre_dir, require_same_config=False)
             trainer.run()
             decoded = []

@@ -13,7 +13,8 @@ decoded sentences with its other ranking candidates, so all of them live
 in the same representation space. Scoring projects embeddings through a
 shared MLP into a joint space, measures cosine similarity to the source
 there, and turns the similarities into a ranking distribution with a
-scaled softmax.
+scaled softmax. Every function takes a batch of rows; a single query is
+a batch of one.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ __all__ = [
     "EmbeddingIndex",
     "ExtractionResult",
     "build_index",
-    "extract_topk",
     "extract_topk_batch",
-    "edit",
     "edit_batch",
-    "score_candidates",
     "score_candidates_batch",
     "write_extraction_dump",
     "read_extraction_dump",
@@ -177,13 +175,6 @@ def extract_topk_batch(queries: np.ndarray, index: EmbeddingIndex,
     return out_idx, out_dist
 
 
-def extract_topk(query: np.ndarray, index: EmbeddingIndex,
-                 k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Single-query top-k extraction; see extract_topk_batch."""
-    idx, dist = extract_topk_batch(query[None, :], index, k)
-    return idx[0], dist[0]
-
-
 def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
                model: TranslationModel, out_lang: int,
                max_len: int | None = None) -> list[np.ndarray]:
@@ -199,19 +190,6 @@ def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
     pooled = np.maximum(e_src, e_extracted)
     edited, _ = model.decode_from_vector(Tensor(pooled), out_lang, max_len=max_len)
     return edited
-
-
-def edit(e_src: np.ndarray, sentence: np.ndarray, model: TranslationModel,
-         out_lang: int, max_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Edit one sentence; returns (edited sentence, its re-encoded embedding)."""
-    if len(sentence) == 0:
-        raise DegenerateInputError("cannot edit an empty sentence")
-    with T.no_grad():
-        _, e_t = model.encode(sentence)
-        edited = edit_batch(e_src[None, :], e_t.data[None, :], model, out_lang,
-                            max_len=max_len)[0]
-        _, e_edited = model.encode(edited)
-    return edited, e_edited.data
 
 
 def score_candidates_batch(e_src: Tensor, candidates: Tensor,
@@ -231,21 +209,6 @@ def score_candidates_batch(e_src: Tensor, candidates: Tensor,
     b, d_out = r_src.data.shape
     alpha = T.cosine(T.reshape(r_src, (b, 1, d_out)), r_cand)
     return T.scaled_softmax(alpha, inv_temperature, axis=-1)
-
-
-def score_candidates(e_src: Tensor, candidates: list[Tensor],
-                     evaluator: EvaluationNetwork,
-                     inv_temperature: float) -> Tensor:
-    """Single-source ranking distribution over a candidate embedding list."""
-    stacked = T.stack(candidates, axis=0)
-    d = e_src.data.shape[-1]
-    probs = score_candidates_batch(
-        T.reshape(e_src, (1, d)),
-        T.reshape(stacked, (1, len(candidates), d)),
-        evaluator,
-        inv_temperature,
-    )
-    return T.reshape(probs, (len(candidates),))
 
 
 # ---------------------------------------------------------------------------

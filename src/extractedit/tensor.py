@@ -31,24 +31,18 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
     "neg",
     "matmul",
-    "maximum",
     "tsum",
     "tmean",
-    "exp",
     "log",
-    "sqrt",
     "tanh",
-    "sigmoid",
     "reshape",
     "concat",
     "stack",
     "slice_axis",
     "take_rows",
     "gather",
-    "softmax",
     "log_softmax",
     "scaled_softmax",
     "cosine",
@@ -147,9 +141,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return neg(self)
@@ -303,21 +294,6 @@ def mul(a, b) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(a.data / b.data)
-    _check_finite(out.data, "div")
-
-    def bwd(og):
-        return (
-            _unbroadcast(og / b.data, a.data.shape),
-            _unbroadcast(-og * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _record(out, (a, b), bwd)
-
-
 def neg(a: Tensor) -> Tensor:
     out = Tensor(-a.data)
 
@@ -339,22 +315,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(og):
         return og @ b.data.T, a.data.T @ og
-
-    return _record(out, (a, b), bwd)
-
-
-def maximum(a: Tensor, b: Tensor) -> Tensor:
-    """Element-wise max. Subgradient routes each element to the argmax input;
-    exact ties route to the first argument."""
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"maximum expects identical shapes, got {a.shape} vs {b.shape}")
-    first = a.data >= b.data
-    out = Tensor(np.where(first, a.data, b.data))
-    _check_finite(out.data, "maximum")
-
-    def bwd(og):
-        return og * first, og * ~first
 
     return _record(out, (a, b), bwd)
 
@@ -384,16 +344,6 @@ def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data))
-    _check_finite(out.data, "exp")
-
-    def bwd(og):
-        return (og * out.data,)
-
-    return _record(out, (x,), bwd)
-
-
 def log(x: Tensor) -> Tensor:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = Tensor(np.log(x.data))
@@ -401,16 +351,6 @@ def log(x: Tensor) -> Tensor:
 
     def bwd(og):
         return (og / x.data,)
-
-    return _record(out, (x,), bwd)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(x.data))
-    _check_finite(out.data, "sqrt")
-
-    def bwd(og):
-        return (og * 0.5 / out.data,)
 
     return _record(out, (x,), bwd)
 
@@ -428,15 +368,6 @@ def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     # tanh form: numpy's vectorized tanh is several times faster than
     # its float64 exp on this stack, and it cannot overflow
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    out = Tensor(_sigmoid_raw(x.data))
-
-    def bwd(og):
-        return (og * out.data * (1.0 - out.data),)
-
-    return _record(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +447,6 @@ def gather(x: Tensor, idx: np.ndarray) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # softmax family
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
-    e = np.exp(x.data - m)
-    out = Tensor(e / e.sum(axis=axis, keepdims=True))
-
-    def bwd(og):
-        s = out.data
-        return (s * (og - (og * s).sum(axis=axis, keepdims=True)),)
-
-    return _record(out, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -24,7 +24,7 @@ of the checkpoint for exactly this reason).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,8 @@ __all__ = [
     "TrainConfig",
     "Trainer",
     "METRIC_COLUMNS",
-    "comparative_loss_from_sentences",
-    "evaluator_loss_from_sentences",
+    "comparative_loss",
+    "evaluator_loss",
 ]
 
 MODES = ("extract-edit", "back-translation", "mle-retrain")
@@ -110,47 +110,34 @@ def _fmt(x: float) -> str:
 # loss builders shared by the trainer and the gradient-check tests
 
 
-def comparative_loss_from_sentences(source, t_star, edited, model: TranslationModel,
-                                    evaluator: EvaluationNetwork, lam: float) -> Tensor:
-    """Comparative ranking loss for one source with fixed candidate sentences.
+def comparative_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
+                     lam: float) -> Tensor:
+    """Comparative translation loss over a batch of sources.
 
-    The translation and the edited sentences are given (the decoding that
-    produced them is not differentiable); this recomputes their embeddings
-    differentiably and returns -log of the translation's ranking
-    probability among the edited candidates plus itself.
+    e_s (B, d) source embeddings, cand (B, k+1, d) candidate embeddings
+    with the translation t* in the last slot. Returns the batch mean of
+    -log of t*'s ranking probability among the edited candidates plus
+    itself; gradients reach whatever produced the embeddings.
     """
-    _, e_s = model.encode(source)
-    _, e_t = model.encode(t_star)
-    cand = [model.encode(e)[1] for e in edited] + [e_t]
-    d = model.config.hidden_size
-    probs = score_candidates_batch(
-        T.reshape(e_s, (1, d)),
-        T.reshape(T.stack(cand, axis=0), (1, len(cand), d)),
-        evaluator, lam,
-    )
-    return -T.reshape(T.log(T.gather(probs, np.array([[len(cand) - 1]]))), ())
+    probs = score_candidates_batch(e_s, cand, evaluator, lam)
+    k = cand.data.shape[1] - 1
+    picked = T.gather(probs, np.full((e_s.data.shape[0], 1), k))
+    return -T.tmean(T.log(picked))
 
 
-def evaluator_loss_from_sentences(source, t_star, edited, model: TranslationModel,
-                                  evaluator: EvaluationNetwork, lam: float) -> Tensor:
-    """Evaluation-network loss for one source with fixed candidates.
+def evaluator_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
+                   lam: float) -> Tensor:
+    """Evaluation-network loss over a batch of sources.
 
-    Embeddings are computed forward-only (the encoder is frozen in this
-    pass); gradients reach the evaluation network alone. The ranking
-    denominator still includes the translation.
+    Same inputs as ``comparative_loss``. Returns the mean of -log of the
+    ranking probability of each of the k edited candidates; t* stays in
+    the denominator. The trainer passes detached embeddings (the encoder
+    is frozen in this pass), so gradients reach the evaluation network
+    alone.
     """
-    with T.no_grad():
-        _, e_s = model.encode(source)
-        cand_np = np.stack([model.encode(e)[1].data for e in edited]
-                           + [model.encode(t_star)[1].data])
-    k = len(edited)
-    probs = score_candidates_batch(
-        Tensor(e_s.data[None, :]),
-        Tensor(cand_np[None, :, :]),
-        evaluator, lam,
-    )
-    logp = T.log(T.slice_axis(probs, 1, 0, k))
-    return -T.tmean(logp)
+    probs = score_candidates_batch(e_s, cand, evaluator, lam)
+    k = cand.data.shape[1] - 1
+    return -T.tmean(T.log(T.slice_axis(probs, 1, 0, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +337,7 @@ class Trainer:
         with Tape() as tape:
             loss = None
             for e_s, cand in embeds:
-                probs = score_candidates_batch(e_s, cand, self.evaluator, cfg.lam)
-                term = -T.tmean(T.log(T.slice_axis(probs, 1, 0, cfg.k)))
+                term = evaluator_loss(e_s, cand, self.evaluator, cfg.lam)
                 loss = term if loss is None else loss + term
         self._check_loss(loss)
         tape.backward(loss)
@@ -374,9 +360,7 @@ class Trainer:
             if cfg.omega_com > 0 and embeds:
                 loss_com = None
                 for e_s, cand in embeds:
-                    probs = score_candidates_batch(e_s, cand, self.evaluator, cfg.lam)
-                    picked = T.gather(probs, np.full((e_s.data.shape[0], 1), cfg.k))
-                    term = -T.tmean(T.log(picked))
+                    term = comparative_loss(e_s, cand, self.evaluator, cfg.lam)
                     loss_com = term if loss_com is None else loss_com + term
                 total = loss_lm * cfg.omega_lm + loss_com * cfg.omega_com
                 com_val = loss_com.item()

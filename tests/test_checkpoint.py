@@ -69,3 +69,44 @@ def test_written_bytes_deterministic(tmp_path, rng):
     save_tensors(tmp_path / "a.bin", tensors)
     save_tensors(tmp_path / "b.bin", tensors)
     assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
+def rewrite_manifest(path, edit_lines=None, payload=None):
+    """Rewrite a saved file's manifest lines and/or payload in place."""
+    head, body = path.read_bytes().split(b"\n\n", 1)
+    lines = head.decode("utf-8").split("\n")
+    if edit_lines is not None:
+        lines = edit_lines(lines)
+    path.write_bytes("\n".join(lines).encode("utf-8") + b"\n\n"
+                     + (body if payload is None else payload(body)))
+
+
+@pytest.fixture
+def two_tensors(tmp_path):
+    path = tmp_path / "t.bin"
+    save_tensors(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.array([9.25, -1.5])})
+    return path
+
+
+def test_negative_dimension_rejected(two_tensors):
+    rewrite_manifest(two_tensors, lambda ls: [ls[0], "a\t-2,-3\t0", ls[2]])
+    with pytest.raises(CheckpointError, match=r"t\.bin.*'a'.*negative"):
+        load_tensors(two_tensors)
+
+
+def test_overlapping_offset_rejected(two_tensors):
+    rewrite_manifest(two_tensors, lambda ls: [ls[0], ls[1], "b\t2\t40"])
+    with pytest.raises(CheckpointError, match=r"t\.bin.*'b'.*offset 40, expected 48"):
+        load_tensors(two_tensors)
+
+
+def test_trailing_bytes_rejected(two_tensors):
+    rewrite_manifest(two_tensors, payload=lambda body: body + bytes(8))
+    with pytest.raises(CheckpointError, match=r"t\.bin.*8 trailing bytes"):
+        load_tensors(two_tensors)
+
+
+def test_truncated_payload_rejected(two_tensors):
+    rewrite_manifest(two_tensors, payload=lambda body: body[:-1])
+    with pytest.raises(CheckpointError, match=r"t\.bin.*'b'.*payload ends at byte 63"):
+        load_tensors(two_tensors)

@@ -173,6 +173,17 @@ class TestExtractAndEvaluate:
                    "--data", corpus_dir, "--out-file", dump, "--limit", -5) == 1
         assert not dump.exists()
 
+    def test_extract_after_non_default_lambda(self, tmp_path, corpus_dir):
+        """extract rebuilds the trainer from the checkpoint's own config,
+        including keys whose command-line name differs (lambda -> lam)."""
+        out = tmp_path / "lam"
+        args = MICRO + TRAIN + ["lambda=1.0", "main_steps=2", "valid_interval=0"]
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(args)) == 0
+        dump = tmp_path / "d.tsv"
+        assert run("extract", "--checkpoint", checkpoint_of(out),
+                   "--data", corpus_dir, "--out-file", dump, "--limit", 5) == 0
+        assert len(dump.read_text().splitlines()) == 5
+
     def test_evaluate_writes_reports(self, tmp_path, corpus_dir, run_dir):
         out = tmp_path / "eval"
         assert run("evaluate", "--checkpoint", checkpoint_of(run_dir),

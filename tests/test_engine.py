@@ -11,11 +11,9 @@ from extractedit.engine import (
     EvaluationNetwork,
     ExtractionResult,
     build_index,
-    edit,
-    extract_topk,
+    edit_batch,
     extract_topk_batch,
     read_extraction_dump,
-    score_candidates,
     score_candidates_batch,
     write_extraction_dump,
 )
@@ -72,25 +70,25 @@ class TestExtractTopK:
     def test_self_retrieval_rank_one(self, rng):
         rows = rng.normal(size=(20, 6))
         index = EmbeddingIndex(rows, episode=0, lang="tgt")
-        idx, dist = extract_topk(rows[7], index, k=3)
-        assert idx[0] == 7
-        assert dist[0] == 0.0
+        idx, dist = extract_topk_batch(rows[7:8], index, k=3)
+        assert idx[0, 0] == 7
+        assert dist[0, 0] == 0.0
 
     def test_k_equals_size_returns_all_sorted(self, rng):
         rows = rng.normal(size=(8, 4))
         index = EmbeddingIndex(rows, episode=0, lang="tgt")
-        idx, dist = extract_topk(rng.normal(size=4), index, k=8)
-        assert sorted(idx.tolist()) == list(range(8))
-        assert np.all(np.diff(dist) >= 0)
+        idx, dist = extract_topk_batch(rng.normal(size=(1, 4)), index, k=8)
+        assert sorted(idx[0].tolist()) == list(range(8))
+        assert np.all(np.diff(dist[0]) >= 0)
 
     def test_matches_full_sort_oracle(self, rng):
         """Random 50-row index, k=10: exact agreement with argsort oracle."""
         rows = rng.normal(size=(50, 6))
         index = EmbeddingIndex(rows, episode=0, lang="tgt")
         q = rng.normal(size=6)
-        idx, dist = extract_topk(q, index, k=10)
+        idx, dist = extract_topk_batch(q[None, :], index, k=10)
         oracle = np.argsort(np.linalg.norm(rows - q, axis=1), kind="stable")[:10]
-        np.testing.assert_array_equal(idx, oracle)
+        np.testing.assert_array_equal(idx[0], oracle)
 
     def test_exhaustive_property_sizes_1_to_100(self, rng):
         """Agreement with the oracle across index sizes and every valid k."""
@@ -99,32 +97,33 @@ class TestExtractTopK:
             index = EmbeddingIndex(rows, episode=0, lang="tgt")
             q = rng.normal(size=4)
             for k in {1, n // 2 or 1, n}:
-                idx, _ = extract_topk(q, index, k)
+                idx, _ = extract_topk_batch(q[None, :], index, k)
                 oracle = np.argsort(np.linalg.norm(rows - q, axis=1), kind="stable")[:k]
-                np.testing.assert_array_equal(idx, oracle)
+                np.testing.assert_array_equal(idx[0], oracle)
 
     def test_ties_break_by_corpus_index(self):
         rows = np.zeros((5, 3))
         index = EmbeddingIndex(rows, episode=0, lang="tgt")
-        idx, _ = extract_topk(np.ones(3), index, k=5)
-        np.testing.assert_array_equal(idx, [0, 1, 2, 3, 4])
+        idx, _ = extract_topk_batch(np.ones((1, 3)), index, k=5)
+        np.testing.assert_array_equal(idx[0], [0, 1, 2, 3, 4])
 
     def test_k_out_of_range(self, rng):
         index = EmbeddingIndex(rng.normal(size=(4, 3)), episode=0, lang="tgt")
         with pytest.raises(ValueError):
-            extract_topk(np.zeros(3), index, k=5)
+            extract_topk_batch(np.zeros((1, 3)), index, k=5)
         with pytest.raises(ValueError):
-            extract_topk(np.zeros(3), index, k=0)
+            extract_topk_batch(np.zeros((1, 3)), index, k=0)
 
     def test_batch_matches_single(self, rng):
+        """A query's answer does not depend on the other queries in its batch."""
         rows = rng.normal(size=(30, 5))
         index = EmbeddingIndex(rows, episode=0, lang="tgt")
         qs = rng.normal(size=(4, 5))
         bidx, bdist = extract_topk_batch(qs, index, k=6)
         for i in range(4):
-            sidx, sdist = extract_topk(qs[i], index, k=6)
-            np.testing.assert_array_equal(bidx[i], sidx)
-            np.testing.assert_array_equal(bdist[i], sdist)
+            sidx, sdist = extract_topk_batch(qs[i : i + 1], index, k=6)
+            np.testing.assert_array_equal(bidx[i], sidx[0])
+            np.testing.assert_array_equal(bdist[i], sdist[0])
 
 
 def full_scan(queries, rows, k):
@@ -200,75 +199,65 @@ class TestEdit:
         t = rng.integers(4, 20, size=4)
         _, e_t = m.encode(t)
         e_s = e_t.data - 1.0
-        t_edit1, emb1 = edit(e_s, t, m, TGT)
+        t_edit1 = edit_batch(e_s[None, :], e_t.data[None, :], m, TGT)[0]
         with T.no_grad():
             redecoded, _ = m.decode_from_vector(Tensor(e_t.data[None, :]), TGT)
         np.testing.assert_array_equal(t_edit1, redecoded[0])
         # and the identical-embedding case pools to exactly e_t
         np.testing.assert_array_equal(np.maximum(e_t.data, e_t.data), e_t.data)
 
-    def test_edit_reencodes_result(self, rng):
-        m = tiny_model()
-        s = rng.integers(4, 20, size=3)
-        t = rng.integers(4, 20, size=4)
-        _, e_s = m.encode(s)
-        edited, e_edited = edit(e_s.data, t, m, TGT)
-        _, expect = m.encode(edited)
-        np.testing.assert_array_equal(e_edited, expect.data)
-
     def test_empty_extraction_rejected(self, rng):
+        """An empty extracted sentence has no embedding to edit from."""
         with pytest.raises(DegenerateInputError):
-            edit(np.zeros(8), np.array([], dtype=np.int64), tiny_model(), TGT)
+            tiny_model().encode_batch([np.array([], dtype=np.int64)])
 
 
 class TestScoreCandidates:
     def test_singleton_probability_one(self, rng):
         ev = EvaluationNetwork(6, rng)
-        probs = score_candidates(Tensor(rng.normal(size=6)), [Tensor(rng.normal(size=6))],
-                                 ev, inv_temperature=0.5)
-        np.testing.assert_allclose(probs.data, [1.0], atol=1e-15)
+        probs = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
+                                       Tensor(rng.normal(size=(1, 1, 6))),
+                                       ev, inv_temperature=0.5)
+        np.testing.assert_allclose(probs.data, [[1.0]], atol=1e-15)
 
     def test_identical_candidates_uniform(self, rng):
         ev = EvaluationNetwork(6, rng)
-        c = Tensor(rng.normal(size=6))
-        probs = score_candidates(Tensor(rng.normal(size=6)), [c, c, c, c], ev, 0.5)
+        c = rng.normal(size=6)
+        probs = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
+                                       Tensor(np.tile(c, (1, 4, 1))), ev, 0.5)
         np.testing.assert_allclose(probs.data, 0.25, atol=1e-12)
 
     def test_matches_direct_formula(self, rng):
-        """Known alphas [0.9, 0.1, 0.1] at scale 0.5 vs direct evaluation.
-
-        Uses an identity-like evaluator replacement: we check the softmax
-        stage through the public API by feeding candidates whose joint-space
-        cosines we compute ourselves, then comparing distributions.
-        """
+        """Scaled softmax of joint-space cosines computed by hand."""
         ev = EvaluationNetwork(6, rng)
-        e_s = Tensor(rng.normal(size=6))
-        cands = [Tensor(rng.normal(size=6)) for _ in range(3)]
-        probs = score_candidates(e_s, cands, ev, inv_temperature=0.5)
+        e_s = rng.normal(size=6)
+        cands = rng.normal(size=(3, 6))
+        probs = score_candidates_batch(Tensor(e_s[None, :]), Tensor(cands[None]), ev,
+                                       inv_temperature=0.5)
         with T.no_grad():
-            r_s = ev.forward(T.reshape(e_s, (1, 6))).data[0]
+            r_s = ev.forward(Tensor(e_s[None, :])).data[0]
             alphas = []
             for c in cands:
-                r_c = ev.forward(T.reshape(c, (1, 6))).data[0]
+                r_c = ev.forward(Tensor(c[None, :])).data[0]
                 alphas.append(np.dot(r_s, r_c) / (np.linalg.norm(r_s) * np.linalg.norm(r_c)))
         z = np.exp(0.5 * np.array(alphas))
-        np.testing.assert_allclose(probs.data, z / z.sum(), atol=1e-12)
+        np.testing.assert_allclose(probs.data[0], z / z.sum(), atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
         ev = EvaluationNetwork(6, rng)
-        e_s = Tensor(rng.normal(size=6))
-        cands = [Tensor(rng.normal(size=6)) for _ in range(5)]
-        p1 = score_candidates(e_s, cands, ev, 0.5).data
+        e_s = Tensor(rng.normal(size=(1, 6)))
+        cands = rng.normal(size=(1, 5, 6))
+        p1 = score_candidates_batch(e_s, Tensor(cands), ev, 0.5).data
         perm = [3, 0, 4, 1, 2]
-        p2 = score_candidates(e_s, [cands[i] for i in perm], ev, 0.5).data
-        np.testing.assert_allclose(p2, p1[perm], atol=1e-15)
+        p2 = score_candidates_batch(e_s, Tensor(cands[:, perm]), ev, 0.5).data
+        np.testing.assert_allclose(p2, p1[:, perm], atol=1e-15)
 
     def test_argmax_invariant_to_temperature(self, rng):
         ev = EvaluationNetwork(6, rng)
-        e_s = Tensor(rng.normal(size=6))
-        cands = [Tensor(rng.normal(size=6)) for _ in range(6)]
+        e_s = Tensor(rng.normal(size=(1, 6)))
+        cands = Tensor(rng.normal(size=(1, 6, 6)))
         argmaxes = {
-            int(np.argmax(score_candidates(e_s, cands, ev, lam).data))
+            int(np.argmax(score_candidates_batch(e_s, cands, ev, lam).data))
             for lam in (0.01, 0.5, 2.0, 10.0)
         }
         assert len(argmaxes) == 1

@@ -25,8 +25,8 @@ from extractedit.training import (
     METRIC_COLUMNS,
     TrainConfig,
     Trainer,
-    comparative_loss_from_sentences,
-    evaluator_loss_from_sentences,
+    comparative_loss,
+    evaluator_loss,
 )
 
 from conftest import check_grad
@@ -103,54 +103,70 @@ class TestPretraining:
         assert exact >= 45
 
 
+def embed(tr, sources, t_star, edited):
+    """(e_s (B,d), cand (B,k+1,d)) as the trainer builds them for one
+    direction: the k = len(edited) // B edits of each source, row-major,
+    then its translation in the last slot. Differentiable under a tape."""
+    b = len(sources)
+    k = len(edited) // b
+    assert tr.config.k == k
+    batch = training._DirectionBatch(
+        sources=sources, out_lang=TGT, t_star=t_star,
+        extracted_idx=np.zeros((b, k), dtype=np.int64), extracted_dist=np.zeros((b, k)),
+        edited=edited, skipped=0)
+    (e_s, cand), = tr._encode_directions([batch])
+    return e_s, cand
+
+
+def two_way_probs(tr, source, t_edit, t_star, lam):
+    """Ranking probabilities of (t_edit, t_star) computed one sentence at a
+    time: scaled softmax of joint-space cosines to the source."""
+    with T.no_grad():
+        _, e_s = tr.model.encode(source)
+        r_s = tr.evaluator.forward(Tensor(e_s.data[None, :])).data[0]
+        alphas = []
+        for sent in (t_edit, t_star):
+            _, e = tr.model.encode(sent)
+            r = tr.evaluator.forward(Tensor(e.data[None, :])).data[0]
+            alphas.append(float(np.dot(r, r_s) / (np.linalg.norm(r) * np.linalg.norm(r_s))))
+    z = [math.exp(lam * a) for a in alphas]
+    return z[0] / sum(z), z[1] / sum(z)
+
+
 class TestComparativeLoss:
     def test_uniform_candidates_anchor(self, pair):
         """All k+1 candidates identical: loss is exactly ln(k+1)."""
         tr = micro_trainer(pair, k=10)
         s = pair.src_train[0]
         t = pair.tgt_train[0]
-        loss = comparative_loss_from_sentences(s, t, [t] * 10, tr.model, tr.evaluator,
-                                               lam=0.5)
+        loss = comparative_loss(*embed(tr, [s], [t], [t] * 10), tr.evaluator, lam=0.5)
         assert loss.item() == pytest.approx(math.log(11), abs=1e-9)
 
     def test_single_competitor_matches_direct_formula(self, pair, rng):
         """One edited competitor: loss equals the two-way softmax formula."""
-        tr = micro_trainer(pair)
+        tr = micro_trainer(pair, k=1)
         s, t_star, t_edit = pair.src_train[0], pair.tgt_train[1], pair.tgt_train[2]
         lam = 0.5
-        loss = comparative_loss_from_sentences(s, t_star, [t_edit], tr.model,
-                                               tr.evaluator, lam)
-        with T.no_grad():
-            _, e_s = tr.model.encode(s)
-            r_s = tr.evaluator.forward(Tensor(e_s.data[None, :])).data[0]
-            alphas = []
-            for sent in (t_edit, t_star):
-                _, e = tr.model.encode(sent)
-                r = tr.evaluator.forward(Tensor(e.data[None, :])).data[0]
-                alphas.append(float(np.dot(r, r_s)
-                                    / (np.linalg.norm(r) * np.linalg.norm(r_s))))
-        expect = -math.log(math.exp(lam * alphas[1])
-                           / (math.exp(lam * alphas[0]) + math.exp(lam * alphas[1])))
-        assert loss.item() == pytest.approx(expect, abs=1e-12)
+        loss = comparative_loss(*embed(tr, [s], [t_star], [t_edit]), tr.evaluator, lam)
+        p_edit, p_star = two_way_probs(tr, s, t_edit, t_star, lam)
+        assert loss.item() == pytest.approx(-math.log(p_star), abs=1e-12)
 
     def test_gradient_reaches_encoder_only(self, pair, rng):
         """Finite differences over encoder params; decoder params get no
         gradient at all from the comparative loss."""
-        tr = micro_trainer(pair, hidden_size=8, eval_hidden=8, eval_out=8)
+        tr = micro_trainer(pair, hidden_size=8, eval_hidden=8, eval_out=8, k=2)
         s, t_star = pair.src_train[0], pair.tgt_train[1]
         edited = [pair.tgt_train[2], pair.tgt_train[3]]
 
         enc = list(tr.model.encoder_parameters().values())
         check_grad(
-            lambda: comparative_loss_from_sentences(s, t_star, edited, tr.model,
-                                                    tr.evaluator, 0.5),
+            lambda: comparative_loss(*embed(tr, [s], [t_star], edited), tr.evaluator, 0.5),
             enc, tol=1e-4, max_coords=3, rng=rng)
 
         for p in tr.model.named_parameters().values():
             p.grad = None
         with Tape() as tape:
-            loss = comparative_loss_from_sentences(s, t_star, edited, tr.model,
-                                                   tr.evaluator, 0.5)
+            loss = comparative_loss(*embed(tr, [s], [t_star], edited), tr.evaluator, 0.5)
         tape.backward(loss)
         for name, p in tr.model.decoder_parameters().items():
             assert p.grad is None, f"{name} received gradient from the comparative loss"
@@ -160,28 +176,39 @@ class TestEvaluatorLoss:
     def test_uniform_candidates_anchor(self, pair):
         tr = micro_trainer(pair, k=10)
         t = pair.tgt_train[0]
-        loss = evaluator_loss_from_sentences(pair.src_train[0], t, [t] * 10,
-                                             tr.model, tr.evaluator, 0.5)
+        loss = evaluator_loss(*embed(tr, [pair.src_train[0]], [t], [t] * 10),
+                              tr.evaluator, 0.5)
         assert loss.item() == pytest.approx(math.log(11), abs=1e-9)
 
+    def test_single_competitor_matches_direct_formula(self, pair):
+        """One edited candidate: loss is -log of its two-way probability."""
+        tr = micro_trainer(pair, k=1)
+        s, t_star, t_edit = pair.src_train[0], pair.tgt_train[1], pair.tgt_train[2]
+        loss = evaluator_loss(*embed(tr, [s], [t_star], [t_edit]), tr.evaluator, 0.5)
+        p_edit, _ = two_way_probs(tr, s, t_edit, t_star, 0.5)
+        assert loss.item() == pytest.approx(-math.log(p_edit), abs=1e-12)
+
     def test_non_negative(self, pair, rng):
-        tr = micro_trainer(pair)
+        tr = micro_trainer(pair, k=2)
         for _ in range(5):
             ids = rng.integers(0, len(pair.tgt_train), size=4)
-            loss = evaluator_loss_from_sentences(
-                pair.src_train[int(ids[0])], pair.tgt_train[int(ids[1])],
-                [pair.tgt_train[int(i)] for i in ids[2:]],
-                tr.model, tr.evaluator, 0.5)
+            loss = evaluator_loss(
+                *embed(tr, [pair.src_train[int(ids[0])]], [pair.tgt_train[int(ids[1])]],
+                       [pair.tgt_train[int(i)] for i in ids[2:]]),
+                tr.evaluator, 0.5)
             assert loss.item() >= 0.0
 
     def test_encoder_frozen_in_evaluator_pass(self, pair):
-        tr = micro_trainer(pair)
+        """The trainer hands the evaluator update detached embeddings:
+        the evaluation network gets gradient, the encoder none."""
+        tr = micro_trainer(pair, k=2)
         for p in tr.model.named_parameters().values():
             p.grad = None
+        with Tape():
+            e_s, cand = embed(tr, [pair.src_train[0]], [pair.tgt_train[0]],
+                              [pair.tgt_train[1], pair.tgt_train[2]])
         with Tape() as tape:
-            loss = evaluator_loss_from_sentences(
-                pair.src_train[0], pair.tgt_train[0],
-                [pair.tgt_train[1], pair.tgt_train[2]], tr.model, tr.evaluator, 0.5)
+            loss = evaluator_loss(Tensor(e_s.data), Tensor(cand.data), tr.evaluator, 0.5)
         tape.backward(loss)
         assert all(p.grad is None for p in tr.model.named_parameters().values())
         assert any(p.grad is not None for p in tr.evaluator.named_parameters().values())
@@ -198,15 +225,11 @@ class TestEvaluatorLoss:
         cand = Tensor(np.concatenate([edited, t_star[None, :]])[None, :, :])
         query = Tensor(e_s[None, :])
 
-        def loss_fn():
-            probs = score_candidates_batch(query, cand, ev, 0.5)
-            return -T.tmean(T.log(T.slice_axis(probs, 1, 0, 4)))
-
         first = last = None
         for _ in range(20):
             opt.zero_grad()
             with Tape() as tape:
-                loss = loss_fn()
+                loss = evaluator_loss(query, cand, ev, 0.5)
             tape.backward(loss)
             opt.step()
             if first is None:
@@ -260,6 +283,24 @@ class TestAdversarialStep:
                    for k, v in eval_mid.items())
         assert any(tr.model.named_parameters()[k].data.tobytes() != v
                    for k, v in gen_before.items())
+
+    def test_updates_use_the_shared_losses(self, pair, monkeypatch):
+        """Both updates build their ranking terms with the loss functions
+        checked above, once per direction, and log their sums."""
+        seen = {"comparative_loss": [], "evaluator_loss": []}
+        for name, values in seen.items():
+            def spy(*args, _inner=getattr(training, name), _values=values):
+                loss = _inner(*args)
+                _values.append(loss.item())
+                return loss
+            monkeypatch.setattr(training, name, spy)
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.pretrain_step()
+        tr.adversarial_step()
+        row = tr.state.metric_rows[-1]
+        assert len(seen["comparative_loss"]) == len(seen["evaluator_loss"]) == 2
+        assert float(row[4]) == sum(seen["comparative_loss"])
+        assert float(row[5]) == sum(seen["evaluator_loss"])
 
     def test_loss_decomposition_row(self, pair):
         """Logged total equals omega_lm * lm + omega_com * com to 1e-12."""
