@@ -22,10 +22,7 @@ table = full_vocab_dictionary(pair)
 def grade(trainer, label):
     srcs = [s for s, _ in pair.gold]
     refs = [t for _, t in pair.gold]
-    decoded = []
-    for i in range(0, len(srcs), 64):
-        out, _ = trainer.model.translate_batch(srcs[i : i + 64], TGT)
-        decoded.extend(out)
+    decoded = trainer.model.translate(srcs, TGT)
     acc = token_accuracy(decoded, refs)
     bleu = corpus_bleu(decoded, refs).bleu
     print(f"{label:>18}: token accuracy {acc:.3f}, BLEU {bleu:.2f}")

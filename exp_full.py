@@ -26,10 +26,7 @@ table = full_vocab_dictionary(pair)
 def accuracy(trainer):
     srcs = [s for s, _ in pair.gold]
     refs = [t for _, t in pair.gold]
-    decoded = []
-    for i in range(0, len(srcs), 64):
-        d, _ = trainer.model.translate_batch(srcs[i:i+64], TGT)
-        decoded.extend(d)
+    decoded = trainer.model.translate(srcs, TGT)
     return token_accuracy(decoded, refs), corpus_bleu(decoded, refs).bleu
 
 base = dict(seed=seed, hidden_size=64, layers=2, eval_hidden=64, eval_out=64,

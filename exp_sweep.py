@@ -21,10 +21,7 @@ table = full_vocab_dictionary(pair)
 def accuracy(trainer):
     srcs = [s for s, _ in pair.gold]
     refs = [t for _, t in pair.gold]
-    decoded = []
-    for i in range(0, len(srcs), 64):
-        d, _ = trainer.model.translate_batch(srcs[i:i+64], TGT)
-        decoded.extend(d)
+    decoded = trainer.model.translate(srcs, TGT)
     return token_accuracy(decoded, refs)
 
 base = dict(seed=seed, hidden_size=32, layers=1, eval_hidden=32, eval_out=32,

@@ -20,26 +20,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_json, load_tensors, save_json
+from .checkpoint import load_json, save_json
 from .cipher import (
+    CipherSpec,
     generate_cipher_pair,
     read_gold_pairs,
     token_inventory,
     write_cipher_pair,
 )
-from .config import (
-    ConfigError,
-    apply_overrides,
-    cipher_spec_from,
-    format_config,
-    load_config,
-    train_config_from,
-)
+from .config import ConfigError, apply_overrides, dataclass_from, format_config, load_config
 from .engine import read_extraction_dump, write_extraction_dump
 from .metrics import corpus_bleu, hits_at_k, token_accuracy
 from .model import SRC, TGT
 from .text import Corpus, Vocabulary, load_corpus
-from .training import TrainConfig, Trainer
+from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint
 
 ENV_OUT_ROOT = "EXTRACTEDIT_RUNS"
 
@@ -170,28 +164,6 @@ def _make_trainer(tc: TrainConfig, data_dir: Path) -> Trainer:
                    oracle_dictionary=dictionary)
 
 
-def _load_checkpoint_bundle(ckpt_dir: Path):
-    """Reconstruct model/evaluator/vocab straight from a checkpoint."""
-    from .engine import EvaluationNetwork
-    from .model import ModelConfig, TranslationModel
-
-    meta = load_json(ckpt_dir / "state.json")
-    cfg = meta["config"]
-    vocab = Vocabulary(meta["vocab_content"])
-    rng = np.random.default_rng(cfg["seed"])
-    model = TranslationModel(
-        ModelConfig(vocab_size=vocab.size, hidden_size=cfg["hidden_size"],
-                    layers=cfg["layers"], max_len=cfg["max_len"]),
-        rng,
-    )
-    evaluator = EvaluationNetwork(cfg["hidden_size"], rng,
-                                  hidden=cfg["eval_hidden"], d_out=cfg["eval_out"])
-    params = load_tensors(ckpt_dir / "params.bin")
-    for k, p in {**model.named_parameters(), **evaluator.named_parameters()}.items():
-        p.data = params[k].copy()
-    return model, evaluator, vocab, cfg
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -201,7 +173,7 @@ def cmd_gen_corpus(args, cfg: dict) -> int:
     _prepare_dir(out, args.overwrite)
     manifest = RunManifest(out, "gen-corpus", cfg)
     try:
-        spec = cipher_spec_from(cfg)
+        spec = dataclass_from(CipherSpec, cfg)
         pair = generate_cipher_pair(spec)
         files = write_cipher_pair(pair, out)["files"]
         for name in files.values():
@@ -241,7 +213,7 @@ def cmd_train(args, cfg: dict) -> int:
     manifest = RunManifest(out, "train", cfg)
     try:
         data_dir = Path(args.data)
-        trainer = _make_trainer(train_config_from(cfg), data_dir)
+        trainer = _make_trainer(dataclass_from(TrainConfig, cfg), data_dir)
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
         manifest.add_output(out / "config.txt")
 
@@ -262,7 +234,7 @@ def cmd_train(args, cfg: dict) -> int:
         manifest.add_output(out / "metrics.csv")
         table = _checkpoint_table(trainer, ckpt_root)
         for entry in table:
-            manifest.add_output(ckpt_root / Path(entry["path"]).name / "state.json")
+            manifest.add_output(ckpt_root / Path(entry["path"]).name / STATE_FILE)
         manifest.data["checkpoints"] = table
         scored = [e for e in table if e["d_mean"] is not None]
         best = (max(scored, key=lambda e: e["d_mean"]) if scored
@@ -279,24 +251,18 @@ def cmd_train(args, cfg: dict) -> int:
 
 def cmd_translate(args, cfg: dict) -> int:
     try:
-        model, _, vocab, _ = _load_checkpoint_bundle(Path(args.checkpoint))
+        model, _, vocab, _ = load_checkpoint(args.checkpoint)
         out_lang = TGT if args.direction == "s2t" else SRC
         in_path = Path(args.input)
-        text = in_path.read_text(encoding="utf-8")
-        lines = text.splitlines()
-        out_lines = []
-        if lines:
-            for i, line in enumerate(lines, start=1):
-                for tok in line.split():
-                    if tok not in vocab.token_to_id:
-                        raise CliError(
-                            f"{in_path}: line {i}: token {tok!r} is not in the "
-                            f"checkpoint vocabulary")
-            sentences = [vocab.encode(line.split()[: model.config.max_len])
-                         for line in lines]
-            for start in range(0, len(sentences), 64):
-                decoded, _ = model.translate_batch(sentences[start : start + 64], out_lang)
-                out_lines.extend(" ".join(vocab.decode(ids)) for ids in decoded)
+        lines = in_path.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines, start=1):
+            for tok in line.split():
+                if tok not in vocab.token_to_id:
+                    raise CliError(
+                        f"{in_path}: line {i}: token {tok!r} is not in the "
+                        f"checkpoint vocabulary")
+        sentences = [vocab.encode(line.split()[: model.config.max_len]) for line in lines]
+        out_lines = [" ".join(vocab.decode(ids)) for ids in model.translate(sentences, out_lang)]
         Path(args.output).write_text(
             "".join(line + "\n" for line in out_lines), encoding="utf-8")
         print(f"translated {len(out_lines)} sentences -> {args.output}")
@@ -308,10 +274,9 @@ def cmd_translate(args, cfg: dict) -> int:
 
 def cmd_extract(args, cfg: dict) -> int:
     try:
-        ckpt = Path(args.checkpoint)
-        meta = load_json(ckpt / "state.json")
-        trainer = _make_trainer(TrainConfig(**meta["config"]), Path(args.data))
-        trainer.restore(ckpt)
+        _, _, _, tc = load_checkpoint(args.checkpoint)
+        trainer = _make_trainer(tc, Path(args.data))
+        trainer.restore(args.checkpoint)
         results = trainer.extract_corpus(limit=args.limit)
         write_extraction_dump(args.out_file, results, trainer.vocab)
         print(f"wrote {len(results)} extraction records to {args.out_file}")
@@ -330,17 +295,13 @@ def cmd_evaluate(args, cfg: dict) -> int:
         reports.mkdir(exist_ok=True)
         metrics = [m for m in args.metrics.split(",") if m] if args.metrics else []
         if metrics:
-            model, evaluator, vocab, _ = _load_checkpoint_bundle(Path(args.checkpoint))
+            model, evaluator, vocab, _ = load_checkpoint(args.checkpoint)
             data_dir = Path(args.data)
             gold = read_gold_pairs(data_dir / "gold.test.tsv", vocab)
             text_lines = []
             if "bleu" in metrics or "accuracy" in metrics:
-                decoded = []
-                srcs = [s for s, _ in gold]
+                decoded = model.translate([s for s, _ in gold], TGT)
                 refs = [t for _, t in gold]
-                for start in range(0, len(srcs), 64):
-                    d, _ = model.translate_batch(srcs[start : start + 64], TGT)
-                    decoded.extend(d)
                 if "bleu" in metrics:
                     rep = corpus_bleu(decoded, refs)
                     _write_csv(reports / "bleu.csv", rep.rows())
@@ -392,13 +353,12 @@ def cmd_sweep_k(args, cfg: dict) -> int:
         data_dir = Path(args.data)
 
         # shared pretrained initialization: pretrain once, reuse per k
-        tc = train_config_from(cfg)
+        tc = dataclass_from(TrainConfig, cfg)
         pre_trainer = _make_trainer(replace(tc, main_steps=0), data_dir)
         pre_trainer.run()
         pre_dir = pre_trainer.save_checkpoint(out / "pretrained")
 
-        vocab, _, _, _ = _load_data(data_dir, cfg["max_len"])
-        gold = read_gold_pairs(data_dir / "gold.test.tsv", vocab)
+        gold = read_gold_pairs(data_dir / "gold.test.tsv", pre_trainer.vocab)
         srcs = [s for s, _ in gold]
         refs = [t for _, t in gold]
 
@@ -407,11 +367,7 @@ def cmd_sweep_k(args, cfg: dict) -> int:
             trainer = _make_trainer(replace(tc, k=k), data_dir)
             trainer.restore(pre_dir, require_same_config=False)
             trainer.run()
-            decoded = []
-            for start in range(0, len(srcs), 64):
-                d, _ = trainer.model.translate_batch(srcs[start : start + 64], TGT)
-                decoded.extend(d)
-            acc = token_accuracy(decoded, refs)
+            acc = token_accuracy(trainer.model.translate(srcs, TGT), refs)
             rows.append({"k": k, "seed": cfg["seed"], "token_accuracy": acc})
             (out / f"metrics_k{k}.csv").write_text(trainer.metrics_csv(), encoding="utf-8")
             manifest.add_output(out / f"metrics_k{k}.csv")

@@ -2,19 +2,22 @@
 
 One text file, one namespace: corpus-generation keys feed CipherSpec,
 training keys feed TrainConfig, and the rest steer individual commands.
+The keys, their parsers and their defaults come from the two dataclasses'
+fields; this module adds only a description per key and the command-line
+names of the two fields whose names clash or are reserved words.
 Command lines may override any key with ``--key=value``.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 from .cipher import CipherSpec
 from .training import TrainConfig
 
 __all__ = ["ConfigError", "CONFIG_KEYS", "default_config", "load_config",
-           "apply_overrides", "parse_value", "cipher_spec_from",
-           "train_config_from", "format_config"]
+           "apply_overrides", "parse_value", "dataclass_from", "format_config"]
 
 
 class ConfigError(ValueError):
@@ -25,51 +28,77 @@ def _opt_int(s: str):
     return None if s.lower() in ("none", "") else int(s)
 
 
-# name -> (parser, default, description)
-CONFIG_KEYS: dict[str, tuple] = {
-    # cipher corpus generation
-    "vocab_size": (int, 100, "content tokens in the shared inventory"),
-    "data_seed": (int, 0, "RNG seed for corpus sampling"),
-    "substitution_seed": (_opt_int, 1, "seed of the substitution permutation; 'none' = identity"),
-    "window": (int, 1, "local reordering window of the cipher"),
-    "reorder_rule": (str, "block-reverse", "deterministic reordering rule"),
-    "n_train": (int, 2000, "training sentences per side"),
-    "n_valid": (int, 200, "held-out monolingual sentences per side"),
-    "n_test": (int, 500, "gold parallel test pairs"),
-    "n_distractor": (int, 0, "extra cipher sentences for retrieval noise pools"),
-    "len_min": (int, 3, "minimum sentence length"),
-    "len_max": (int, 12, "maximum sentence length"),
-    "zipf_exponent": (float, 1.1, "unigram frequency skew"),
-    "bigram_weight": (float, 0.5, "probability of drawing a preferred successor"),
-    "parallel_fraction": (float, 0.0, "fraction of true parallels injected into training"),
-    # model and training
-    "mode": (str, "extract-edit", "extract-edit | back-translation | mle-retrain"),
-    "seed": (int, 0, "training seed (init, batching, noise)"),
-    "hidden_size": (int, 64, "hidden and embedding width"),
-    "layers": (int, 2, "recurrent layers in encoder and decoder"),
-    "eval_hidden": (int, 64, "evaluation-network hidden width"),
-    "eval_out": (int, 64, "evaluation-network output width"),
-    "max_len": (int, 20, "sentence length cap, also the decode budget"),
-    "batch_size": (int, 32, "sentences per direction per step"),
-    "lr": (float, 3e-4, "Adam learning rate, encoder/decoder group"),
-    "lr_evaluator": (float, 3e-4, "Adam learning rate, evaluation network"),
-    "omega_lm": (float, 1.0, "language-modeling loss weight"),
-    "omega_com": (float, 1.0, "comparative / reconstruction loss weight"),
-    "lambda": (float, 0.5, "inverse temperature of the ranking softmax"),
-    "k": (int, 10, "extracted sentences per source"),
-    "episode_len": (int, 50, "steps between embedding-index rebuilds"),
-    "pretrain_steps": (int, 2000, "language-modeling pretraining steps"),
-    "main_steps": (int, 3000, "steps of the configured mode after pretraining"),
-    "p_drop": (float, 0.1, "word-drop probability of the noise model"),
-    "shuffle_window": (int, 3, "local shuffle window of the noise model"),
-    "init_mode": (str, "oracle", "oracle = mix dictionary word translation into pretraining"),
-    "valid_interval": (int, 200, "steps between model-selection scoring"),
-    "checkpoint_interval": (int, 1000, "steps between checkpoints"),
+_PARSERS = {"int": int, "float": float, "str": str, "int | None": _opt_int}
+
+# (dataclass, field) -> config key, where the two differ: both dataclasses
+# have a ``seed``, and ``lambda`` is a Python keyword
+_RENAMED = {(CipherSpec, "seed"): "data_seed", (TrainConfig, "lam"): "lambda"}
+
+# keys that steer individual commands, with their defaults
+_PLUMBING = {
+    "extractions_path": "",
+    "sweep_ks": "1,3,5,8,10",
+    "hits_noise_ratios": "0,0.5,0.9",
+    "hits_ks": "1,3,5,8,10,15,20",
+}
+
+_DESCRIPTIONS = {
+    # cipher corpus generation (CipherSpec)
+    "vocab_size": "content tokens in the shared inventory",
+    "data_seed": "RNG seed for corpus sampling",
+    "substitution_seed": "seed of the substitution permutation; 'none' = identity",
+    "window": "local reordering window of the cipher",
+    "reorder_rule": "deterministic reordering rule",
+    "n_train": "training sentences per side",
+    "n_valid": "held-out monolingual sentences per side",
+    "n_test": "gold parallel test pairs",
+    "n_distractor": "extra cipher sentences for retrieval noise pools",
+    "len_min": "minimum sentence length",
+    "len_max": "maximum sentence length",
+    "zipf_exponent": "unigram frequency skew",
+    "bigram_weight": "probability of drawing a preferred successor",
+    "parallel_fraction": "fraction of true parallels injected into training",
+    # model and training (TrainConfig)
+    "mode": "extract-edit | back-translation | mle-retrain",
+    "seed": "training seed (init, batching, noise)",
+    "hidden_size": "hidden and embedding width",
+    "layers": "recurrent layers in encoder and decoder",
+    "eval_hidden": "evaluation-network hidden width",
+    "eval_out": "evaluation-network output width",
+    "max_len": "sentence length cap, also the decode budget",
+    "batch_size": "sentences per direction per step",
+    "lr": "Adam learning rate, encoder/decoder group",
+    "lr_evaluator": "Adam learning rate, evaluation network",
+    "omega_lm": "language-modeling loss weight",
+    "omega_com": "comparative / reconstruction loss weight",
+    "lambda": "inverse temperature of the ranking softmax",
+    "k": "extracted sentences per source",
+    "episode_len": "steps between embedding-index rebuilds",
+    "pretrain_steps": "language-modeling pretraining steps",
+    "main_steps": "steps of the configured mode after pretraining",
+    "p_drop": "word-drop probability of the noise model",
+    "shuffle_window": "local shuffle window of the noise model",
+    "init_mode": "oracle = mix dictionary word translation into pretraining",
+    "valid_interval": "steps between model-selection scoring",
+    "checkpoint_interval": "steps between checkpoints",
     # command plumbing
-    "extractions_path": (str, "", "extraction dump consumed by mle-retrain"),
-    "sweep_ks": (str, "1,3,5,8,10", "k values for sweep-k"),
-    "hits_noise_ratios": (str, "0,0.5,0.9", "distractor ratios for the hits report"),
-    "hits_ks": (str, "1,3,5,8,10,15,20", "rank cutoffs for the hits report"),
+    "extractions_path": "extraction dump consumed by mle-retrain",
+    "sweep_ks": "k values for sweep-k",
+    "hits_noise_ratios": "distractor ratios for the hits report",
+    "hits_ks": "rank cutoffs for the hits report",
+}
+
+
+def _key(cls, name: str) -> str:
+    return _RENAMED.get((cls, name), name)
+
+
+# name -> (parser, default, description); cipher keys, then training keys,
+# then plumbing keys, which is also the line order of a formatted config
+CONFIG_KEYS: dict[str, tuple] = {
+    **{_key(cls, f.name): (_PARSERS[f.type], f.default, _DESCRIPTIONS[_key(cls, f.name)])
+       for cls in (CipherSpec, TrainConfig) for f in fields(cls)},
+    **{k: (str, default, _DESCRIPTIONS[k]) for k, default in _PLUMBING.items()},
 }
 
 
@@ -123,47 +152,6 @@ def format_config(cfg: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cipher_spec_from(cfg: dict) -> CipherSpec:
-    return CipherSpec(
-        vocab_size=cfg["vocab_size"],
-        seed=cfg["data_seed"],
-        substitution_seed=cfg["substitution_seed"],
-        window=cfg["window"],
-        reorder_rule=cfg["reorder_rule"],
-        n_train=cfg["n_train"],
-        n_valid=cfg["n_valid"],
-        n_test=cfg["n_test"],
-        n_distractor=cfg["n_distractor"],
-        len_min=cfg["len_min"],
-        len_max=cfg["len_max"],
-        zipf_exponent=cfg["zipf_exponent"],
-        bigram_weight=cfg["bigram_weight"],
-        parallel_fraction=cfg["parallel_fraction"],
-    )
-
-
-def train_config_from(cfg: dict) -> TrainConfig:
-    return TrainConfig(
-        mode=cfg["mode"],
-        seed=cfg["seed"],
-        hidden_size=cfg["hidden_size"],
-        layers=cfg["layers"],
-        eval_hidden=cfg["eval_hidden"],
-        eval_out=cfg["eval_out"],
-        max_len=cfg["max_len"],
-        batch_size=cfg["batch_size"],
-        lr=cfg["lr"],
-        lr_evaluator=cfg["lr_evaluator"],
-        omega_lm=cfg["omega_lm"],
-        omega_com=cfg["omega_com"],
-        lam=cfg["lambda"],
-        k=cfg["k"],
-        episode_len=cfg["episode_len"],
-        pretrain_steps=cfg["pretrain_steps"],
-        main_steps=cfg["main_steps"],
-        p_drop=cfg["p_drop"],
-        shuffle_window=cfg["shuffle_window"],
-        init_mode=cfg["init_mode"],
-        valid_interval=cfg["valid_interval"],
-        checkpoint_interval=cfg["checkpoint_interval"],
-    )
+def dataclass_from(cls, cfg: dict):
+    """Build ``cls`` (CipherSpec or TrainConfig) from its keys of a flat config."""
+    return cls(**{f.name: cfg[_key(cls, f.name)] for f in fields(cls)})

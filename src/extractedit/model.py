@@ -139,13 +139,6 @@ class TranslationModel:
         pooled = T.masked_max(h_seq, mask)
         return h_seq, pooled, mask
 
-    def encode(self, sentence: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Single-sentence encode: (hidden states (1,T,d), embedding (d,))."""
-        if len(sentence) == 0:
-            raise DegenerateInputError("cannot encode an empty sentence")
-        h_seq, pooled, _ = self.encode_batch([sentence])
-        return h_seq, T.reshape(pooled, (self.config.hidden_size,))
-
     # -- decoding -------------------------------------------------------------
 
     def _decoder_step(self, tok_ids: np.ndarray, step: int, hiddens: list[Tensor],
@@ -242,15 +235,20 @@ class TranslationModel:
             h_enc, pooled, mask = self.encode_batch(sentences)
         return self.decode_greedy_batch(pooled, h_enc, mask, out_lang, max_len=max_len)
 
+    def translate(self, sentences, out_lang: int) -> list[np.ndarray]:
+        """Greedy translations of a whole list, 64 sentences per batch.
+
+        A row's logits can differ in their last bits with the padded length
+        of its batch (the attention softmax sums over it), so the fixed
+        chunking is part of the result.
+        """
+        decoded = []
+        for start in range(0, len(sentences), 64):
+            decoded.extend(self.translate_batch(sentences[start : start + 64], out_lang)[0])
+        return decoded
+
     def decode_from_vector(self, vectors: Tensor, lang: int,
                            max_len: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Greedy decoding conditioned on a single vector per row (no attention);
         the vector seeds the initial hidden state of every decoder layer."""
         return self.decode_greedy_batch(vectors, None, None, lang, max_len=max_len)
-
-    def translation_nll(self, sentence: np.ndarray, reference: np.ndarray,
-                        out_lang: int) -> Tensor:
-        """Teacher-forced NLL of one (sentence, reference) pair."""
-        if len(reference) == 0:
-            raise DegenerateInputError("reference must be non-empty")
-        return self.nll_batch([sentence], [reference], out_lang)

@@ -50,14 +50,18 @@ __all__ = [
     "TrainConfig",
     "Trainer",
     "METRIC_COLUMNS",
+    "STATE_FILE",
     "comparative_loss",
     "evaluator_loss",
+    "load_checkpoint",
 ]
 
 MODES = ("extract-edit", "back-translation", "mle-retrain")
 
 METRIC_COLUMNS = ("step", "mode", "loss_total", "loss_lm", "loss_com",
                   "loss_R", "D_s2t", "D_t2s", "skipped")
+
+STATE_FILE = "state.json"  # a checkpoint's config, vocabulary and run state
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,51 @@ def evaluator_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
 
 
 # ---------------------------------------------------------------------------
+# the networks, and rebuilding them from a checkpoint
+
+
+def _build_networks(config: TrainConfig, vocab_size: int, rng: np.random.Generator
+                    ) -> tuple[TranslationModel, EvaluationNetwork]:
+    """Freshly initialized model and evaluation network, drawn from ``rng``
+    in that order."""
+    model = TranslationModel(
+        ModelConfig(vocab_size=vocab_size, hidden_size=config.hidden_size,
+                    layers=config.layers, max_len=config.max_len),
+        rng,
+    )
+    evaluator = EvaluationNetwork(config.hidden_size, rng,
+                                  hidden=config.eval_hidden, d_out=config.eval_out)
+    return model, evaluator
+
+
+def _load_params(directory: Path, model: TranslationModel,
+                 evaluator: EvaluationNetwork) -> None:
+    """Overwrite both networks' parameters with a checkpoint's; every array
+    must have the live parameter's shape."""
+    params = load_tensors(directory / "params.bin")
+    for k, p in {**model.named_parameters(), **evaluator.named_parameters()}.items():
+        if params[k].shape != p.data.shape:
+            raise ValueError(f"checkpoint shape mismatch for {k}: "
+                             f"{params[k].shape} vs {p.data.shape}")
+        p.data = params[k].copy()
+        p.grad = None
+
+
+def load_checkpoint(directory
+                    ) -> tuple[TranslationModel, EvaluationNetwork, Vocabulary, TrainConfig]:
+    """The model, evaluation network, vocabulary and TrainConfig saved in a
+    checkpoint directory, for inference; ``Trainer.restore`` also restores
+    the optimizers, indexes and RNG."""
+    directory = Path(directory)
+    meta = load_json(directory / STATE_FILE)
+    config = TrainConfig(**meta["config"])
+    vocab = Vocabulary(meta["vocab_content"])
+    model, evaluator = _build_networks(config, vocab.size, np.random.default_rng(config.seed))
+    _load_params(directory, model, evaluator)
+    return model, evaluator, vocab, config
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -190,14 +239,7 @@ class Trainer:
             self.inv_dictionary = inv
 
         self.rng = np.random.default_rng(config.seed)
-        self.model = TranslationModel(
-            ModelConfig(vocab_size=vocab.size, hidden_size=config.hidden_size,
-                        layers=config.layers, max_len=config.max_len),
-            self.rng,
-        )
-        self.evaluator = EvaluationNetwork(config.hidden_size, self.rng,
-                                           hidden=config.eval_hidden,
-                                           d_out=config.eval_out)
+        self.model, self.evaluator = _build_networks(config, vocab.size, self.rng)
         self.opt_gen = Adam(self.model.named_parameters(), lr=config.lr)
         self.opt_eval = Adam(self.evaluator.named_parameters(), lr=config.lr_evaluator)
         self.state = TrainState()
@@ -614,7 +656,7 @@ class Trainer:
                 index_meta[name] = idx.episode
         if index_arrays:
             save_tensors(directory / "index.bin", index_arrays)
-        save_json(directory / "state.json", {
+        save_json(directory / STATE_FILE, {
             "format": 1,
             "step": self.state.step,
             "episode": self.state.episode,
@@ -641,21 +683,14 @@ class Trainer:
         shapes are still validated by the parameter load).
         """
         directory = Path(directory)
-        meta = load_json(directory / "state.json")
+        meta = load_json(directory / STATE_FILE)
         if require_same_config and meta["config"] != asdict(self.config):
             mismatch = {k for k in meta["config"]
                         if meta["config"][k] != asdict(self.config).get(k)}
             raise ValueError(f"checkpoint config mismatch on keys: {sorted(mismatch)}")
         if meta["vocab_content"] != self.vocab.id_to_token[4:]:
             raise ValueError("checkpoint vocabulary does not match the loaded corpora")
-        params = load_tensors(directory / "params.bin")
-        live = {**self.model.named_parameters(), **self.evaluator.named_parameters()}
-        for k, p in live.items():
-            if params[k].shape != p.data.shape:
-                raise ValueError(f"checkpoint shape mismatch for {k}: "
-                                 f"{params[k].shape} vs {p.data.shape}")
-            p.data = params[k].copy()
-            p.grad = None
+        _load_params(directory, self.model, self.evaluator)
         optim = load_tensors(directory / "optim.bin")
         self.opt_gen.load_state_arrays(
             {k[len("gen."):]: v for k, v in optim.items() if k.startswith("gen.")},

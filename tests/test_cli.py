@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extractedit.checkpoint import load_json
-from extractedit.cli import main
+from extractedit.checkpoint import load_json, load_tensors, save_tensors
+from extractedit.cli import _make_trainer, main
+from extractedit.model import SRC, TGT
+from extractedit.training import TrainConfig
 
 MICRO = [
     "vocab_size=30", "data_seed=1", "substitution_seed=2", "window=1",
@@ -146,6 +149,36 @@ class TestTranslate:
         assert run("translate", "--checkpoint", ck, "--input", src, "--output", out2) == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 24
+
+    def test_loads_the_weights_restore_loads(self, tmp_path, corpus_dir, run_dir):
+        """translate decodes exactly as a Trainer restored from the same
+        checkpoint does."""
+        ck = checkpoint_of(run_dir)
+        dst = tmp_path / "out.txt"
+        assert run("translate", "--checkpoint", ck,
+                   "--input", corpus_dir / "src.valid.txt", "--output", dst) == 0
+        tc = TrainConfig(**load_json(ck / "state.json")["config"])
+        trainer = _make_trainer(tc, corpus_dir)
+        trainer.restore(ck)
+        decoded, _ = trainer.model.translate_batch(trainer.valid[SRC].sentences, TGT)
+        assert len(decoded) == 24
+        assert dst.read_text().splitlines() == [" ".join(trainer.vocab.decode(ids))
+                                                for ids in decoded]
+
+    def test_parameter_shape_mismatch_names_the_tensor(self, tmp_path, corpus_dir,
+                                                       run_dir, capsys):
+        """A params.bin array whose shape disagrees with the checkpoint's
+        config is refused, even where numpy would broadcast or index it."""
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_of(run_dir), ck)
+        params = load_tensors(ck / "params.bin")
+        tag = params["decoder.lang_tag"]
+        params["decoder.lang_tag"] = np.vstack([tag, tag[:1]])
+        save_tensors(ck / "params.bin", params)
+        capsys.readouterr()
+        assert run("translate", "--checkpoint", ck, "--input", corpus_dir / "src.valid.txt",
+                   "--output", tmp_path / "out.txt") == 1
+        assert "decoder.lang_tag" in capsys.readouterr().err
 
     def test_vocabulary_mismatch_is_explicit_error(self, tmp_path, run_dir):
         src = tmp_path / "bad.txt"

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
+from extractedit.cipher import CipherSpec
 from extractedit.config import (
     CONFIG_KEYS,
     ConfigError,
     apply_overrides,
-    cipher_spec_from,
+    dataclass_from,
     default_config,
     format_config,
     load_config,
-    train_config_from,
 )
+from extractedit.training import TrainConfig
+
+PLUMBING = ["extractions_path", "sweep_ks", "hits_noise_ratios", "hits_ks"]
 
 
 def test_defaults_cover_every_key():
@@ -65,11 +70,30 @@ def test_structured_configs():
     cfg = default_config()
     cfg["window"] = 2
     cfg["lambda"] = 0.7
-    spec = cipher_spec_from(cfg)
+    spec = dataclass_from(CipherSpec, cfg)
     assert spec.window == 2 and spec.vocab_size == 100
-    tc = train_config_from(cfg)
+    tc = dataclass_from(TrainConfig, cfg)
     assert tc.lam == 0.7 and tc.k == 10
     tc.validate()
+
+
+def test_keys_are_the_dataclass_fields():
+    """One key per CipherSpec field, then one per TrainConfig field (seed
+    and lam under their command-line names), then the plumbing keys; the
+    defaults build the dataclasses' own defaults."""
+    renamed = {(CipherSpec, "seed"): "data_seed", (TrainConfig, "lam"): "lambda"}
+    expected = [renamed.get((cls, f.name), f.name)
+                for cls in (CipherSpec, TrainConfig) for f in fields(cls)]
+    assert list(CONFIG_KEYS) == expected + PLUMBING
+    assert dataclass_from(CipherSpec, default_config()) == CipherSpec()
+    assert dataclass_from(TrainConfig, default_config()) == TrainConfig()
+
+
+def test_seed_keys_reach_their_own_dataclass():
+    cfg = default_config()
+    cfg["data_seed"], cfg["seed"] = 7, 3
+    assert dataclass_from(CipherSpec, cfg).seed == 7
+    assert dataclass_from(TrainConfig, cfg).seed == 3
 
 
 def test_every_key_documented():

@@ -48,13 +48,13 @@ class TestBuildIndex:
         np.testing.assert_array_equal(a.rows, b.rows)
 
     def test_rows_equal_per_sentence_encode(self, rng):
-        """Index rows match individual encode() calls exactly."""
+        """Index rows match one-sentence encode_batch calls exactly."""
         m = tiny_model()
         corpus = make_corpus(rng, 9)
         idx = build_index(corpus, m, episode=0)
         for i, s in enumerate(corpus):
-            _, e = m.encode(s)
-            np.testing.assert_array_equal(idx.rows[i], e.data)
+            _, e, _ = m.encode_batch([s])
+            np.testing.assert_array_equal(idx.rows[i], e.data[0])
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -187,8 +187,8 @@ class TestEdit:
         m = tiny_model()
         s = rng.integers(4, 20, size=5)
         t = rng.integers(4, 20, size=4)
-        _, e_s = m.encode(s)
-        _, e_t = m.encode(t)
+        _, e_s, _ = m.encode_batch([s])
+        _, e_t, _ = m.encode_batch([t])
         pooled = np.maximum(e_s.data, e_t.data)
         assert np.all(pooled >= e_s.data) and np.all(pooled >= e_t.data)
 
@@ -197,11 +197,11 @@ class TestEdit:
         pooled vector equals the extraction's embedding."""
         m = tiny_model()
         t = rng.integers(4, 20, size=4)
-        _, e_t = m.encode(t)
+        _, e_t, _ = m.encode_batch([t])
         e_s = e_t.data - 1.0
-        t_edit1 = edit_batch(e_s[None, :], e_t.data[None, :], m, TGT)[0]
+        t_edit1 = edit_batch(e_s, e_t.data, m, TGT)[0]
         with T.no_grad():
-            redecoded, _ = m.decode_from_vector(Tensor(e_t.data[None, :]), TGT)
+            redecoded, _ = m.decode_from_vector(Tensor(e_t.data), TGT)
         np.testing.assert_array_equal(t_edit1, redecoded[0])
         # and the identical-embedding case pools to exactly e_t
         np.testing.assert_array_equal(np.maximum(e_t.data, e_t.data), e_t.data)

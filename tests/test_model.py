@@ -25,14 +25,14 @@ class TestEncode:
     def test_single_token_embedding_is_its_hidden_state(self):
         """Max-pool over one element is that element."""
         m = tiny_model()
-        h_seq, pooled = m.encode(np.array([5]))
-        np.testing.assert_array_equal(pooled.data, h_seq.data[0, 0])
+        h_seq, pooled, _ = m.encode_batch([np.array([5])])
+        np.testing.assert_array_equal(pooled.data[0], h_seq.data[0, 0])
 
     def test_identical_sentences_identical_embeddings(self):
         m = tiny_model()
         s = np.array([4, 9, 6])
-        _, e1 = m.encode(s)
-        _, e2 = m.encode(s)
+        _, e1, _ = m.encode_batch([s])
+        _, e2, _ = m.encode_batch([s])
         np.testing.assert_array_equal(e1.data, e2.data)
 
     def test_hidden_state_count_equals_input_length(self):
@@ -44,13 +44,13 @@ class TestEncode:
         """Batching a short sentence with a long one must not change it."""
         m = tiny_model()
         short, long_ = np.array([4, 5]), np.array([6, 7, 8, 9, 10])
-        _, e_alone = m.encode(short)
+        _, e_alone, _ = m.encode_batch([short])
         _, pooled, _ = m.encode_batch([short, long_])
-        np.testing.assert_allclose(pooled.data[0], e_alone.data, atol=1e-15)
+        np.testing.assert_allclose(pooled.data[0], e_alone.data[0], atol=1e-15)
 
     def test_empty_sentence_rejected(self):
         with pytest.raises(DegenerateInputError):
-            tiny_model().encode(np.array([], dtype=np.int64))
+            tiny_model().encode_batch([np.array([], dtype=np.int64)])
 
     @pytest.mark.parametrize("d", [8, 64])
     def test_embedding_independent_of_batch(self, d):
@@ -77,8 +77,8 @@ class TestEncode:
         params = m.encoder_parameters()
 
         def loss():
-            _, e = m.encode(s)
-            return T.cosine(e, fixed)
+            _, e, _ = m.encode_batch([s])
+            return T.cosine(T.reshape(e, (8,)), fixed)
 
         check_grad(loss, list(params.values()), tol=1e-4, max_coords=6, rng=rng)
 
@@ -141,7 +141,7 @@ class TestNLL:
         m = tiny_model()
         m.w_out.data[:] = 0.0
         m.b_out.data[:] = 0.0
-        nll = m.translation_nll(np.array([4, 5, 6]), np.array([7, 8]), TGT)
+        nll = m.nll_batch([np.array([4, 5, 6])], [np.array([7, 8])], TGT)
         assert nll.item() == pytest.approx(math.log(m.config.vocab_size), abs=1e-12)
 
     def test_nll_non_negative(self, rng):
@@ -149,7 +149,7 @@ class TestNLL:
         for _ in range(10):
             s = rng.integers(4, 20, size=rng.integers(1, 6))
             r = rng.integers(4, 20, size=rng.integers(1, 6))
-            assert m.translation_nll(s, r, SRC).item() >= 0.0
+            assert m.nll_batch([s], [r], SRC).item() >= 0.0
 
     def test_overfit_probe_strictly_decreases(self):
         """NLL decreases over 50 optimizer steps on one fixed pair."""
@@ -160,7 +160,7 @@ class TestNLL:
         for _ in range(50):
             opt.zero_grad()
             with Tape() as tape:
-                loss = m.translation_nll(s, r, TGT)
+                loss = m.nll_batch([s], [r], TGT)
             tape.backward(loss)
             opt.step()
             if first is None:
@@ -172,7 +172,7 @@ class TestNLL:
         m = tiny_model(d=6, layers=1, vocab=12, seed=4)
         s, r = np.array([4, 5]), np.array([6, 7])
         params = list(m.named_parameters().values())
-        check_grad(lambda: m.translation_nll(s, r, TGT), params, tol=1e-4,
+        check_grad(lambda: m.nll_batch([s], [r], TGT), params, tol=1e-4,
                    max_coords=4, rng=rng)
 
 

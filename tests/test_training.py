@@ -122,12 +122,12 @@ def two_way_probs(tr, source, t_edit, t_star, lam):
     """Ranking probabilities of (t_edit, t_star) computed one sentence at a
     time: scaled softmax of joint-space cosines to the source."""
     with T.no_grad():
-        _, e_s = tr.model.encode(source)
-        r_s = tr.evaluator.forward(Tensor(e_s.data[None, :])).data[0]
+        _, e_s, _ = tr.model.encode_batch([source])
+        r_s = tr.evaluator.forward(Tensor(e_s.data)).data[0]
         alphas = []
         for sent in (t_edit, t_star):
-            _, e = tr.model.encode(sent)
-            r = tr.evaluator.forward(Tensor(e.data[None, :])).data[0]
+            _, e, _ = tr.model.encode_batch([sent])
+            r = tr.evaluator.forward(Tensor(e.data)).data[0]
             alphas.append(float(np.dot(r, r_s) / (np.linalg.norm(r) * np.linalg.norm(r_s))))
     z = [math.exp(lam * a) for a in alphas]
     return z[0] / sum(z), z[1] / sum(z)
