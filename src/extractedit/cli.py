@@ -256,6 +256,8 @@ def cmd_translate(args, cfg: dict) -> int:
         in_path = Path(args.input)
         lines = in_path.read_text(encoding="utf-8").splitlines()
         for i, line in enumerate(lines, start=1):
+            if not line.split():
+                raise CliError(f"{in_path}: line {i}: empty sentence")
             for tok in line.split():
                 if tok not in vocab.token_to_id:
                     raise CliError(

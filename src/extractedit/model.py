@@ -67,8 +67,8 @@ class GRULayer:
             Tensor(np.zeros(3 * d_h), requires_grad=True),
         )
 
-    def step(self, x: Tensor, h: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        return T.gru_step(x, h, self.w_ih, self.b_ih, self.w_hh, self.b_hh, mask=mask)
+    def step(self, x: Tensor, h: Tensor, live: np.ndarray | None = None) -> Tensor:
+        return T.gru_step(x, h, self.w_ih, self.b_ih, self.w_hh, self.b_hh, live=live)
 
     def params(self) -> dict[str, Tensor]:
         return {"w_ih": self.w_ih, "b_ih": self.b_ih, "w_hh": self.w_hh, "b_hh": self.b_hh}
@@ -122,17 +122,27 @@ class TranslationModel:
 
         Returns (H (B,T,d), pooled (B,d), valid mask (B,T)). The pooled
         embedding is invariant to PAD suffixes by construction.
+
+        Time step t runs the GRU on the live rows only, those with
+        length > t (``None`` when all are); a finished row carries its last
+        hidden state forward, so H at a PAD position repeats the state of
+        the sentence's last token. Each live row gets the bits it would get
+        in a full-height step, so a sentence encodes the same alone or in
+        any batch; the backward's matrix products stay full height, because
+        OpenBLAS rounds their rows differently at other heights (see
+        ``tensor.gru_step``).
         """
-        ids, _, mask = pad_batch(sentences)
+        ids, lengths, mask = pad_batch(sentences)
         b, t_max = ids.shape
         d = self.config.hidden_size
-        fmask = mask.astype(np.float64)
+        live = [None if lengths.min() > t else np.flatnonzero(lengths > t)
+                for t in range(t_max)]
         xs = [T.take_rows(self.embedding, ids[:, t]) for t in range(t_max)]
         for layer in self.enc_layers:
             h = Tensor(np.zeros((b, d)))
             outs = []
             for t in range(t_max):
-                h = layer.step(xs[t], h, mask=fmask[:, t : t + 1])
+                h = layer.step(xs[t], h, live=live[t])
                 outs.append(h)
             xs = outs
         h_seq = T.stack(xs, axis=1)

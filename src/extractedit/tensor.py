@@ -364,12 +364,6 @@ def tanh(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    # tanh form: numpy's vectorized tanh is several times faster than
-    # its float64 exp on this stack, and it cannot overflow
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 # ---------------------------------------------------------------------------
 # shape manipulation
 
@@ -519,13 +513,23 @@ def cosine(a: Tensor, b: Tensor) -> Tensor:
 # fused sequence-model kernels
 
 
-def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, mask: np.ndarray | None = None) -> Tensor:
+def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Tensor:
     """One gated-recurrence step on a batch, with hand-written backward.
 
     Gate layout along the last weight axis is [reset | update | candidate].
-    ``mask`` (B, 1), when given, freezes the hidden state of finished rows:
-    out = mask * h_new + (1 - mask) * h; gradients route accordingly, so
-    padded positions contribute exactly zero to every parameter gradient.
+    ``live``, when given, holds the distinct indices of the rows still inside
+    their sentence: only those rows are computed, and every other row keeps its
+    hidden state (out = h) and passes its gradient straight back to ``h``,
+    so padded positions contribute exactly zero to every parameter
+    gradient. ``None`` means every row is live.
+
+    A live row gets the same bits as in a full-height step: the forward
+    products ``x @ w_ih`` and ``h @ w_hh`` do not depend on how many rows
+    they have (see ``_mm``). The backward's four products do on OpenBLAS
+    (``dgi @ w_hh.T`` rounds differently in a short product than in a tall
+    one, and ``x.T @ dgi`` changes once the frozen rows are dropped), so
+    they run at full height on gate gradients that are zero on the frozen
+    rows; only the element-wise gate work is restricted to the live rows.
     """
     x, h = _wrap(x), _wrap(h)
     d = h.data.shape[-1]
@@ -533,45 +537,62 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, mask: np.ndarray | None = None) -> Te
         raise DimensionError("gru_step weight shapes do not match the hidden size")
     if x.data.shape[-1] != w_ih.data.shape[0]:
         raise DimensionError("gru_step input width does not match w_ih")
-    gi = _mm(x.data, w_ih.data)
+    rows = slice(None) if live is None else live  # basic slice: views, no copy
+    xl = x.data[rows]
+    hl = h.data[rows]
+    gi = _mm(xl, w_ih.data)
     gi += b_ih.data
-    gh = _mm(h.data, w_hh.data)
+    gh = _mm(hl, w_hh.data)
     gh += b_hh.data
-    rz = _sigmoid_raw(gi[:, : 2 * d] + gh[:, : 2 * d])  # one call covers both gates
+    # sigmoid(a) = 0.5 * (1 + tanh(0.5 * a)) for both gates in one pass:
+    # numpy's float64 tanh is several times faster than its exp, and the
+    # tanh form cannot overflow
+    rz = gi[:, : 2 * d] + gh[:, : 2 * d]
+    rz *= 0.5
+    np.tanh(rz, out=rz)
+    rz += 1.0
+    rz *= 0.5
     r = rz[:, :d]
     z = rz[:, d:]
     gh_n = gh[:, 2 * d :]
-    n = np.tanh(gi[:, 2 * d :] + r * gh_n)
-    h_new = (1.0 - z) * n + z * h.data
-    if mask is not None:
-        h_new = mask * h_new + (1.0 - mask) * h.data
+    n = r * gh_n
+    n += gi[:, 2 * d :]
+    np.tanh(n, out=n)
+    one_z = 1.0 - z
+    h_new = one_z * n
+    h_new += z * hl
+    if live is not None:
+        out_data = h.data.copy()
+        out_data[live] = h_new
+        h_new = out_data
     out = Tensor(h_new)
     _check_finite(out.data, "gru_step")
 
     def bwd(og):
-        if mask is not None:
-            og_new = og * mask
-            extra_h = og * (1.0 - mask)
-        else:
-            og_new = og
-            extra_h = 0.0
-        # gate-space gradients written straight into the fused buffers
-        dgi = np.empty_like(gi)
-        da_r = dgi[:, :d]
-        da_z = dgi[:, d : 2 * d]
-        da_n = dgi[:, 2 * d :]
-        np.multiply(og_new, 1.0 - z, out=da_n)
+        ogl = og[rows]
+        # gate-space gradients of the live rows, written into fused buffers
+        dgl = np.empty_like(gh)
+        da_r = dgl[:, :d]
+        da_z = dgl[:, d : 2 * d]
+        da_n = dgl[:, 2 * d :]
+        np.multiply(ogl, one_z, out=da_n)
         da_n *= 1.0 - n * n
         np.multiply(da_n, gh_n, out=da_r)
         da_r *= r
         da_r *= 1.0 - r
-        np.multiply(og_new, h.data - n, out=da_z)
+        np.multiply(ogl, hl - n, out=da_z)
         da_z *= z
-        da_z *= 1.0 - z
+        da_z *= one_z
+        if live is None:
+            dgi = dgl
+            dh = ogl * z
+        else:
+            dgi = np.zeros((og.shape[0], 3 * d))
+            dgi[live] = dgl
+            dh = og.copy()  # frozen rows pass their gradient straight through
+            dh[live] = ogl * z
         dgh = dgi.copy()
-        dgh[:, 2 * d :] *= r
-        dh = og_new * z
-        dh += extra_h
+        dgh[rows, 2 * d :] = da_n * r
         dh += dgh @ w_hh.data.T
         dx = dgi @ w_ih.data.T
         return (dx, dh, x.data.T @ dgi, dgi.sum(axis=0),

@@ -104,6 +104,13 @@ class TrainConfig:
             raise ValueError(f"init_mode must be oracle or random, got {self.init_mode!r}")
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
+        for key in ("batch_size", "hidden_size", "layers", "eval_hidden", "eval_out",
+                    "max_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("lr", "lr_evaluator", "valid_interval", "checkpoint_interval"):
+            if getattr(self, key) < 0:  # interval 0 turns validation/checkpoints off
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 def _fmt(x: float) -> str:
@@ -164,10 +171,16 @@ def _build_networks(config: TrainConfig, vocab_size: int, rng: np.random.Generat
 
 def _load_params(directory: Path, model: TranslationModel,
                  evaluator: EvaluationNetwork) -> None:
-    """Overwrite both networks' parameters with a checkpoint's; every array
-    must have the live parameter's shape."""
+    """Overwrite both networks' parameters with a checkpoint's; the file must
+    hold exactly the networks' tensors, each with the live parameter's shape."""
     params = load_tensors(directory / "params.bin")
-    for k, p in {**model.named_parameters(), **evaluator.named_parameters()}.items():
+    expected = {**model.named_parameters(), **evaluator.named_parameters()}
+    missing = sorted(expected.keys() - params.keys())
+    extra = sorted(params.keys() - expected.keys())
+    if missing or extra:
+        raise ValueError(f"{directory / 'params.bin'} does not match the networks: "
+                         f"missing tensors {missing}, extra tensors {extra}")
+    for k, p in expected.items():
         if params[k].shape != p.data.shape:
             raise ValueError(f"checkpoint shape mismatch for {k}: "
                              f"{params[k].shape} vs {p.data.shape}")

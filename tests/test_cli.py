@@ -12,7 +12,7 @@ import pytest
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
 from extractedit.cli import _make_trainer, main
 from extractedit.model import SRC, TGT
-from extractedit.training import TrainConfig
+from extractedit.training import TrainConfig, load_checkpoint
 
 MICRO = [
     "vocab_size=30", "data_seed=1", "substitution_seed=2", "window=1",
@@ -179,6 +179,37 @@ class TestTranslate:
         assert run("translate", "--checkpoint", ck, "--input", corpus_dir / "src.valid.txt",
                    "--output", tmp_path / "out.txt") == 1
         assert "decoder.lang_tag" in capsys.readouterr().err
+
+    def test_missing_tensor_is_named(self, tmp_path, run_dir):
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_of(run_dir), ck)
+        params = load_tensors(ck / "params.bin")
+        del params["decoder.attn.b"], params["encoder.l0.w_hh"]
+        save_tensors(ck / "params.bin", params)
+        with pytest.raises(ValueError, match=r"missing tensors \['decoder.attn.b', "
+                                             r"'encoder.l0.w_hh'\], extra tensors \[\]"):
+            load_checkpoint(ck)
+
+    def test_extra_tensor_is_named(self, tmp_path, run_dir):
+        ck = tmp_path / "ck"
+        shutil.copytree(checkpoint_of(run_dir), ck)
+        params = load_tensors(ck / "params.bin")
+        params["encoder.l9.w_hh"] = np.zeros(3)
+        save_tensors(ck / "params.bin", params)
+        with pytest.raises(ValueError, match=r"missing tensors \[\], "
+                                             r"extra tensors \['encoder.l9.w_hh'\]"):
+            load_checkpoint(ck)
+
+    def test_blank_line_names_its_line(self, tmp_path, corpus_dir, run_dir, capsys):
+        lines = (corpus_dir / "src.valid.txt").read_text(encoding="utf-8").splitlines()
+        src = tmp_path / "in.txt"
+        src.write_text(f"{lines[0]}\n \n{lines[1]}\n", encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run("translate", "--checkpoint", checkpoint_of(run_dir),
+                   "--input", src, "--output", dst) == 1
+        assert "line 2: empty sentence" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_vocabulary_mismatch_is_explicit_error(self, tmp_path, run_dir):
         src = tmp_path / "bad.txt"

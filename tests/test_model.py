@@ -92,6 +92,88 @@ class TestEncode:
             assert p1[k] is p2[k]
 
 
+def unpacked_encode(m: TranslationModel, sentences) -> tuple[Tensor, Tensor]:
+    """Reference encoder that runs every row at every step and freezes
+    finished rows with the blend h = mask * h_new + (1 - mask) * h."""
+    ids, _, mask = pad_batch(sentences)
+    b, t_max = ids.shape
+    xs = [T.take_rows(m.embedding, ids[:, t]) for t in range(t_max)]
+    for layer in m.enc_layers:
+        h = Tensor(np.zeros((b, m.config.hidden_size)))
+        outs = []
+        for t in range(t_max):
+            keep = Tensor(mask[:, t : t + 1].astype(np.float64))
+            h = keep * layer.step(xs[t], h) + (1.0 - keep) * h
+            outs.append(h)
+        xs = outs
+    h_seq = T.stack(xs, axis=1)
+    return h_seq, T.masked_max(h_seq, mask)
+
+
+class TestPackedEncoder:
+    """encode_batch runs each time step on the rows still inside their
+    sentence; frozen rows must behave exactly as if masked."""
+
+    def test_ragged_batch_gradient_matches_fd(self, rng):
+        m = tiny_model(d=6, layers=2)
+        sents = [rng.integers(4, 20, size=n) for n in (3, 1, 5, 2, 4)]
+        w_pool = Tensor(rng.normal(size=(5, 6)))
+        w_seq = Tensor(rng.normal(size=(5, 5, 6)))
+
+        def loss():
+            h_seq, pooled, _ = m.encode_batch(sents)
+            return T.tsum(pooled * w_pool) + T.tsum(h_seq * w_seq)
+
+        check_grad(loss, list(m.encoder_parameters().values()), tol=1e-4,
+                   max_coords=8, rng=rng)
+
+    @pytest.mark.parametrize("rows, d", [(48, 32), (400, 64)])
+    def test_bit_exact_against_unpacked_oracle(self, rng, rows, d):
+        """48 rows reach the short products whose rows round differently;
+        400 rows reach the weight-gradient sums that change when zero rows
+        are dropped."""
+        m = tiny_model(d=d, layers=2, vocab=40)
+        lengths = rng.integers(1, 13, size=rows)
+        lengths[5] = 1
+        sents = [rng.integers(4, 40, size=n) for n in lengths]
+        w_pool = rng.normal(size=(rows, d))
+        w_seq = rng.normal(size=(rows, int(lengths.max()), d))
+        params = m.named_parameters()
+
+        def run(encode):
+            for p in params.values():
+                p.grad = None
+            with Tape() as tape:
+                h_seq, pooled = encode()
+                loss = T.tsum(pooled * Tensor(w_pool)) + T.tsum(h_seq * Tensor(w_seq))
+            tape.backward(loss)
+            grads = {k: p.grad for k, p in params.items() if p.grad is not None}
+            return h_seq.data, pooled.data, grads
+
+        h_seq, pooled, grads = run(lambda: m.encode_batch(sents)[:2])
+        ref_seq, ref_pooled, ref_grads = run(lambda: unpacked_encode(m, sents))
+        np.testing.assert_array_equal(h_seq, ref_seq)
+        np.testing.assert_array_equal(pooled, ref_pooled)
+        assert grads.keys() == ref_grads.keys() == m.encoder_parameters().keys()
+        for k in grads:
+            np.testing.assert_array_equal(grads[k], ref_grads[k], err_msg=k)
+
+    def test_work_is_live_rows_only(self, rng, monkeypatch):
+        m = tiny_model(layers=2)
+        lengths = [4, 1, 7, 7, 2, 5]
+        rows = []
+        real_step = T.gru_step
+
+        def spy(x, h, *weights, live=None):
+            rows.append(x.data.shape[0] if live is None else len(live))
+            return real_step(x, h, *weights, live=live)
+
+        monkeypatch.setattr(T, "gru_step", spy)
+        m.encode_batch([rng.integers(4, 20, size=n) for n in lengths])
+        assert len(rows) == 2 * max(lengths)
+        assert sum(rows) == 2 * sum(lengths)
+
+
 class TestGreedyDecode:
     def test_deterministic(self):
         m = tiny_model()

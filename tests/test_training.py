@@ -66,6 +66,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(mode="nonsense").validate()
 
+    @pytest.mark.parametrize("key", ["batch_size", "hidden_size", "layers", "eval_hidden",
+                                     "eval_out", "max_len"])
+    def test_sizes_must_be_positive(self, key):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: 0}).validate()
+        TrainConfig(**{key: 1}).validate()
+
+    @pytest.mark.parametrize("key", ["lr", "lr_evaluator", "valid_interval",
+                                     "checkpoint_interval"])
+    def test_rates_and_intervals_must_be_non_negative(self, key):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: -1}).validate()
+        TrainConfig(**{key: 0}).validate()  # an interval of 0 turns it off
+
 
 class TestPretraining:
     def test_initial_loss_near_log_vocab(self, pair):
