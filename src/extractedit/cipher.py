@@ -8,12 +8,20 @@ so the two training corpora share no parallel lines. Because the cipher is
 invertible, gold parallel test pairs and an oracle dictionary come for
 free, which is what makes unsupervised translation verifiable at this
 scale.
+
+The order of random draws is part of the data format: a spec names its
+corpora only through the exact stream of ``np.random.default_rng(seed)``
+draws that ``_SentenceSampler`` consumes, so any change to which draws are
+made, or in what order, silently yields a different corpus for every seed.
+The golden-hash and oracle-sampler tests in ``tests/test_cipher.py`` pin it.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -94,14 +102,20 @@ def build_permutation(spec: CipherSpec) -> np.ndarray:
     return rng.permutation(spec.vocab_size).astype(np.int64)
 
 
-def _block_reverse(ids: np.ndarray, window: int) -> np.ndarray:
-    if window == 0 or len(ids) < 2:
-        return ids.copy()
-    out = ids.copy()
+@lru_cache(maxsize=1024)
+def _block_reverse_order(n: int, window: int) -> np.ndarray:
+    """Gather order that reverses each run of ``window + 1`` positions."""
+    order = np.arange(n, dtype=np.int64)
     block = window + 1
-    for start in range(0, len(ids), block):
-        out[start : start + block] = out[start : start + block][::-1]
-    return out
+    for start in range(0, n, block):
+        order[start : start + block] = order[start : start + block][::-1]
+    order.flags.writeable = False
+    return order
+
+
+def _block_reverse(ids: np.ndarray, window: int) -> np.ndarray:
+    ids = np.asarray(ids)
+    return ids[_block_reverse_order(len(ids), window)]
 
 
 def apply_cipher(ids: np.ndarray, perm: np.ndarray, window: int) -> np.ndarray:
@@ -121,26 +135,46 @@ def invert_cipher(ids: np.ndarray, perm: np.ndarray, window: int) -> np.ndarray:
 
 
 class _SentenceSampler:
-    """Zipfian unigram sampler with per-token preferred successors."""
+    """Zipfian unigram sampler with per-token preferred successors.
+
+    Each sentence consumes, in order: ``integers(len_min, len_max + 1)``
+    for its length, one ``random()`` for its first token, then per further
+    token one ``random()`` for the bigram coin followed by either
+    ``integers(3)`` (successor pick) or one ``random()`` (unigram draw).
+
+    A unigram draw is ``bisect_right(cdf, random())`` over the CDF that
+    ``Generator.choice(V, p=unigram)`` builds (``cumsum``, then divided by
+    its last entry): the same single double and the same index as
+    ``choice``, without re-validating ``p`` and rebuilding the CDF per
+    token. The ``integers`` calls must stay where they are with the same
+    arguments: the bit generator serves 32-bit draws from a cached half of
+    a 64-bit word, so their position relative to ``random()`` is part of
+    the stream.
+    """
 
     def __init__(self, spec: CipherSpec, rng: np.random.Generator):
         ranks = np.arange(1, spec.vocab_size + 1, dtype=np.float64)
         weights = ranks ** (-spec.zipf_exponent)
-        self.unigram = weights / weights.sum()
-        self.successors = rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3))
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf.tolist()
+        self.successors = rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3)).tolist()
         self.spec = spec
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         spec = self.spec
-        n = int(rng.integers(spec.len_min, spec.len_max + 1))
-        out = np.empty(n, dtype=np.int64)
-        out[0] = rng.choice(spec.vocab_size, p=self.unigram)
-        for i in range(1, n):
-            if rng.random() < spec.bigram_weight:
-                out[i] = self.successors[out[i - 1], rng.integers(3)]
+        cdf, successors, bigram_weight = self.cdf, self.successors, spec.bigram_weight
+        random, integers = rng.random, rng.integers
+        n = int(integers(spec.len_min, spec.len_max + 1))
+        tok = bisect_right(cdf, random())
+        out = [tok]
+        for _ in range(1, n):
+            if random() < bigram_weight:
+                tok = successors[tok][integers(3)]
             else:
-                out[i] = rng.choice(spec.vocab_size, p=self.unigram)
-        return out
+                tok = bisect_right(cdf, random())
+            out.append(tok)
+        return np.array(out, dtype=np.int64)
 
 
 @dataclass
@@ -192,7 +226,7 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
     seen: set[tuple[int, ...]] = set()
     while len(gold_src) < spec.n_test:
         s = sampler.sample(rng)
-        key = tuple(int(t) for t in s)
+        key = tuple(s.tolist())
         if key in seen:
             continue
         seen.add(key)

@@ -13,6 +13,7 @@ import argparse
 import csv
 import datetime
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -196,7 +197,10 @@ def _checkpoint_table(trainer: Trainer, ckpt_root: Path) -> list[dict]:
     table = []
     if ckpt_root.exists():
         for sub in sorted(ckpt_root.iterdir()):
-            step = str(int(sub.name.split("_")[1]))
+            match = re.fullmatch(r"step_(\d+)", sub.name)
+            if match is None or not sub.is_dir():
+                continue
+            step = str(int(match[1]))
             ds = d_by_step.get(step, ("", ""))
             entry = {"path": str(sub.relative_to(ckpt_root.parent)), "step": int(step),
                      "d_s2t": float(ds[0]) if ds[0] else None,

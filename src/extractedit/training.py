@@ -24,6 +24,7 @@ of the checkpoint for exactly this reason).
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -652,8 +653,32 @@ class Trainer:
     # -- checkpointing -----------------------------------------------------------------
 
     def save_checkpoint(self, directory) -> Path:
+        """Write a checkpoint to ``directory``, replacing any earlier one whole.
+
+        The files go to a sibling temporary directory, which is renamed into
+        place only once complete: a save that fails part-way leaves neither
+        a partial directory nor a change to what ``directory`` held, and a
+        re-save keeps no file of the old checkpoint.
+        """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        tmp = directory.with_name(f".{directory.name}.tmp")
+        old = directory.with_name(f".{directory.name}.old")
+        for leftover in (tmp, old):  # from a save that was killed
+            shutil.rmtree(leftover, ignore_errors=True)
+        tmp.mkdir(parents=True)
+        try:
+            self._write_checkpoint(tmp)
+            if directory.exists():
+                directory.rename(old)
+                tmp.rename(directory)
+                shutil.rmtree(old)
+            else:
+                tmp.rename(directory)
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        return directory
+
+    def _write_checkpoint(self, directory: Path) -> None:
         params = {k: p.data for k, p in self.model.named_parameters().items()}
         params.update({k: p.data for k, p in self.evaluator.named_parameters().items()})
         save_tensors(directory / "params.bin", params)
@@ -685,7 +710,6 @@ class Trainer:
             "index_episodes": index_meta,
             "has_dictionary": self.dictionary is not None,
         })
-        return directory
 
     def restore(self, directory, require_same_config: bool = True) -> None:
         """Load a checkpoint into this trainer.

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from extractedit import cipher
 from extractedit.cipher import (
     CipherPair,
     CipherSpec,
@@ -158,3 +161,154 @@ class TestWriting:
         inv = token_inventory(150)
         assert len(inv) == len(set(inv)) == 150
         assert inv == token_inventory(150)
+
+
+class ChoiceSampler:
+    """The sentence sampler as first written: one ``rng.choice(V, p=unigram)``
+    per unigram token and one ``np.empty`` array per sentence. The random
+    stream it consumes defines the corpora a spec names."""
+
+    def __init__(self, spec: CipherSpec, rng: np.random.Generator):
+        ranks = np.arange(1, spec.vocab_size + 1, dtype=np.float64)
+        weights = ranks ** (-spec.zipf_exponent)
+        self.unigram = weights / weights.sum()
+        self.successors = rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3))
+        self.spec = spec
+
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        spec = self.spec
+        n = int(rng.integers(spec.len_min, spec.len_max + 1))
+        out = np.empty(n, dtype=np.int64)
+        out[0] = rng.choice(spec.vocab_size, p=self.unigram)
+        for i in range(1, n):
+            if rng.random() < spec.bigram_weight:
+                out[i] = self.successors[out[i - 1], rng.integers(3)]
+            else:
+                out[i] = rng.choice(spec.vocab_size, p=self.unigram)
+        return out
+
+
+def loop_block_reverse(ids: np.ndarray, window: int) -> np.ndarray:
+    """Block reversal as first written: one slice assignment per block."""
+    out = ids.copy()
+    if window == 0 or len(ids) < 2:
+        return out
+    block = window + 1
+    for start in range(0, len(ids), block):
+        out[start : start + block] = out[start : start + block][::-1]
+    return out
+
+
+def contents(pair: CipherPair) -> dict[str, list[list[int]]]:
+    return {
+        "src_train": [s.tolist() for s in pair.src_train],
+        "tgt_train": [s.tolist() for s in pair.tgt_train],
+        "src_valid": [s.tolist() for s in pair.src_valid],
+        "tgt_valid": [s.tolist() for s in pair.tgt_valid],
+        "gold": [(s.tolist(), t.tolist()) for s, t in pair.gold],
+        "distractors": [d.tolist() for d in pair.distractors],
+        "dictionary": pair.dictionary.tolist(),
+    }
+
+
+# vocab_size, zipf_exponent, bigram_weight, window, len_min, len_max,
+# parallel_fraction, n_distractor, substitution_seed
+STREAM_SPECS = [
+    (10, 0.5, 0.0, 0, 3, 8, 0.0, 0, 1),
+    (10, 2.0, 1.0, 3, 6, 6, 0.0, 5, None),
+    (10, 1.1, 0.5, 1, 1, 12, 0.2, 0, 4),
+    (17, 0.5, 1.0, 2, 4, 4, 0.0, 30, 2),
+    (25, 1.5, 0.0, 3, 1, 3, 1.0, 0, None),
+    (30, 1.1, 0.5, 1, 2, 8, 0.0, 12, 3),
+    (40, 0.7, 0.5, 0, 5, 5, 0.5, 0, 9),
+    (50, 2.0, 0.0, 2, 2, 6, 0.0, 7, 11),
+    (64, 1.0, 1.0, 1, 3, 10, 0.1, 0, None),
+    (80, 0.5, 0.5, 3, 7, 7, 0.0, 40, 5),
+    (100, 1.1, 0.5, 1, 3, 12, 0.0, 0, 1),
+    (100, 1.9, 1.0, 0, 2, 2, 0.3, 3, 6),
+    (128, 0.8, 0.0, 2, 1, 9, 0.0, 0, 7),
+    (150, 1.3, 0.5, 3, 4, 11, 0.7, 20, None),
+    (200, 0.5, 1.0, 1, 8, 8, 0.0, 0, 8),
+    (250, 1.7, 0.0, 3, 4, 4, 0.3, 15, None),
+    (300, 1.1, 0.5, 2, 1, 1, 0.0, 0, 10),
+    (350, 2.0, 0.5, 0, 3, 15, 0.05, 9, 12),
+    (400, 0.6, 1.0, 3, 2, 7, 0.0, 0, 13),
+    (450, 1.2, 0.0, 1, 6, 9, 0.9, 25, 14),
+    (500, 0.5, 0.5, 2, 3, 12, 0.0, 0, None),
+    (500, 2.0, 1.0, 1, 10, 10, 0.4, 11, 15),
+]
+
+
+class TestStreamContract:
+    """The corpora a spec names are fixed by the order of its random draws."""
+
+    @pytest.mark.parametrize("case", STREAM_SPECS, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_the_choice_sampler(self, case, monkeypatch):
+        (vocab_size, zipf, bigram, window, len_min, len_max,
+         parallel, n_distractor, substitution_seed) = case
+        spec = CipherSpec(vocab_size=vocab_size, seed=vocab_size + window,
+                          substitution_seed=substitution_seed, window=window,
+                          n_train=100, n_valid=13, n_test=20, n_distractor=n_distractor,
+                          len_min=len_min, len_max=len_max, zipf_exponent=zipf,
+                          bigram_weight=bigram, parallel_fraction=parallel)
+        got = contents(generate_cipher_pair(spec))
+        monkeypatch.setattr(cipher, "_SentenceSampler", ChoiceSampler)
+        monkeypatch.setattr(cipher, "_block_reverse", loop_block_reverse)
+        want = contents(generate_cipher_pair(spec))
+        assert got == want
+
+    def test_block_reverse_matches_the_loop(self, rng):
+        for n in range(0, 14):
+            ids = rng.integers(0, 50, size=n)
+            for window in range(0, 5):
+                np.testing.assert_array_equal(
+                    cipher._block_reverse(ids, window), loop_block_reverse(ids, window))
+
+    # sha256 of every written file, computed when the sampler drew through
+    # ``rng.choice``; a change here means the spec names other corpora
+    GOLDEN = [
+        ({}, {
+            "gold.test.tsv": "c44c0730dd3057c840207796c07e2ff539b81acf84d922448e0d8cf3c62f2ec9",
+            "oracle_dict.tsv": "a6ade89f889ce88138a791c41979934885ca61bcdc6578407efe27b0087898e7",
+            "src.train.txt": "72f11646fec8e7b8f4e98e3f8c033eedd2a80889d3a79b51bf4942c7fa8d65d3",
+            "src.valid.txt": "f5cc895a9b86e1a46889e30aa478c5199192cb34205bddc79c40c72272757d64",
+            "tgt.train.txt": "9cf81fafc90bba30fe42d5c1e3c56037f538c0c5a856b821c17d592b0f3e73b1",
+            "tgt.valid.txt": "4fdb0acc2b3b7032a41ab1d8f4c0bdd872358d01e67b80a2e841255c60ba9836",
+            "corpus_manifest.json":
+                "aad22391ea353a1f211703b188892845ec5551a43274319c7792d7f71782c768",
+        }),
+        (dict(vocab_size=30, seed=1, substitution_seed=2, window=1, n_train=150,
+              n_valid=24, n_test=30, n_distractor=270, len_min=2, len_max=6), {
+            "distractors.txt": "070b2b3d14fef3ecc63f1c795829fdfc81d8f8e025085ab9dabd8eed46708ea3",
+            "gold.test.tsv": "ee5075054cb8fc5d5aaf07fe60d0f14da4d3021fa7b0b2640f1b1f97549ed130",
+            "oracle_dict.tsv": "ac6c22cc253de8bcf59c0f50c272ba0e74f3dec193842a655881500fe111c870",
+            "src.train.txt": "106e85c06c21223d7c46647a3bae600ef639a28dbf46a72db026398a4194c5b7",
+            "src.valid.txt": "cf943884e71dc05c2034bc571c20d6d36faa566c2e880ef3e5db7778e66ed6da",
+            "tgt.train.txt": "7289ed63c3afb3321718462323c40d82e231a7f63aa726c7cdf23956f8ff0fe4",
+            "tgt.valid.txt": "4f710d8e7aff20fca8b99ae41756d4df31ac1e3cf4ae559234b25fd25fbe1497",
+            "corpus_manifest.json":
+                "3d902197ebe848419b178d6a85e5fd32f5e0c258790f4cc313f807f6906b5f33",
+        }),
+        (dict(vocab_size=250, seed=9, substitution_seed=None, window=3, n_train=300,
+              n_valid=20, n_test=40, n_distractor=15, len_min=4, len_max=4,
+              zipf_exponent=1.7, bigram_weight=0.0, parallel_fraction=0.3), {
+            "distractors.txt": "804364ece4f57bd0975b69e47ed9c1dbef9b7172e5e96563fc05c61c997d31a6",
+            "gold.test.tsv": "c7e73af7407ff18becaad539bce41d55172f467db0e220636ec9c1f1b6ea0a25",
+            "oracle_dict.tsv": "8a54a5e9ac070e5e14bfd46d1a787d86906b849ad4aea43cdad59adc36b15a65",
+            "src.train.txt": "c4860c3039c17cead5dfbeaf25dd5d4b6ead2c096faf7c2bf44580dc7ec1a45b",
+            "src.valid.txt": "3c21e8c3f5a4b9a2f1c6452bfad73dbbf8b0b2080534258d7ba2f41a71738d9c",
+            "tgt.train.txt": "24b0500ec8d470596bfde60ba3c5f63166193223b54e54c7a278d6cc6ef9b616",
+            "tgt.valid.txt": "e7aa3e20e49adda86feeebc5ab2b00e7e45e799e8467101195cd8e1024fe26f8",
+            "corpus_manifest.json":
+                "e684e3828b975f6f62027ae10e1e956f8bcbe878a89255c8189f526f389b5f73",
+        }),
+    ]
+
+    @pytest.mark.parametrize("kw,digests", GOLDEN, ids=["default", "cli-micro", "fixed-len"])
+    def test_written_files_match_golden_hashes(self, kw, digests, tmp_path):
+        files = write_cipher_pair(generate_cipher_pair(CipherSpec(**kw)), tmp_path)["files"]
+        written = sorted(files.values()) + ["corpus_manifest.json"]
+        assert sorted(written) == sorted(digests)
+        for name in written:
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digests[name], name

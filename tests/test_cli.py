@@ -121,6 +121,18 @@ class TestTrain:
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == "step,mode,loss_total,loss_lm,loss_com,loss_R,D_s2t,D_t2s,skipped"
 
+    def test_stray_checkpoint_entries_are_ignored(self, tmp_path, corpus_dir, run_dir):
+        out = tmp_path / "stray"
+        (out / "checkpoints" / "notes").mkdir(parents=True)
+        (out / "checkpoints" / "README.txt").write_text("kept by hand\n")
+        (out / "checkpoints" / "step_0000012.tar").write_text("")
+        args = MICRO + TRAIN
+        assert run("train", "--data", corpus_dir, "--out", out, "--overwrite",
+                   *ov(args)) == 0
+        got = load_json(out / "manifest.json")["checkpoints"]
+        assert got == load_json(run_dir / "manifest.json")["checkpoints"]
+        assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_dir, run_dir):
         ckpt = checkpoint_of(run_dir)  # saved at step 12 (pretrain boundary)
         out = tmp_path / "resumed"

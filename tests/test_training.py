@@ -489,6 +489,69 @@ class TestDeterminismAndResume:
             other.restore(ckpt)
 
 
+def fail_on_second_file(monkeypatch) -> None:
+    """Make ``save_tensors`` raise on ``optim.bin``, after ``params.bin`` is written."""
+    real = training.save_tensors
+
+    def save_tensors(path, tensors):
+        if path.name == "optim.bin":
+            raise OSError("disk full")
+        real(path, tensors)
+
+    monkeypatch.setattr(training, "save_tensors", save_tensors)
+
+
+class TestCrashSafeCheckpoint:
+    def test_failed_save_keeps_the_last_checkpoint_resumable(self, pair, tmp_path,
+                                                             monkeypatch):
+        kw = dict(pretrain_steps=6, main_steps=14, valid_interval=5)
+        full = micro_trainer(pair, **kw)
+        full.run()
+
+        crashing = micro_trainer(pair, checkpoint_interval=10, **kw)
+        crashing.run(checkpoint_dir=tmp_path, until=10)
+        fail_on_second_file(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            crashing.run(checkpoint_dir=tmp_path)
+        assert crashing.state.step == 20
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["step_0000010"]
+
+        monkeypatch.undo()
+        resumed = micro_trainer(pair, checkpoint_interval=10, **kw)
+        resumed.restore(tmp_path / "step_0000010")
+        resumed.run()
+        assert resumed.metrics_csv() == full.metrics_csv()
+
+    def test_failed_resave_leaves_the_old_files(self, pair, tmp_path, monkeypatch):
+        tr = micro_trainer(pair, pretrain_steps=2, main_steps=0)
+        tr.pretrain_step()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        before = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+        tr.pretrain_step()
+        fail_on_second_file(monkeypatch)
+        with pytest.raises(OSError, match="disk full"):
+            tr.save_checkpoint(ckpt)
+        assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    def test_resave_without_indexes_restores(self, pair, tmp_path):
+        with_index = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        with_index.run()
+        assert with_index.indexes
+        ckpt = with_index.save_checkpoint(tmp_path / "ck")
+        assert (ckpt / "index.bin").exists()
+
+        without = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        without.pretrain_step()
+        without.save_checkpoint(ckpt)
+        assert not (ckpt / "index.bin").exists()
+
+        back = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        back.restore(ckpt)
+        assert back.state.step == 1
+        assert back.indexes == {}
+
+
 def reference_edits(trainer, e_src, out_lang):
     """Extract and edit by encoding every extracted sentence afresh: the
     reference the trainer's reuse of embeddings must equal bit for bit.
