@@ -83,13 +83,17 @@ def _prepare_dir(path: Path, overwrite: bool) -> None:
 
 
 class RunManifest:
-    """Collects what a command produced; written as manifest.json."""
+    """Collects what a command produced; written as manifest.json.
+
+    A context manager: leaving the block records success, or failure when
+    an exception escapes it (which then propagates).
+    """
 
     def __init__(self, out_dir: Path, command: str, cfg: dict):
         self.out_dir = out_dir
         self.data = {
             "command": command,
-            "config": {k: (None if v is None else v) for k, v in cfg.items()},
+            "config": dict(cfg),
             "seed": cfg.get("seed"),
             "build": _build_id(),
             "started": _now(),
@@ -102,9 +106,12 @@ class RunManifest:
     def add_output(self, path: Path) -> None:
         self.data["outputs"].append(str(path.relative_to(self.out_dir)))
 
-    def finish(self, success: bool) -> None:
+    def __enter__(self) -> "RunManifest":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
         self.data["finished"] = _now()
-        self.data["success"] = success
+        self.data["success"] = exc_type is None
         save_json(self.out_dir / "manifest.json", self.data)
 
 
@@ -172,21 +179,15 @@ def _make_trainer(tc: TrainConfig, data_dir: Path) -> Trainer:
 def cmd_gen_corpus(args, cfg: dict) -> int:
     out = _resolve_out(args.out, f"corpus-seed{cfg['data_seed']}")
     _prepare_dir(out, args.overwrite)
-    manifest = RunManifest(out, "gen-corpus", cfg)
-    try:
+    with RunManifest(out, "gen-corpus", cfg) as manifest:
         spec = dataclass_from(CipherSpec, cfg)
         pair = generate_cipher_pair(spec)
         files = write_cipher_pair(pair, out)["files"]
         for name in files.values():
             manifest.add_output(out / name)
         manifest.add_output(out / "corpus_manifest.json")
-        manifest.finish(True)
-        print(f"wrote cipher pair ({spec.n_train}/side) to {out}")
-        return 0
-    except Exception as e:
-        manifest.finish(False)
-        print(f"gen-corpus failed: {e}", file=sys.stderr)
-        return 1
+    print(f"wrote cipher pair ({spec.n_train}/side) to {out}")
+    return 0
 
 
 def _checkpoint_table(trainer: Trainer, ckpt_root: Path) -> list[dict]:
@@ -214,8 +215,7 @@ def _checkpoint_table(trainer: Trainer, ckpt_root: Path) -> list[dict]:
 def cmd_train(args, cfg: dict) -> int:
     out = _resolve_out(args.out, f"{cfg['mode']}-seed{cfg['seed']}")
     _prepare_dir(out, args.overwrite)
-    manifest = RunManifest(out, "train", cfg)
-    try:
+    with RunManifest(out, "train", cfg) as manifest:
         data_dir = Path(args.data)
         trainer = _make_trainer(dataclass_from(TrainConfig, cfg), data_dir)
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
@@ -244,59 +244,45 @@ def cmd_train(args, cfg: dict) -> int:
         best = (max(scored, key=lambda e: e["d_mean"]) if scored
                 else (table[-1] if table else None))
         manifest.data["best_checkpoint"] = best
-        manifest.finish(True)
-        print(f"run complete; best checkpoint: {best['path'] if best else 'none'}")
-        return 0
-    except Exception as e:
-        manifest.finish(False)
-        print(f"train failed: {e}", file=sys.stderr)
-        return 1
+    print(f"run complete; best checkpoint: {best['path'] if best else 'none'}")
+    return 0
 
 
 def cmd_translate(args, cfg: dict) -> int:
-    try:
-        model, _, vocab, _ = load_checkpoint(args.checkpoint)
-        out_lang = TGT if args.direction == "s2t" else SRC
-        in_path = Path(args.input)
-        lines = in_path.read_text(encoding="utf-8").splitlines()
-        for i, line in enumerate(lines, start=1):
-            if not line.split():
-                raise CliError(f"{in_path}: line {i}: empty sentence")
-            for tok in line.split():
-                if tok not in vocab.token_to_id:
-                    raise CliError(
-                        f"{in_path}: line {i}: token {tok!r} is not in the "
-                        f"checkpoint vocabulary")
-        sentences = [vocab.encode(line.split()[: model.config.max_len]) for line in lines]
-        out_lines = [" ".join(vocab.decode(ids)) for ids in model.translate(sentences, out_lang)]
-        Path(args.output).write_text(
-            "".join(line + "\n" for line in out_lines), encoding="utf-8")
-        print(f"translated {len(out_lines)} sentences -> {args.output}")
-        return 0
-    except Exception as e:
-        print(f"translate failed: {e}", file=sys.stderr)
-        return 1
+    model, _, vocab, _ = load_checkpoint(args.checkpoint)
+    out_lang = TGT if args.direction == "s2t" else SRC
+    in_path = Path(args.input)
+    lines = in_path.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines, start=1):
+        if not line.split():
+            raise CliError(f"{in_path}: line {i}: empty sentence")
+        for tok in line.split():
+            if tok not in vocab.token_to_id:
+                raise CliError(
+                    f"{in_path}: line {i}: token {tok!r} is not in the "
+                    f"checkpoint vocabulary")
+    sentences = [vocab.encode(line.split()[: model.config.max_len]) for line in lines]
+    out_lines = [" ".join(vocab.decode(ids)) for ids in model.translate(sentences, out_lang)]
+    Path(args.output).write_text(
+        "".join(line + "\n" for line in out_lines), encoding="utf-8")
+    print(f"translated {len(out_lines)} sentences -> {args.output}")
+    return 0
 
 
 def cmd_extract(args, cfg: dict) -> int:
-    try:
-        _, _, _, tc = load_checkpoint(args.checkpoint)
-        trainer = _make_trainer(tc, Path(args.data))
-        trainer.restore(args.checkpoint)
-        results = trainer.extract_corpus(limit=args.limit)
-        write_extraction_dump(args.out_file, results, trainer.vocab)
-        print(f"wrote {len(results)} extraction records to {args.out_file}")
-        return 0
-    except Exception as e:
-        print(f"extract failed: {e}", file=sys.stderr)
-        return 1
+    _, _, _, tc = load_checkpoint(args.checkpoint)
+    trainer = _make_trainer(tc, Path(args.data))
+    trainer.restore(args.checkpoint)
+    results = trainer.extract_corpus(limit=args.limit)
+    write_extraction_dump(args.out_file, results, trainer.vocab)
+    print(f"wrote {len(results)} extraction records to {args.out_file}")
+    return 0
 
 
 def cmd_evaluate(args, cfg: dict) -> int:
     out = _resolve_out(args.out, "evaluation")
     _prepare_dir(out, args.overwrite)
-    manifest = RunManifest(out, "evaluate", cfg)
-    try:
+    with RunManifest(out, "evaluate", cfg) as manifest:
         reports = out / "reports"
         reports.mkdir(exist_ok=True)
         metrics = [m for m in args.metrics.split(",") if m] if args.metrics else []
@@ -342,19 +328,13 @@ def cmd_evaluate(args, cfg: dict) -> int:
             manifest.add_output(reports / "report.txt")
             for line in text_lines:
                 print(line)
-        manifest.finish(True)
-        return 0
-    except Exception as e:
-        manifest.finish(False)
-        print(f"evaluate failed: {e}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def cmd_sweep_k(args, cfg: dict) -> int:
     out = _resolve_out(args.out, f"sweep-k-seed{cfg['seed']}")
     _prepare_dir(out, args.overwrite)
-    manifest = RunManifest(out, "sweep-k", cfg)
-    try:
+    with RunManifest(out, "sweep-k", cfg) as manifest:
         ks = sorted(int(x) for x in (args.ks or cfg["sweep_ks"]).split(","))
         data_dir = Path(args.data)
 
@@ -380,12 +360,7 @@ def cmd_sweep_k(args, cfg: dict) -> int:
             print(f"k={k}: token accuracy {acc:.4f}")
         _write_csv(out / "sweep.csv", rows)
         manifest.add_output(out / "sweep.csv")
-        manifest.finish(True)
-        return 0
-    except Exception as e:
-        manifest.finish(False)
-        print(f"sweep-k failed: {e}", file=sys.stderr)
-        return 1
+    return 0
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
@@ -480,7 +455,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args, cfg)
-    except CliError as e:
+    except Exception as e:
         print(f"{args.command} failed: {e}", file=sys.stderr)
         return 1
 

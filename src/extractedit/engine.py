@@ -34,6 +34,7 @@ __all__ = [
     "EmbeddingIndex",
     "ExtractionResult",
     "build_index",
+    "embed_sentences",
     "extract_topk_batch",
     "edit_batch",
     "score_candidates_batch",
@@ -41,7 +42,7 @@ __all__ = [
     "read_extraction_dump",
 ]
 
-_INDEX_CHUNK = 256  # rows per encode in build_index; bounds its per-token states
+_INDEX_CHUNK = 256  # rows per encode in embed_sentences; bounds its per-token states
 _SCREEN_SLACK = 1e-9  # kNN screen margin, relative to (max ||r|| + ||q||)^2
 
 
@@ -112,20 +113,16 @@ class ExtractionResult:
     edited: list[np.ndarray]  # k edited sentences (token ids)
 
 
-def build_index(corpus: Corpus, model: TranslationModel,
-                episode: int) -> EmbeddingIndex:
-    """Encode every corpus sentence forward-only under current parameters.
+def embed_sentences(sentences, model: TranslationModel) -> np.ndarray:
+    """Forward-only pooled embeddings (N, d) of ``sentences``, in their order.
 
     Sentences are ordered by length (stable argsort) and encoded in chunks
     of at most ``_INDEX_CHUNK`` rows, so a chunk carries little padding
     and its per-token states stay small; each pooled row is scattered back
-    to its corpus position. Rows are bit-identical to standalone encode()
-    calls, because ``tensor`` computes a row's products the same way in
-    every batch.
+    to its input position. Rows are bit-identical to one-sentence
+    ``encode_batch`` calls, because ``tensor`` computes a row's products
+    the same way in every batch.
     """
-    if len(corpus) == 0:
-        raise DegenerateInputError("cannot index an empty corpus")
-    sentences = corpus.sentences
     order = np.argsort([len(s) for s in sentences], kind="stable")
     rows = np.empty((len(sentences), model.config.hidden_size))
     with T.no_grad():
@@ -133,7 +130,16 @@ def build_index(corpus: Corpus, model: TranslationModel,
             chunk = order[start : start + _INDEX_CHUNK]
             _, pooled, _ = model.encode_batch([sentences[i] for i in chunk])
             rows[chunk] = pooled.data
-    return EmbeddingIndex(rows=rows, episode=episode, lang=corpus.lang)
+    return rows
+
+
+def build_index(corpus: Corpus, model: TranslationModel,
+                episode: int) -> EmbeddingIndex:
+    """Encode every corpus sentence forward-only under current parameters."""
+    if len(corpus) == 0:
+        raise DegenerateInputError("cannot index an empty corpus")
+    return EmbeddingIndex(rows=embed_sentences(corpus.sentences, model),
+                          episode=episode, lang=corpus.lang)
 
 
 def extract_topk_batch(queries: np.ndarray, index: EmbeddingIndex,
@@ -188,7 +194,8 @@ def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
     gradients are needed.
     """
     pooled = np.maximum(e_src, e_extracted)
-    edited, _ = model.decode_from_vector(Tensor(pooled), out_lang, max_len=max_len)
+    edited, _ = model.decode_greedy_batch(Tensor(pooled), None, None, out_lang,
+                                          max_len=max_len)
     return edited
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .engine import EvaluationNetwork
+from .engine import EvaluationNetwork, embed_sentences
 from .model import TranslationModel
 from .tensor import Tensor
 
@@ -159,18 +159,10 @@ def hits_at_k(gold_pairs, distractor_pool, noise_ratio: float,
         )
     candidates = [t for _, t in gold_pairs] + list(distractor_pool[:n_distract])
 
-    def embed(sentences) -> np.ndarray:
-        out = np.empty((len(sentences), model.config.hidden_size))
-        with T.no_grad():
-            for start in range(0, len(sentences), 256):
-                chunk = sentences[start : start + 256]
-                _, pooled, _ = model.encode_batch(chunk)
-                out[start : start + len(chunk)] = pooled.data
-        return out
-
     with T.no_grad():
-        r_query = evaluator.forward(Tensor(embed([s for s, _ in gold_pairs]))).data
-        r_cand = evaluator.forward(Tensor(embed(candidates))).data
+        r_query = evaluator.forward(
+            Tensor(embed_sentences([s for s, _ in gold_pairs], model))).data
+        r_cand = evaluator.forward(Tensor(embed_sentences(candidates, model))).data
     r_query /= np.linalg.norm(r_query, axis=1, keepdims=True)
     r_cand /= np.linalg.norm(r_cand, axis=1, keepdims=True)
     sims = r_query @ r_cand.T  # (Q, C) cosine in the joint space

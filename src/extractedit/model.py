@@ -166,21 +166,13 @@ class TranslationModel:
             top = T.tanh(T.matmul(T.concat([top, ctx], axis=-1), self.w_att) + self.b_att)
         return T.matmul(top, self.w_out) + self.b_out
 
-    def nll_batch(self, src_sentences, tgt_sentences, out_lang: int,
-                  attention: bool = True) -> Tensor:
+    def nll_batch(self, src_sentences, tgt_sentences, out_lang: int) -> Tensor:
         """Token-averaged teacher-forced negative log-likelihood of targets.
 
         Encodes the sources, then scores each reference token (plus EOS)
-        under the decoder conditioned on ``out_lang``.
+        under the attentive decoder conditioned on ``out_lang``.
         """
         h_enc, pooled, enc_mask = self.encode_batch(src_sentences)
-        return self.nll_given_context(
-            pooled, h_enc if attention else None, enc_mask if attention else None,
-            tgt_sentences, out_lang,
-        )
-
-    def nll_given_context(self, init: Tensor, h_enc: Tensor | None,
-                          enc_mask: np.ndarray | None, tgt_sentences, out_lang: int) -> Tensor:
         tgt_ids, tgt_len, _ = pad_batch(tgt_sentences)
         b, t_out = tgt_ids.shape
         t_out += 1  # room for EOS
@@ -192,7 +184,7 @@ class TranslationModel:
         targets[np.arange(b), tgt_len] = EOS
         loss_mask = np.arange(t_out)[None, :] <= tgt_len[:, None]
 
-        hiddens = [init for _ in self.dec_layers]
+        hiddens = [pooled for _ in self.dec_layers]
         logits = []
         for t in range(t_out):
             logits.append(self._decoder_step(inputs[:, t], t, hiddens, out_lang, h_enc, enc_mask))
@@ -206,9 +198,12 @@ class TranslationModel:
                             max_len: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
         """Greedy argmax decoding; deterministic and never differentiable.
 
-        PAD and BOS are never emitted, and EOS is rejected on the first
-        step so every output has at least one token. Returns the decoded
-        sentences and a per-sentence flag marking max-length truncation.
+        ``init`` seeds the initial hidden state of every decoder layer; with
+        ``h_enc`` None the decoder attends to nothing and is conditioned on
+        that one vector per row (the edit path). PAD and BOS are never
+        emitted, and EOS is rejected on the first step so every output has
+        at least one token. Returns the decoded sentences and a per-sentence
+        flag marking max-length truncation.
         """
         if max_len is None:
             max_len = self.config.max_len
@@ -256,9 +251,3 @@ class TranslationModel:
         for start in range(0, len(sentences), 64):
             decoded.extend(self.translate_batch(sentences[start : start + 64], out_lang)[0])
         return decoded
-
-    def decode_from_vector(self, vectors: Tensor, lang: int,
-                           max_len: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
-        """Greedy decoding conditioned on a single vector per row (no attention);
-        the vector seeds the initial hidden state of every decoder layer."""
-        return self.decode_greedy_batch(vectors, None, None, lang, max_len=max_len)

@@ -9,15 +9,14 @@ for pure-Python dispatch to stay off the critical path.
 
 Every forward op validates that its output is finite; NaN/Inf raises
 ``NonFiniteError`` instead of propagating silently.
+
+The module sets no thread policy: BLAS runs with whatever thread count
+the environment gives numpy when it is first imported.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -212,9 +211,6 @@ class Tape:
                 else:
                     t.grad += g
         return visited
-
-    def clear(self) -> None:
-        self.nodes.clear()
 
 
 @contextmanager

@@ -38,6 +38,7 @@ from .engine import (
     ExtractionResult,
     build_index,
     edit_batch,
+    embed_sentences,
     extract_topk_batch,
     score_candidates_batch,
 )
@@ -122,34 +123,42 @@ def _fmt(x: float) -> str:
 # loss builders shared by the trainer and the gradient-check tests
 
 
+def _ranking_logp(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
+                  lam: float) -> Tensor:
+    """Log ranking probabilities (B, k+1) of each source's candidates.
+
+    e_s (B, d) source embeddings, cand (B, k+1, d) candidate embeddings
+    with the k edited sentences first and the translation t* in the last
+    slot. Differentiable with respect to the evaluator and the embeddings.
+    """
+    return T.log(score_candidates_batch(e_s, cand, evaluator, lam))
+
+
 def comparative_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
                      lam: float) -> Tensor:
     """Comparative translation loss over a batch of sources.
 
-    e_s (B, d) source embeddings, cand (B, k+1, d) candidate embeddings
-    with the translation t* in the last slot. Returns the batch mean of
-    -log of t*'s ranking probability among the edited candidates plus
-    itself; gradients reach whatever produced the embeddings.
+    Same inputs as ``_ranking_logp``. Returns the batch mean of -log of
+    t*'s ranking probability among the edited candidates plus itself;
+    gradients reach whatever produced the embeddings.
     """
-    probs = score_candidates_batch(e_s, cand, evaluator, lam)
     k = cand.data.shape[1] - 1
-    picked = T.gather(probs, np.full((e_s.data.shape[0], 1), k))
-    return -T.tmean(T.log(picked))
+    logp = _ranking_logp(e_s, cand, evaluator, lam)
+    return -T.tmean(T.gather(logp, np.full((e_s.data.shape[0], 1), k)))
 
 
 def evaluator_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
                    lam: float) -> Tensor:
     """Evaluation-network loss over a batch of sources.
 
-    Same inputs as ``comparative_loss``. Returns the mean of -log of the
+    Same inputs as ``_ranking_logp``. Returns the mean of -log of the
     ranking probability of each of the k edited candidates; t* stays in
     the denominator. The trainer passes detached embeddings (the encoder
     is frozen in this pass), so gradients reach the evaluation network
     alone.
     """
-    probs = score_candidates_batch(e_s, cand, evaluator, lam)
     k = cand.data.shape[1] - 1
-    return -T.tmean(T.log(T.slice_axis(probs, 1, 0, k)))
+    return -T.tmean(T.slice_axis(_ranking_logp(e_s, cand, evaluator, lam), 1, 0, k))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +226,12 @@ class _DirectionBatch:
     extracted_idx: np.ndarray  # (B, k)
     extracted_dist: np.ndarray
     edited: list[np.ndarray]  # B*k sentences, row-major
-    skipped: int
 
 
 @dataclass
 class TrainState:
     step: int = 0
     episode: int = -1
-    skipped_total: int = 0
     best_step: int = -1
     best_d: float = -np.inf
     metric_rows: list[list[str]] = field(default_factory=list)
@@ -328,30 +335,23 @@ class Trainer:
         with T.no_grad():
             h_enc, pooled, mask = self.model.encode_batch(sources)
         t_star, _ = self.model.decode_greedy_batch(pooled, h_enc, mask, out_lang)
-        keep = [i for i, s in enumerate(t_star) if len(s) > 0]
-        skipped = len(sources) - len(keep)
-        if skipped:
-            sources = [sources[i] for i in keep]
-            t_star = [t_star[i] for i in keep]
-        # a row's encode does not depend on its batch, so the kept rows are
-        # exactly what encoding the kept sources alone would give
-        e_src = pooled.data[keep]
+        # the first decode step bans EOS, so every translation has a token
+        assert all(len(s) for s in t_star), "empty greedy translation"
+        e_src = pooled.data
         idxs, dists = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
         edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
                             self._encode_corpus_rows(out_lang, idxs), self.model, out_lang,
                             max_len=cfg.max_len)
         return _DirectionBatch(sources=sources, out_lang=out_lang, t_star=t_star,
-                               extracted_idx=idxs, extracted_dist=dists,
-                               edited=edited, skipped=skipped)
+                               extracted_idx=idxs, extracted_dist=dists, edited=edited)
 
     def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
         """Forward-only embeddings (idxs.size, d) of the corpus sentences at
         ``idxs`` in row-major order; each distinct sentence is encoded once."""
         uniq, inverse = np.unique(idxs, return_inverse=True)
         corpus = self.corpora[lang]
-        with T.no_grad():
-            _, pooled, _ = self.model.encode_batch([corpus[int(j)] for j in uniq])
-        return pooled.data[inverse.ravel()]
+        rows = embed_sentences([corpus[int(j)] for j in uniq], self.model)
+        return rows[inverse.ravel()]
 
     def _encode_directions(self, directions: list[_DirectionBatch]
                            ) -> list[tuple[Tensor, Tensor]]:
@@ -413,7 +413,7 @@ class Trainer:
         with gen_tape:
             loss_lm = self._lm_loss(noised_s, batch_s, noised_t, batch_t)
             com_val = 0.0
-            if cfg.omega_com > 0 and embeds:
+            if cfg.omega_com > 0:
                 loss_com = None
                 for e_s, cand in embeds:
                     term = comparative_loss(e_s, cand, self.evaluator, cfg.lam)
@@ -434,10 +434,8 @@ class Trainer:
         self._ensure_indexes()
         lm_batches = self._draw_lm_batches()
         batch_s, _, batch_t, _ = lm_batches
-        directions = [d for d in (self._prepare_direction(batch_s, TGT),
-                                  self._prepare_direction(batch_t, SRC))
-                      if d.sources]
-        skipped = sum(d.skipped for d in directions)
+        directions = [self._prepare_direction(batch_s, TGT),
+                      self._prepare_direction(batch_t, SRC)]
         self.opt_gen.zero_grad()
         gen_tape = Tape()
         with gen_tape:
@@ -446,9 +444,7 @@ class Trainer:
             [(Tensor(e.data), Tensor(c.data)) for e, c in embeds])
         total, lm, com = self._update_generator(lm_batches, embeds, gen_tape)
         self.state.step += 1
-        self.state.skipped_total += skipped
-        self._append_row("extract-edit", total=total, lm=lm, com=com,
-                         loss_r=loss_r, skipped=skipped)
+        self._append_row("extract-edit", total=total, lm=lm, com=com, loss_r=loss_r)
 
     # -- back-translation baseline ----------------------------------------------
 
@@ -551,19 +547,14 @@ class Trainer:
         self._ensure_indexes()
         cfg = self.config
         total = 0.0
-        count = 0
         for start in range(0, len(corpus), batch_size):
-            sents = corpus.sentences[start : start + batch_size]
-            batch = self._prepare_direction(sents, out_lang)
-            if not batch.sources:
-                continue
+            batch = self._prepare_direction(corpus.sentences[start : start + batch_size],
+                                            out_lang)
             with T.no_grad():
                 (e_s, cand), = self._encode_directions([batch])
-                probs = score_candidates_batch(e_s, cand, self.evaluator, cfg.lam)
-                logp = np.log(probs.data[:, cfg.k])
-            total += float(logp.sum())
-            count += len(batch.sources)
-        return total / max(count, 1)
+                logp = _ranking_logp(e_s, cand, self.evaluator, cfg.lam)
+            total += float(logp.data[:, cfg.k].sum())
+        return total / max(len(corpus), 1)
 
     def validate(self) -> tuple[float, float]:
         d_s2t = self.model_selection_score("s2t")
@@ -631,8 +622,7 @@ class Trainer:
             raise TrainingDivergenceError("non-finite training loss", self.state.step + 1)
 
     def _append_row(self, mode: str, total: float, lm: float | None = None,
-                    com: float | None = None, loss_r: float | None = None,
-                    skipped: int = 0) -> None:
+                    com: float | None = None, loss_r: float | None = None) -> None:
         self.state.metric_rows.append([
             str(self.state.step),
             mode,
@@ -642,7 +632,7 @@ class Trainer:
             "" if loss_r is None else _fmt(loss_r),
             "",
             "",
-            str(skipped),
+            "0",  # skipped: no row is ever skipped; the column stays for readers
         ])
 
     def metrics_csv(self) -> str:
@@ -698,7 +688,6 @@ class Trainer:
             "format": 1,
             "step": self.state.step,
             "episode": self.state.episode,
-            "skipped_total": self.state.skipped_total,
             "best_step": self.state.best_step,
             "best_d": None if not np.isfinite(self.state.best_d) else self.state.best_d,
             "rng": self.rng.bit_generator.state,
@@ -749,7 +738,6 @@ class Trainer:
         self.state = TrainState(
             step=meta["step"],
             episode=meta["episode"],
-            skipped_total=meta["skipped_total"],
             best_step=meta["best_step"],
             best_d=-np.inf if meta["best_d"] is None else meta["best_d"],
             metric_rows=[list(r) for r in meta["metric_rows"]],

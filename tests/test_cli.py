@@ -292,6 +292,38 @@ class TestExtractAndEvaluate:
         assert rows[-1].split(",")[1] == "mle-retrain"
 
 
+# each command given an input that does not exist; the last field says
+# whether the command writes a manifest under --out
+FAILURES = {
+    "train": (lambda tmp, data: ["--data", tmp / "missing", "--out", tmp / "out",
+                                 *ov(MICRO + TRAIN)], True),
+    "evaluate": (lambda tmp, data: ["--checkpoint", tmp / "missing", "--data", data,
+                                    "--out", tmp / "out"], True),
+    "sweep-k": (lambda tmp, data: ["--data", tmp / "missing", "--out", tmp / "out",
+                                   "--ks", "1", *ov(MICRO + TRAIN)], True),
+    "translate": (lambda tmp, data: ["--checkpoint", tmp / "missing",
+                                     "--input", data / "src.valid.txt",
+                                     "--output", tmp / "out.txt"], False),
+    "extract": (lambda tmp, data: ["--checkpoint", tmp / "missing", "--data", data,
+                                   "--out-file", tmp / "dump.tsv"], False),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILURES))
+def test_failure_returns_1_names_command_and_records_it(command, tmp_path, corpus_dir,
+                                                        capsys):
+    argv, has_manifest = FAILURES[command]
+    capsys.readouterr()
+    assert run(command, *argv(tmp_path, corpus_dir)) == 1
+    assert capsys.readouterr().err.startswith(f"{command} failed: ")
+    manifest = tmp_path / "out" / "manifest.json"
+    if has_manifest:
+        data = load_json(manifest)
+        assert data["success"] is False and data["finished"] is not None
+    else:
+        assert not manifest.exists()
+
+
 class TestSweepK:
     def test_rows_sorted_single_and_multi(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep"

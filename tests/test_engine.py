@@ -201,7 +201,7 @@ class TestEdit:
         e_s = e_t.data - 1.0
         t_edit1 = edit_batch(e_s, e_t.data, m, TGT)[0]
         with T.no_grad():
-            redecoded, _ = m.decode_from_vector(Tensor(e_t.data), TGT)
+            redecoded, _ = m.decode_greedy_batch(Tensor(e_t.data), None, None, TGT)
         np.testing.assert_array_equal(t_edit1, redecoded[0])
         # and the identical-embedding case pools to exactly e_t
         np.testing.assert_array_equal(np.maximum(e_t.data, e_t.data), e_t.data)

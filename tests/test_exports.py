@@ -1,9 +1,14 @@
-"""Every name a module exports resolves, so a star import never breaks."""
+"""Every name a module exports resolves, so a star import never breaks;
+importing the package leaves the process environment alone."""
 
 from __future__ import annotations
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +28,17 @@ def test_all_names_resolve(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_import_leaves_environment_unchanged():
+    """``import extractedit`` sets no environment variable, BLAS thread
+    counts included, so child processes inherit the caller's settings."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(extractedit.__file__).resolve().parents[1])
+    code = ("import os; before = dict(os.environ); import extractedit; "
+            "changed = set(os.environ.items()) ^ set(before.items()); "
+            "assert not changed, sorted(changed)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -211,8 +211,8 @@ class TestGreedyDecode:
     def test_vector_conditioned_decode_deterministic(self, rng):
         m = tiny_model()
         v = Tensor(rng.normal(size=(2, 8)))
-        a, _ = m.decode_from_vector(v, TGT)
-        b, _ = m.decode_from_vector(v, TGT)
+        a, _ = m.decode_greedy_batch(v, None, None, TGT)
+        b, _ = m.decode_greedy_batch(v, None, None, TGT)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 

@@ -127,7 +127,7 @@ def embed(tr, sources, t_star, edited):
     batch = training._DirectionBatch(
         sources=sources, out_lang=TGT, t_star=t_star,
         extracted_idx=np.zeros((b, k), dtype=np.int64), extracted_dist=np.zeros((b, k)),
-        edited=edited, skipped=0)
+        edited=edited)
     (e_s, cand), = tr._encode_directions([batch])
     return e_s, cand
 
@@ -448,6 +448,20 @@ class TestModelSelection:
         d2 = tr.model_selection_score("s2t")
         assert d1 == pytest.approx(d2, abs=1e-9)
 
+    def test_equals_minus_comparative_loss(self, pair):
+        """On one validation batch D is minus the comparative loss of the
+        same candidates: both read t* from the last slot."""
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
+        for _ in range(3):
+            tr.pretrain_step()
+        sents = pair.src_valid.sentences
+        d = tr.model_selection_score("s2t", batch_size=len(sents))
+        batch = tr._prepare_direction(sents, TGT)
+        with T.no_grad():
+            (e_s, cand), = tr._encode_directions([batch])
+            loss = comparative_loss(e_s, cand, tr.evaluator, tr.config.lam)
+        assert abs(d + loss.item()) <= 1e-12
+
 
 class TestDeterminismAndResume:
     def test_identical_config_identical_metrics(self, pair):
@@ -561,8 +575,8 @@ def reference_edits(trainer, e_src, out_lang):
     corpus = trainer.corpora[out_lang]
     with T.no_grad():
         _, e_x, _ = trainer.model.encode_batch([corpus[int(j)] for j in idxs.ravel()])
-    edited, _ = trainer.model.decode_from_vector(
-        Tensor(np.maximum(np.repeat(e_src, cfg.k, axis=0), e_x.data)), out_lang,
+    edited, _ = trainer.model.decode_greedy_batch(
+        Tensor(np.maximum(np.repeat(e_src, cfg.k, axis=0), e_x.data)), None, None, out_lang,
         max_len=cfg.max_len)
     return idxs, dists, e_x.data, edited
 
@@ -653,35 +667,24 @@ class TestEncodeOnce:
         sources = tr._sample_batch(SRC)
         rows = count_encoded_rows(monkeypatch)
         d = tr._prepare_direction(sources, TGT)
-        assert d.skipped == 0
         assert sum(rows) == len(sources) + len(np.unique(d.extracted_idx))
 
-    def test_prepare_direction_matches_encode_everything(self, pair, monkeypatch):
+    def test_prepare_direction_matches_encode_everything(self, pair):
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=5, k=5)
         tr.run(until=3)
         tr._ensure_indexes()
         corpus = tr.corpora[SRC]
         sources = [corpus[0], corpus[1], corpus[2], corpus[0], corpus[7], corpus[7]]
-        inner = tr.model.decode_greedy_batch
-
-        def blank_second_translation(init, h_enc, *args, **kwargs):
-            out, truncated = inner(init, h_enc, *args, **kwargs)
-            if h_enc is not None:
-                out[1] = out[1][:0]
-            return out, truncated
-
-        monkeypatch.setattr(tr.model, "decode_greedy_batch", blank_second_translation)
         t_star, _ = tr.model.translate_batch(sources, TGT)
-        kept = [s for s, t in zip(sources, t_star) if len(t)]
         with T.no_grad():
-            _, pooled, _ = tr.model.encode_batch(kept)
+            _, pooled, _ = tr.model.encode_batch(sources)
         idxs, dists, _, edited = reference_edits(tr, pooled.data, TGT)
 
         d = tr._prepare_direction(sources, TGT)
-        assert d.skipped == 1
         assert len(np.unique(d.extracted_idx)) < d.extracted_idx.size
-        assert len(d.sources) == len(kept)
-        for x, y in zip(d.t_star, [t for t in t_star if len(t)]):
+        assert len(d.sources) == len(sources)
+        assert len(d.t_star) == len(t_star)
+        for x, y in zip(d.t_star, t_star):
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(d.extracted_idx, idxs)
         np.testing.assert_array_equal(d.extracted_dist, dists)
