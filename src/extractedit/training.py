@@ -221,10 +221,8 @@ class _DirectionBatch:
     evaluator update and the generator update."""
 
     sources: list[np.ndarray]
-    out_lang: int
     t_star: list[np.ndarray]
     extracted_idx: np.ndarray  # (B, k)
-    extracted_dist: np.ndarray
     edited: list[np.ndarray]  # B*k sentences, row-major
 
 
@@ -338,12 +336,12 @@ class Trainer:
         # the first decode step bans EOS, so every translation has a token
         assert all(len(s) for s in t_star), "empty greedy translation"
         e_src = pooled.data
-        idxs, dists = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
+        idxs, _ = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
         edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
                             self._encode_corpus_rows(out_lang, idxs), self.model, out_lang,
                             max_len=cfg.max_len)
-        return _DirectionBatch(sources=sources, out_lang=out_lang, t_star=t_star,
-                               extracted_idx=idxs, extracted_dist=dists, edited=edited)
+        return _DirectionBatch(sources=sources, t_star=t_star, extracted_idx=idxs,
+                               edited=edited)
 
     def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
         """Forward-only embeddings (idxs.size, d) of the corpus sentences at
@@ -357,33 +355,38 @@ class Trainer:
                            ) -> list[tuple[Tensor, Tensor]]:
         """(source embeddings (B,d), candidates (B,k+1,d)) per direction.
 
-        All sentences of all directions are encoded as one batch; the
-        translation occupies the last candidate slot. Differentiable when
-        called under a tape; both updates of a step share this encode (the
-        evaluator update detaches it, the generator update backprops it).
+        Each distinct sentence of all directions is encoded once, in one
+        batch, in order of first occurrence (sources, then edits, then
+        translations, direction by direction), and every slot gathers its
+        row; the translation occupies the last candidate slot.
+        Differentiable when called under a tape; both updates of a step
+        share this encode (the evaluator update detaches it, the generator
+        update backprops it).
+
+        The embeddings are those of encoding every slot, bit for bit,
+        because a sentence encodes the same in any batch. With no repeated
+        sentence the batch is that full list, so the gradients are the same
+        bits too. A repeated sentence's slot gradients are summed by the
+        gather's backward before the encoder backward, which then runs at
+        the distinct height: equal in exact arithmetic, the gradients differ
+        only by the reassociation of float64 sums.
         """
-        cfg = self.config
+        row_of: dict[bytes, int] = {}
         sents: list[np.ndarray] = []
-        spans = []
+        slots = []
         for d in directions:
-            spans.append((len(sents), len(d.sources)))
-            sents.extend(d.sources)
-            sents.extend(d.edited)
-            sents.extend(d.t_star)
+            rows = []
+            for s in (*d.sources, *d.edited, *d.t_star):
+                key = s.tobytes()
+                if key not in row_of:
+                    row_of[key] = len(sents)
+                    sents.append(s)
+                rows.append(row_of[key])
+            b = len(d.sources)
+            rows = np.array(rows)
+            slots.append((rows[:b], np.column_stack([rows[b:-b].reshape(b, -1), rows[-b:]])))
         _, pooled, _ = self.model.encode_batch(sents)
-        out = []
-        dh = cfg.hidden_size
-        for start, b in spans:
-            e_s = T.slice_axis(pooled, 0, start, start + b)
-            e_edit = T.slice_axis(pooled, 0, start + b, start + b + b * cfg.k)
-            e_star = T.slice_axis(pooled, 0, start + b + b * cfg.k,
-                                  start + b * (cfg.k + 2))
-            cand = T.concat(
-                [T.reshape(e_edit, (b, cfg.k, dh)), T.reshape(e_star, (b, 1, dh))],
-                axis=1,
-            )
-            out.append((e_s, cand))
-        return out
+        return [(T.take_rows(pooled, src), T.take_rows(pooled, cand)) for src, cand in slots]
 
     def _update_evaluator(self, embeds: list[tuple[Tensor, Tensor]]) -> float:
         """Evaluator update on detached embeddings (the encoder is frozen);

@@ -15,7 +15,6 @@ from extractedit.engine import (
     ExtractionResult,
     edit_batch,
     extract_topk_batch,
-    score_candidates_batch,
 )
 from extractedit.metrics import token_accuracy
 from extractedit.model import SRC, TGT, TranslationModel
@@ -125,8 +124,7 @@ def embed(tr, sources, t_star, edited):
     k = len(edited) // b
     assert tr.config.k == k
     batch = training._DirectionBatch(
-        sources=sources, out_lang=TGT, t_star=t_star,
-        extracted_idx=np.zeros((b, k), dtype=np.int64), extracted_dist=np.zeros((b, k)),
+        sources=sources, t_star=t_star, extracted_idx=np.zeros((b, k), dtype=np.int64),
         edited=edited)
     (e_s, cand), = tr._encode_directions([batch])
     return e_s, cand
@@ -184,6 +182,21 @@ class TestComparativeLoss:
         tape.backward(loss)
         for name, p in tr.model.decoder_parameters().items():
             assert p.grad is None, f"{name} received gradient from the comparative loss"
+
+    def test_gradient_through_repeated_candidates(self, pair, rng):
+        """Finite differences over encoder params when slots repeat a
+        sentence (a repeated source, an edit repeated within and across
+        sources, a translation that is also an edit): the gather's
+        scatter-add backward sums the slots before the encoder backward."""
+        tr = micro_trainer(pair, hidden_size=8, eval_hidden=8, eval_out=8, k=2)
+        s, t = pair.src_train[0], pair.tgt_train[1]
+        sources, t_star = [s, s], [pair.tgt_train[2], t]
+        edited = [t, t, t, pair.tgt_train[3]]
+
+        enc = list(tr.model.encoder_parameters().values())
+        check_grad(
+            lambda: comparative_loss(*embed(tr, sources, t_star, edited), tr.evaluator, 0.5),
+            enc, tol=1e-4, max_coords=3, rng=rng)
 
 
 class TestEvaluatorLoss:
@@ -433,8 +446,7 @@ class TestModelSelection:
         tr = micro_trainer(pair, k=10)
         e = Tensor(np.ones((2, 16)))
         cand = Tensor(np.ones((2, 11, 16)))
-        probs = score_candidates_batch(e, cand, tr.evaluator, 0.5)
-        d = float(np.log(probs.data[:, 10]).mean())
+        d = float(training._ranking_logp(e, cand, tr.evaluator, 0.5).data[:, 10].mean())
         assert d == pytest.approx(-math.log(11), abs=1e-9)
 
     def test_order_invariance(self, pair):
@@ -678,7 +690,7 @@ class TestEncodeOnce:
         t_star, _ = tr.model.translate_batch(sources, TGT)
         with T.no_grad():
             _, pooled, _ = tr.model.encode_batch(sources)
-        idxs, dists, _, edited = reference_edits(tr, pooled.data, TGT)
+        idxs, _, _, edited = reference_edits(tr, pooled.data, TGT)
 
         d = tr._prepare_direction(sources, TGT)
         assert len(np.unique(d.extracted_idx)) < d.extracted_idx.size
@@ -687,7 +699,6 @@ class TestEncodeOnce:
         for x, y in zip(d.t_star, t_star):
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(d.extracted_idx, idxs)
-        np.testing.assert_array_equal(d.extracted_dist, dists)
         assert len(d.edited) == len(edited)
         for x, y in zip(d.edited, edited):
             np.testing.assert_array_equal(x, y)
@@ -697,3 +708,125 @@ class TestEncodeOnce:
         with pytest.raises(ValueError, match="limit"):
             tr.extract_corpus(limit=-5)
         assert not tr.indexes
+
+
+def encode_every_slot(tr, directions):
+    """(e_s, cand) per direction with every slot encoded: all sentences of
+    all directions in one batch, sliced apart. The oracle that encoding each
+    distinct sentence once must match."""
+    k = tr.config.k
+    sents, starts = [], []
+    for d in directions:
+        starts.append(len(sents))
+        sents += [*d.sources, *d.edited, *d.t_star]
+    _, pooled, _ = tr.model.encode_batch(sents)
+    d_h = pooled.data.shape[1]
+    out = []
+    for start, d in zip(starts, directions):
+        b = len(d.sources)
+        e_s = T.slice_axis(pooled, 0, start, start + b)
+        e_edit = T.slice_axis(pooled, 0, start + b, start + b * (k + 1))
+        e_star = T.slice_axis(pooled, 0, start + b * (k + 1), start + b * (k + 2))
+        cand = T.concat([T.reshape(e_edit, (b, k, d_h)), T.reshape(e_star, (b, 1, d_h))],
+                        axis=1)
+        out.append((e_s, cand))
+    return out
+
+
+def ranking_grads(tr, encode, directions):
+    """Embeddings, the summed comparative loss, and the gradient of every
+    parameter of both networks when the candidates come from ``encode``."""
+    params = {**tr.model.named_parameters(), **tr.evaluator.named_parameters()}
+    for p in params.values():
+        p.grad = None
+    with Tape() as tape:
+        embeds = encode(directions)
+        loss = None
+        for e_s, cand in embeds:
+            term = comparative_loss(e_s, cand, tr.evaluator, tr.config.lam)
+            loss = term if loss is None else loss + term
+    tape.backward(loss)
+    grads = {k: None if p.grad is None else p.grad.copy() for k, p in params.items()}
+    return [(e.data, c.data) for e, c in embeds], loss.item(), grads
+
+
+class TestEncodeDirections:
+    """The candidate encode takes each distinct sentence once and gathers
+    the slots back: the values of encoding every slot, the same gradient
+    bits when nothing repeats, and the same gradients up to float64
+    reassociation when something does."""
+
+    @pytest.fixture
+    def tr(self, pair):
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=0, k=3)
+        tr.run()
+        return tr
+
+    @staticmethod
+    def distinct_pool(pair, n):
+        seen, pool = set(), []
+        for s in [*pair.src_train.sentences, *pair.tgt_train.sentences]:
+            if s.tobytes() not in seen:
+                seen.add(s.tobytes())
+                pool.append(s)
+        return pool[:n]
+
+    def directions(self, pair, repeats: bool):
+        """Two directions of 4 sources at k = 3: 40 slots holding 40
+        distinct sentences, or 12 with repeats within and across slots,
+        sources and directions."""
+        p = self.distinct_pool(pair, 40)
+        if not repeats:
+            return [training._DirectionBatch(
+                sources=p[i : i + 4], edited=p[i + 4 : i + 16], t_star=p[i + 16 : i + 20],
+                extracted_idx=np.zeros((4, 3), dtype=np.int64)) for i in (0, 20)], 40
+        return [
+            training._DirectionBatch(
+                sources=[p[0], p[1], p[0], p[2]], t_star=[p[3], p[4], p[3], p[5]],
+                edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3,
+                extracted_idx=np.zeros((4, 3), dtype=np.int64)),
+            training._DirectionBatch(
+                sources=[p[3], p[8], p[9], p[8]], t_star=[p[0], p[6], p[10], p[10]],
+                edited=[p[11], p[11], p[0]] * 4,
+                extracted_idx=np.zeros((4, 3), dtype=np.int64)),
+        ], 12
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_matches_encoding_every_slot(self, pair, tr, repeats):
+        """Embeddings and loss bit-identical; every gradient too when
+        nothing repeats, else within 1e-12 of its largest entry."""
+        directions, _ = self.directions(pair, repeats)
+        embeds, loss, grads = ranking_grads(tr, tr._encode_directions, directions)
+        embeds_ref, loss_ref, grads_ref = ranking_grads(
+            tr, lambda ds: encode_every_slot(tr, ds), directions)
+        for (e, c), (e_ref, c_ref) in zip(embeds, embeds_ref):
+            np.testing.assert_array_equal(e, e_ref)
+            np.testing.assert_array_equal(c, c_ref)
+        assert loss == loss_ref
+        assert any(g is not None for g in grads_ref.values())
+        for name, g in grads_ref.items():
+            if g is None:
+                assert grads[name] is None, name
+            elif repeats:
+                assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+            else:
+                np.testing.assert_array_equal(grads[name], g, err_msg=name)
+
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_each_distinct_sentence_encoded_once(self, pair, tr, monkeypatch, repeats):
+        directions, n_distinct = self.directions(pair, repeats)
+        rows = count_encoded_rows(monkeypatch)
+        tr._encode_directions(directions)
+        assert rows == [n_distinct]
+
+    def test_trainer_directions_encoded_once(self, pair, tr, monkeypatch):
+        """On the trainer's own directions, whose edits repeat."""
+        tr._ensure_indexes()
+        directions = [tr._prepare_direction(tr._sample_batch(SRC), TGT),
+                      tr._prepare_direction(tr._sample_batch(TGT), SRC)]
+        slots = [s for d in directions for s in (*d.sources, *d.edited, *d.t_star)]
+        n_distinct = len({s.tobytes() for s in slots})
+        assert n_distinct < len(slots)
+        rows = count_encoded_rows(monkeypatch)
+        tr._encode_directions(directions)
+        assert rows == [n_distinct]
