@@ -1,10 +1,12 @@
 """Command-line entry point.
 
-Subcommands: gen-corpus, train, translate, extract, evaluate, sweep-k.
-Every command takes ``--config FILE`` plus ``--key=value`` overrides for
-any config key, writes its artifacts under a run directory
-(``--out``, or ``$EXTRACTEDIT_RUNS/<default name>``), and records a
-manifest; the exit code is 0 exactly when the manifest records success.
+Subcommands: gen-corpus, train, translate, extract, evaluate, and sweep-k,
+the one experiment driver (pretrain once, fork every arm from that start,
+grade each on the gold set). Every command takes ``--config FILE`` plus
+``--key=value`` overrides for any config key, writes its artifacts under a
+run directory (``--out``, or ``$EXTRACTEDIT_RUNS/<default name>``), and
+records a manifest; the exit code is 0 exactly when the manifest records
+success.
 """
 
 from __future__ import annotations
@@ -332,14 +334,17 @@ def cmd_evaluate(args, cfg: dict) -> int:
 
 
 def cmd_sweep_k(args, cfg: dict) -> int:
+    """Pretrain once, fork every arm from that start, and grade each row on
+    the gold set: pretrain-only, extract-edit at each k of ``sweep_ks``,
+    then back-translation. Each arm sets its own mode, so the ``mode`` key
+    is ignored."""
     out = _resolve_out(args.out, f"sweep-k-seed{cfg['seed']}")
     _prepare_dir(out, args.overwrite)
     with RunManifest(out, "sweep-k", cfg) as manifest:
-        ks = sorted(int(x) for x in (args.ks or cfg["sweep_ks"]).split(","))
+        ks = sorted(int(x) for x in cfg["sweep_ks"].split(","))
         data_dir = Path(args.data)
 
-        # shared pretrained initialization: pretrain once, reuse per k
-        tc = dataclass_from(TrainConfig, cfg)
+        tc = replace(dataclass_from(TrainConfig, cfg), mode="extract-edit")
         pre_trainer = _make_trainer(replace(tc, main_steps=0), data_dir)
         pre_trainer.run()
         pre_dir = pre_trainer.save_checkpoint(out / "pretrained")
@@ -348,16 +353,26 @@ def cmd_sweep_k(args, cfg: dict) -> int:
         srcs = [s for s, _ in gold]
         refs = [t for _, t in gold]
 
-        rows = []
-        for k in ks:
-            trainer = _make_trainer(replace(tc, k=k), data_dir)
+        def grade(arm: str, k, trainer: Trainer) -> dict:
+            decoded = trainer.model.translate(srcs, TGT)
+            row = {"arm": arm, "k": k, "seed": cfg["seed"],
+                   "bleu": corpus_bleu(decoded, refs).bleu,
+                   "token_accuracy": token_accuracy(decoded, refs)}
+            print(f"{arm}{f' k={k}' if k else ''}: BLEU {row['bleu']:.2f}, "
+                  f"token accuracy {row['token_accuracy']:.4f}")
+            return row
+
+        rows = [grade("pretrain-only", "", pre_trainer)]
+        arms = [(replace(tc, k=k), k, f"metrics_k{k}.csv") for k in ks]
+        arms.append((replace(tc, mode="back-translation"), "",
+                     "metrics_back-translation.csv"))
+        for arm_tc, k, metrics_name in arms:
+            trainer = _make_trainer(arm_tc, data_dir)
             trainer.restore(pre_dir, require_same_config=False)
             trainer.run()
-            acc = token_accuracy(trainer.model.translate(srcs, TGT), refs)
-            rows.append({"k": k, "seed": cfg["seed"], "token_accuracy": acc})
-            (out / f"metrics_k{k}.csv").write_text(trainer.metrics_csv(), encoding="utf-8")
-            manifest.add_output(out / f"metrics_k{k}.csv")
-            print(f"k={k}: token accuracy {acc:.4f}")
+            rows.append(grade(arm_tc.mode, k, trainer))
+            (out / metrics_name).write_text(trainer.metrics_csv(), encoding="utf-8")
+            manifest.add_output(out / metrics_name)
         _write_csv(out / "sweep.csv", rows)
         manifest.add_output(out / "sweep.csv")
     return 0
@@ -374,8 +389,8 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # abbreviation matching is off so --key=value config overrides are never
-    # mistaken for prefixes of real options (e.g. --k=3 vs --ks)
+    # abbreviation matching is off so a --key=value config override is never
+    # taken for a prefix of a real option
     parser = argparse.ArgumentParser(
         prog="extractedit",
         description="Desk-scale unsupervised translation experiments on cipher "
@@ -423,10 +438,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default="bleu,accuracy",
                    help="comma list from: bleu,accuracy,hits (empty = manifest only)")
 
-    p = add_cmd("sweep-k", "one run per k from a shared pretrained start")
+    p = add_cmd("sweep-k", "pretrain-only, extract-edit per k and back-translation "
+                           "from one pretrained start")
     common(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--ks", default=None, help="comma list of k values")
     return parser
 
 

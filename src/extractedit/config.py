@@ -83,7 +83,7 @@ _DESCRIPTIONS = {
     "checkpoint_interval": "steps between checkpoints",
     # command plumbing
     "extractions_path": "extraction dump consumed by mle-retrain",
-    "sweep_ks": "k values for sweep-k",
+    "sweep_ks": "k values of the extract-edit arms of sweep-k",
     "hits_noise_ratios": "distractor ratios for the hits report",
     "hits_ks": "rank cutoffs for the hits report",
 }

@@ -222,7 +222,6 @@ class _DirectionBatch:
 
     sources: list[np.ndarray]
     t_star: list[np.ndarray]
-    extracted_idx: np.ndarray  # (B, k)
     edited: list[np.ndarray]  # B*k sentences, row-major
 
 
@@ -340,8 +339,7 @@ class Trainer:
         edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
                             self._encode_corpus_rows(out_lang, idxs), self.model, out_lang,
                             max_len=cfg.max_len)
-        return _DirectionBatch(sources=sources, t_star=t_star, extracted_idx=idxs,
-                               edited=edited)
+        return _DirectionBatch(sources=sources, t_star=t_star, edited=edited)
 
     def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
         """Forward-only embeddings (idxs.size, d) of the corpus sentences at

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
-from extractedit.cli import _make_trainer, main
+from extractedit.cli import _make_trainer, build_parser, main
+from extractedit.config import parse_value
 from extractedit.model import SRC, TGT
 from extractedit.training import TrainConfig, load_checkpoint
 
@@ -300,7 +302,7 @@ FAILURES = {
     "evaluate": (lambda tmp, data: ["--checkpoint", tmp / "missing", "--data", data,
                                     "--out", tmp / "out"], True),
     "sweep-k": (lambda tmp, data: ["--data", tmp / "missing", "--out", tmp / "out",
-                                   "--ks", "1", *ov(MICRO + TRAIN)], True),
+                                   "--sweep_ks=1", *ov(MICRO + TRAIN)], True),
     "translate": (lambda tmp, data: ["--checkpoint", tmp / "missing",
                                      "--input", data / "src.valid.txt",
                                      "--output", tmp / "out.txt"], False),
@@ -325,25 +327,71 @@ def test_failure_returns_1_names_command_and_records_it(command, tmp_path, corpu
 
 
 class TestSweepK:
+    @pytest.fixture(scope="class")
+    def fork_dir(self, tmp_path_factory, corpus_dir) -> Path:
+        """sweep-k at k = 3; the arms set their own modes, so the mode key
+        (here one no arm runs) is ignored."""
+        out = tmp_path_factory.mktemp("sweep") / "fork"
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, "--sweep_ks=3",
+                   *ov(MICRO + TRAIN), "--mode=mle-retrain") == 0
+        return out
+
     def test_rows_sorted_single_and_multi(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep"
         args = MICRO + TRAIN + ["main_steps=6", "checkpoint_interval=0",
-                                "valid_interval=0"]
-        assert run("sweep-k", "--data", corpus_dir, "--out", out,
-                   "--ks", "3,1", *ov(args)) == 0
+                                "valid_interval=0", "sweep_ks=3,1"]
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
-        assert rows[0] == "k,seed,token_accuracy"
-        ks = [int(r.split(",")[0]) for r in rows[1:]]
-        assert ks == [1, 3]
+        assert rows[0] == "arm,k,seed,bleu,token_accuracy"
+        arms = [r.split(",")[:3] for r in rows[1:]]
+        assert arms == [["pretrain-only", "", "0"], ["extract-edit", "1", "0"],
+                        ["extract-edit", "3", "0"], ["back-translation", "", "0"]]
+        for name in ("metrics_k1.csv", "metrics_k3.csv", "metrics_back-translation.csv"):
+            assert (out / name).exists(), name
 
     def test_single_k_single_row(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep1"
         args = MICRO + TRAIN + ["main_steps=4", "checkpoint_interval=0",
-                                "valid_interval=0"]
-        assert run("sweep-k", "--data", corpus_dir, "--out", out,
-                   "--ks", "2", *ov(args)) == 0
+                                "valid_interval=0", "sweep_ks=2"]
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
-        assert len(rows) == 2
+        assert len(rows) == 4
+        assert [r.split(",")[0] for r in rows[1:]].count("extract-edit") == 1
+
+    @pytest.mark.parametrize("mode,metrics_name", [
+        ("extract-edit", "metrics_k3.csv"),
+        ("back-translation", "metrics_back-translation.csv"),
+    ])
+    def test_forked_arm_matches_uninterrupted_train(self, tmp_path, corpus_dir, fork_dir,
+                                                    mode, metrics_name):
+        """An arm forked from the saved pretrained checkpoint logs the same
+        bytes as one train run that pretrains and continues in place
+        (valid_interval divides pretrain_steps, so both validate at the
+        pretraining boundary)."""
+        out = tmp_path / mode
+        assert run("train", "--data", corpus_dir, "--out", out, f"--mode={mode}",
+                   *ov(MICRO + TRAIN)) == 0
+        assert (fork_dir / metrics_name).read_bytes() == (out / "metrics.csv").read_bytes()
+
+
+def test_readme_command_lines_parse():
+    """Every ``extractedit ...`` line of the README's command-line block
+    parses: options the parser knows, and --key=value for config keys."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    parser = build_parser()
+    seen = set()
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if not argv or argv[0] != "extractedit":
+            continue
+        args, extra = parser.parse_known_args(argv[1:])
+        seen.add(args.command)
+        for item in extra:
+            assert item.startswith("--") and "=" in item, (line, item)
+            key, raw = item[2:].split("=", 1)
+            parse_value(key, raw)
+    assert seen == {"gen-corpus", "train", "translate", "extract", "evaluate", "sweep-k"}
 
 
 class TestOutRoot:

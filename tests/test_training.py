@@ -123,9 +123,7 @@ def embed(tr, sources, t_star, edited):
     b = len(sources)
     k = len(edited) // b
     assert tr.config.k == k
-    batch = training._DirectionBatch(
-        sources=sources, t_star=t_star, extracted_idx=np.zeros((b, k), dtype=np.int64),
-        edited=edited)
+    batch = training._DirectionBatch(sources=sources, t_star=t_star, edited=edited)
     (e_s, cand), = tr._encode_directions([batch])
     return e_s, cand
 
@@ -605,6 +603,20 @@ def spy_edit_inputs(monkeypatch) -> list[np.ndarray]:
     return seen
 
 
+def spy_extracted_idx(monkeypatch) -> list[np.ndarray]:
+    """Record the (B, k) indices of every extraction the trainer makes."""
+    seen = []
+    inner = training.extract_topk_batch
+
+    def spy(*args, **kwargs):
+        idxs, dists = inner(*args, **kwargs)
+        seen.append(idxs)
+        return idxs, dists
+
+    monkeypatch.setattr(training, "extract_topk_batch", spy)
+    return seen
+
+
 def count_encoded_rows(monkeypatch) -> list[int]:
     """Record the batch size of every TranslationModel.encode_batch call."""
     rows = []
@@ -678,10 +690,12 @@ class TestEncodeOnce:
         tr._ensure_indexes()
         sources = tr._sample_batch(SRC)
         rows = count_encoded_rows(monkeypatch)
-        d = tr._prepare_direction(sources, TGT)
-        assert sum(rows) == len(sources) + len(np.unique(d.extracted_idx))
+        extracted = spy_extracted_idx(monkeypatch)
+        tr._prepare_direction(sources, TGT)
+        (idxs,) = extracted
+        assert sum(rows) == len(sources) + len(np.unique(idxs))
 
-    def test_prepare_direction_matches_encode_everything(self, pair):
+    def test_prepare_direction_matches_encode_everything(self, pair, monkeypatch):
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=5, k=5)
         tr.run(until=3)
         tr._ensure_indexes()
@@ -692,13 +706,15 @@ class TestEncodeOnce:
             _, pooled, _ = tr.model.encode_batch(sources)
         idxs, _, _, edited = reference_edits(tr, pooled.data, TGT)
 
+        extracted = spy_extracted_idx(monkeypatch)
         d = tr._prepare_direction(sources, TGT)
-        assert len(np.unique(d.extracted_idx)) < d.extracted_idx.size
+        (d_idxs,) = extracted
+        assert len(np.unique(d_idxs)) < d_idxs.size
         assert len(d.sources) == len(sources)
         assert len(d.t_star) == len(t_star)
         for x, y in zip(d.t_star, t_star):
             np.testing.assert_array_equal(x, y)
-        np.testing.assert_array_equal(d.extracted_idx, idxs)
+        np.testing.assert_array_equal(d_idxs, idxs)
         assert len(d.edited) == len(edited)
         for x, y in zip(d.edited, edited):
             np.testing.assert_array_equal(x, y)
@@ -778,17 +794,15 @@ class TestEncodeDirections:
         p = self.distinct_pool(pair, 40)
         if not repeats:
             return [training._DirectionBatch(
-                sources=p[i : i + 4], edited=p[i + 4 : i + 16], t_star=p[i + 16 : i + 20],
-                extracted_idx=np.zeros((4, 3), dtype=np.int64)) for i in (0, 20)], 40
+                sources=p[i : i + 4], edited=p[i + 4 : i + 16], t_star=p[i + 16 : i + 20])
+                for i in (0, 20)], 40
         return [
             training._DirectionBatch(
                 sources=[p[0], p[1], p[0], p[2]], t_star=[p[3], p[4], p[3], p[5]],
-                edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3,
-                extracted_idx=np.zeros((4, 3), dtype=np.int64)),
+                edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3),
             training._DirectionBatch(
                 sources=[p[3], p[8], p[9], p[8]], t_star=[p[0], p[6], p[10], p[10]],
-                edited=[p[11], p[11], p[0]] * 4,
-                extracted_idx=np.zeros((4, 3), dtype=np.int64)),
+                edited=[p[11], p[11], p[0]] * 4),
         ], 12
 
     @pytest.mark.parametrize("repeats", [False, True])
