@@ -6,11 +6,9 @@ same number of steps; gold pairs grade the result. Expect a few minutes.
 Run with: python demos/04_training_modes.py
 """
 
-import numpy as np
-
-from extractedit import CipherSpec, corpus_bleu, generate_cipher_pair, token_accuracy
+from extractedit import CipherSpec, generate_cipher_pair
 from extractedit.cipher import full_vocab_dictionary
-from extractedit.model import TGT
+from extractedit.metrics import grade
 from extractedit.training import TrainConfig, Trainer
 
 spec = CipherSpec(vocab_size=60, seed=21, substitution_seed=9, window=1,
@@ -19,14 +17,9 @@ pair = generate_cipher_pair(spec)
 table = full_vocab_dictionary(pair)
 
 
-def grade(trainer, label):
-    srcs = [s for s, _ in pair.gold]
-    refs = [t for _, t in pair.gold]
-    decoded = trainer.model.translate(srcs, TGT)
-    acc = token_accuracy(decoded, refs)
-    bleu = corpus_bleu(decoded, refs).bleu
-    print(f"{label:>18}: token accuracy {acc:.3f}, BLEU {bleu:.2f}")
-    return acc
+def report(trainer, label):
+    bleu, acc = grade(trainer.model, pair.gold)
+    print(f"{label:>18}: token accuracy {acc:.3f}, BLEU {bleu.bleu:.2f}")
 
 
 def make(mode, main_steps):
@@ -42,15 +35,17 @@ def make(mode, main_steps):
 print("pretraining baseline...")
 baseline = make("extract-edit", main_steps=0)
 baseline.run()
-grade(baseline, "pretrain only")
+report(baseline, "pretrain only")
 
 print("\nextract-edit training...")
 ee = make("extract-edit", main_steps=1000)
 ee.run()
-grade(ee, "extract-edit")
-print(f"{'':>18}  model-selection D peaked at step {ee.state.best_step}")
+report(ee, "extract-edit")
+scored = [row for row in ee.state.metric_rows if row[6]]  # rows with D_s2t, D_t2s
+best = max(scored, key=lambda row: float(row[6]) + float(row[7]))
+print(f"{'':>18}  model-selection D peaked at step {best[0]}")
 
 print("\nback-translation training...")
 bt = make("back-translation", main_steps=1000)
 bt.run()
-grade(bt, "back-translation")
+report(bt, "back-translation")

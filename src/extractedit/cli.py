@@ -32,8 +32,8 @@ from .cipher import (
     write_cipher_pair,
 )
 from .config import ConfigError, apply_overrides, dataclass_from, format_config, load_config
-from .engine import read_extraction_dump, write_extraction_dump
-from .metrics import corpus_bleu, hits_at_k, token_accuracy
+from .engine import write_extraction_dump
+from .metrics import grade, hits_at_k
 from .model import SRC, TGT
 from .text import Corpus, Vocabulary, load_corpus
 from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint
@@ -122,7 +122,7 @@ class RunManifest:
 
 
 def _load_data(data_dir: Path, max_len: int):
-    """Load a generated corpus directory (vocab, corpora, dictionary, spec)."""
+    """Load a corpus directory: vocabulary, corpora and oracle dictionary."""
     manifest_path = data_dir / "corpus_manifest.json"
     if manifest_path.exists():
         meta = load_json(manifest_path)
@@ -139,7 +139,6 @@ def _load_data(data_dir: Path, max_len: int):
                     table[offset + inv_index[a]] = offset + inv_index[b]
             dictionary = table
     else:
-        meta = None
         vocab = None
         dictionary = None
 
@@ -161,11 +160,11 @@ def _load_data(data_dir: Path, max_len: int):
     for name, key in (("src.valid.txt", "src_valid"), ("tgt.valid.txt", "tgt_valid")):
         if (data_dir / name).exists():
             corpora[key] = load(name, name.split(".")[0])
-    return vocab, corpora, dictionary, meta
+    return vocab, corpora, dictionary
 
 
 def _make_trainer(tc: TrainConfig, data_dir: Path) -> Trainer:
-    vocab, corpora, dictionary, _ = _load_data(data_dir, tc.max_len)
+    vocab, corpora, dictionary = _load_data(data_dir, tc.max_len)
     if tc.init_mode == "oracle" and dictionary is None:
         raise CliError("init_mode=oracle needs an oracle dictionary in the data directory "
                        "(use init_mode=random for plain corpora)")
@@ -223,17 +222,10 @@ def cmd_train(args, cfg: dict) -> int:
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
         manifest.add_output(out / "config.txt")
 
-        mle_pairs = None
-        if cfg["mode"] == "mle-retrain":
-            if not cfg["extractions_path"]:
-                raise CliError("mle-retrain needs extractions_path in the config")
-            dump = read_extraction_dump(cfg["extractions_path"], trainer.vocab)
-            mle_pairs = trainer.extraction_pairs(dump)
-
         if args.resume:
             trainer.restore(Path(args.resume))
         ckpt_root = out / "checkpoints"
-        trainer.run(checkpoint_dir=ckpt_root, mle_pairs=mle_pairs,
+        trainer.run(checkpoint_dir=ckpt_root,
                     log=lambda step, row: print(f"step {step}: total={row[2]}"))
 
         (out / "metrics.csv").write_text(trainer.metrics_csv(), encoding="utf-8")
@@ -294,17 +286,14 @@ def cmd_evaluate(args, cfg: dict) -> int:
             gold = read_gold_pairs(data_dir / "gold.test.tsv", vocab)
             text_lines = []
             if "bleu" in metrics or "accuracy" in metrics:
-                decoded = model.translate([s for s, _ in gold], TGT)
-                refs = [t for _, t in gold]
+                rep, acc = grade(model, gold)
                 if "bleu" in metrics:
-                    rep = corpus_bleu(decoded, refs)
                     _write_csv(reports / "bleu.csv", rep.rows())
                     manifest.add_output(reports / "bleu.csv")
                     text_lines.append(
                         f"BLEU {rep.bleu:.2f} (p={['%.3f' % p for p in rep.precisions]}, "
                         f"BP={rep.brevity_penalty:.3f})")
                 if "accuracy" in metrics:
-                    acc = token_accuracy(decoded, refs)
                     _write_csv(reports / "accuracy.csv", [{"token_accuracy": acc}])
                     manifest.add_output(reports / "accuracy.csv")
                     text_lines.append(f"token accuracy {acc:.4f}")
@@ -350,27 +339,24 @@ def cmd_sweep_k(args, cfg: dict) -> int:
         pre_dir = pre_trainer.save_checkpoint(out / "pretrained")
 
         gold = read_gold_pairs(data_dir / "gold.test.tsv", pre_trainer.vocab)
-        srcs = [s for s, _ in gold]
-        refs = [t for _, t in gold]
 
-        def grade(arm: str, k, trainer: Trainer) -> dict:
-            decoded = trainer.model.translate(srcs, TGT)
-            row = {"arm": arm, "k": k, "seed": cfg["seed"],
-                   "bleu": corpus_bleu(decoded, refs).bleu,
-                   "token_accuracy": token_accuracy(decoded, refs)}
+        def graded_row(arm: str, k, trainer: Trainer) -> dict:
+            bleu, acc = grade(trainer.model, gold)
+            row = {"arm": arm, "k": k, "seed": cfg["seed"], "bleu": bleu.bleu,
+                   "token_accuracy": acc}
             print(f"{arm}{f' k={k}' if k else ''}: BLEU {row['bleu']:.2f}, "
                   f"token accuracy {row['token_accuracy']:.4f}")
             return row
 
-        rows = [grade("pretrain-only", "", pre_trainer)]
+        rows = [graded_row("pretrain-only", "", pre_trainer)]
         arms = [(replace(tc, k=k), k, f"metrics_k{k}.csv") for k in ks]
-        arms.append((replace(tc, mode="back-translation"), "",
+        arms.append((replace(tc, mode="back-translation"), tc.k,
                      "metrics_back-translation.csv"))
         for arm_tc, k, metrics_name in arms:
             trainer = _make_trainer(arm_tc, data_dir)
             trainer.restore(pre_dir, require_same_config=False)
             trainer.run()
-            rows.append(grade(arm_tc.mode, k, trainer))
+            rows.append(graded_row(arm_tc.mode, k, trainer))
             (out / metrics_name).write_text(trainer.metrics_csv(), encoding="utf-8")
             manifest.add_output(out / metrics_name)
         _write_csv(out / "sweep.csv", rows)

@@ -36,7 +36,6 @@ _RENAMED = {(CipherSpec, "seed"): "data_seed", (TrainConfig, "lam"): "lambda"}
 
 # keys that steer individual commands, with their defaults
 _PLUMBING = {
-    "extractions_path": "",
     "sweep_ks": "1,3,5,8,10",
     "hits_noise_ratios": "0,0.5,0.9",
     "hits_ks": "1,3,5,8,10,15,20",
@@ -59,7 +58,7 @@ _DESCRIPTIONS = {
     "bigram_weight": "probability of drawing a preferred successor",
     "parallel_fraction": "fraction of true parallels injected into training",
     # model and training (TrainConfig)
-    "mode": "extract-edit | back-translation | mle-retrain",
+    "mode": "extract-edit | back-translation",
     "seed": "training seed (init, batching, noise)",
     "hidden_size": "hidden and embedding width",
     "layers": "recurrent layers in encoder and decoder",
@@ -82,7 +81,6 @@ _DESCRIPTIONS = {
     "valid_interval": "steps between model-selection scoring",
     "checkpoint_interval": "steps between checkpoints",
     # command plumbing
-    "extractions_path": "extraction dump consumed by mle-retrain",
     "sweep_ks": "k values of the extract-edit arms of sweep-k",
     "hits_noise_ratios": "distractor ratios for the hits report",
     "hits_ks": "rank cutoffs for the hits report",

@@ -219,7 +219,7 @@ def score_candidates_batch(e_src: Tensor, candidates: Tensor,
 
 
 # ---------------------------------------------------------------------------
-# extraction dumps (CLI-facing inspection format, also feeds MLE retraining)
+# extraction dumps (CLI-facing inspection format)
 
 
 def write_extraction_dump(path, results: list[ExtractionResult],

@@ -1,4 +1,5 @@
-"""Corpus BLEU, token accuracy, and the Hits@k retrieval protocol."""
+"""Corpus BLEU, token accuracy, the gold-set grader, and the Hits@k
+retrieval protocol."""
 
 from __future__ import annotations
 
@@ -10,10 +11,10 @@ import numpy as np
 
 from . import tensor as T
 from .engine import EvaluationNetwork, embed_sentences
-from .model import TranslationModel
+from .model import TGT, TranslationModel
 from .tensor import Tensor
 
-__all__ = ["BleuReport", "HitsReport", "corpus_bleu", "token_accuracy", "hits_at_k"]
+__all__ = ["BleuReport", "HitsReport", "corpus_bleu", "token_accuracy", "grade", "hits_at_k"]
 
 
 @dataclass
@@ -116,6 +117,14 @@ def token_accuracy(candidates, references) -> float:
         eq = sum(int(a) == int(b) for a, b in zip(cand[:n], ref[:n]))
         accs.append(eq / n)
     return float(np.mean(accs))
+
+
+def grade(model: TranslationModel, gold_pairs) -> tuple[BleuReport, float]:
+    """Corpus BLEU and token accuracy of the model's greedy translations of
+    the gold sources against the gold targets."""
+    decoded = model.translate([s for s, _ in gold_pairs], TGT)
+    refs = [t for _, t in gold_pairs]
+    return corpus_bleu(decoded, refs), token_accuracy(decoded, refs)
 
 
 @dataclass

@@ -14,8 +14,6 @@ mode:
   decoding passes are non-differentiable).
 * ``back-translation``: baseline; reconstruction NLL on greedy pseudo
   pairs plus the same language-modeling term.
-* ``mle-retrain``: supervised MLE on (source, top-1 edited) pairs read
-  from an extraction dump; used for ablation comparisons.
 
 Everything runs off one RNG stream captured in TrainState, so a run can
 checkpoint and resume bit-exactly (the embedding-index snapshots are part
@@ -58,7 +56,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-MODES = ("extract-edit", "back-translation", "mle-retrain")
+MODES = ("extract-edit", "back-translation")
 
 METRIC_COLUMNS = ("step", "mode", "loss_total", "loss_lm", "loss_com",
                   "loss_R", "D_s2t", "D_t2s", "skipped")
@@ -229,8 +227,6 @@ class _DirectionBatch:
 class TrainState:
     step: int = 0
     episode: int = -1
-    best_step: int = -1
-    best_d: float = -np.inf
     metric_rows: list[list[str]] = field(default_factory=list)
 
 
@@ -469,10 +465,10 @@ class Trainer:
         self._append_row("back-translation", total=total.item(), lm=loss_lm.item(),
                          com=loss_bt.item())
 
-    # -- MLE retraining ablation --------------------------------------------------
+    # -- supervised MLE ----------------------------------------------------------
 
     def mle_step(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Supervised MLE on (source, top-1 edited) pairs."""
+        """Supervised MLE on (source, target) pairs."""
         cfg = self.config
         idx = self.rng.integers(0, len(pairs), size=cfg.batch_size)
         batch = [pairs[int(i)] for i in idx]
@@ -484,16 +480,7 @@ class Trainer:
         tape.backward(total)
         self.opt_gen.step()
         self.state.step += 1
-        self._append_row("mle-retrain", total=total.item(), com=loss.item())
-
-    def extraction_pairs(self, results: list[ExtractionResult]) -> list:
-        pairs = []
-        for r in results:
-            if len(r.edited) and len(r.edited[0]) > 0:
-                pairs.append((self.corpora[SRC][r.source_index], r.edited[0]))
-        if not pairs:
-            raise ValueError("extraction dump contains no usable pairs")
-        return pairs
+        self._append_row("mle", total=total.item(), com=loss.item())
 
     # -- extraction dumps ----------------------------------------------------------
 
@@ -560,10 +547,6 @@ class Trainer:
     def validate(self) -> tuple[float, float]:
         d_s2t = self.model_selection_score("s2t")
         d_t2s = self.model_selection_score("t2s")
-        mean_d = 0.5 * (d_s2t + d_t2s)
-        if mean_d > self.state.best_d:
-            self.state.best_d = mean_d
-            self.state.best_step = self.state.step
         if self.state.metric_rows:
             last = self.state.metric_rows[-1]
             if last[0] == str(self.state.step):
@@ -573,19 +556,13 @@ class Trainer:
 
     # -- driver ------------------------------------------------------------------
 
-    def main_step(self, mle_pairs=None) -> None:
-        mode = self.config.mode
-        if mode == "extract-edit":
+    def main_step(self) -> None:
+        if self.config.mode == "extract-edit":
             self.adversarial_step()
-        elif mode == "back-translation":
-            self.backtranslation_step()
         else:
-            if mle_pairs is None:
-                raise ValueError("mle-retrain mode needs extraction pairs")
-            self.mle_step(mle_pairs)
+            self.backtranslation_step()
 
-    def run(self, checkpoint_dir=None, mle_pairs=None, log=None,
-            until: int | None = None) -> None:
+    def run(self, checkpoint_dir=None, log=None, until: int | None = None) -> None:
         """Pretrain, then run the configured mode to its step budget,
         validating and checkpointing at the configured intervals.
 
@@ -599,7 +576,7 @@ class Trainer:
             if self.state.step < cfg.pretrain_steps:
                 self.pretrain_step()
             else:
-                self.main_step(mle_pairs=mle_pairs)
+                self.main_step()
             at_end = self.state.step == true_end
             want_valid = cfg.valid_interval and (
                 self.state.step % cfg.valid_interval == 0 or at_end)
@@ -612,9 +589,6 @@ class Trainer:
                 self.save_checkpoint(Path(checkpoint_dir) / f"step_{self.state.step:07d}")
             if log is not None and self.state.step % 100 == 0:
                 log(self.state.step, self.state.metric_rows[-1])
-        if cfg.main_steps == 0 and self.state.best_step < 0:
-            # degenerate run: the pretrained model is the best (and only) model
-            self.state.best_step = self.state.step
 
     # -- bookkeeping ----------------------------------------------------------------
 
@@ -689,8 +663,6 @@ class Trainer:
             "format": 1,
             "step": self.state.step,
             "episode": self.state.episode,
-            "best_step": self.state.best_step,
-            "best_d": None if not np.isfinite(self.state.best_d) else self.state.best_d,
             "rng": self.rng.bit_generator.state,
             "opt_gen_steps": self.opt_gen.step_count,
             "opt_eval_steps": self.opt_eval.step_count,
@@ -739,7 +711,5 @@ class Trainer:
         self.state = TrainState(
             step=meta["step"],
             episode=meta["episode"],
-            best_step=meta["best_step"],
-            best_d=-np.inf if meta["best_d"] is None else meta["best_d"],
             metric_rows=[list(r) for r in meta["metric_rows"]],
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import shlex
 import shutil
@@ -134,6 +135,24 @@ class TestTrain:
         got = load_json(out / "manifest.json")["checkpoints"]
         assert got == load_json(run_dir / "manifest.json")["checkpoints"]
         assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
+    def test_plain_corpus_directory(self, tmp_path, corpus_dir, capsys):
+        """Corpora without a corpus manifest get a frequency vocabulary and
+        no oracle dictionary: random init trains, oracle init is refused."""
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        for name in ("src.train.txt", "tgt.train.txt", "src.valid.txt", "tgt.valid.txt"):
+            shutil.copy(corpus_dir / name, plain / name)
+        out = tmp_path / "random"
+        assert run("train", "--data", plain, "--out", out, "--init_mode=random",
+                   *ov(MICRO + TRAIN)) == 0
+        assert (out / "metrics.csv").exists()
+
+        out = tmp_path / "oracle"
+        capsys.readouterr()
+        assert run("train", "--data", plain, "--out", out, *ov(MICRO + TRAIN)) == 1
+        assert "oracle dictionary" in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
 
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_dir, run_dir):
         ckpt = checkpoint_of(run_dir)  # saved at step 12 (pretrain boundary)
@@ -282,17 +301,6 @@ class TestExtractAndEvaluate:
                    "--data", corpus_dir, "--out", out, "--metrics", "") == 0
         assert load_json(out / "manifest.json")["success"] is True
 
-    def test_mle_retrain_mode_consumes_dump(self, tmp_path, corpus_dir, run_dir):
-        dump = tmp_path / "ex.tsv"
-        assert run("extract", "--checkpoint", checkpoint_of(run_dir),
-                   "--data", corpus_dir, "--out-file", dump, "--limit", 30) == 0
-        out = tmp_path / "mle"
-        args = MICRO + TRAIN + ["mode=mle-retrain", f"extractions_path={dump}",
-                                "main_steps=6"]
-        assert run("train", "--data", corpus_dir, "--out", out, *ov(args)) == 0
-        rows = (out / "metrics.csv").read_text().splitlines()
-        assert rows[-1].split(",")[1] == "mle-retrain"
-
 
 # each command given an input that does not exist; the last field says
 # whether the command writes a manifest under --out
@@ -330,10 +338,11 @@ class TestSweepK:
     @pytest.fixture(scope="class")
     def fork_dir(self, tmp_path_factory, corpus_dir) -> Path:
         """sweep-k at k = 3; the arms set their own modes, so the mode key
-        (here one no arm runs) is ignored."""
+        (here back-translation) is ignored, and the extract-edit arm still
+        matches an extract-edit train run."""
         out = tmp_path_factory.mktemp("sweep") / "fork"
         assert run("sweep-k", "--data", corpus_dir, "--out", out, "--sweep_ks=3",
-                   *ov(MICRO + TRAIN), "--mode=mle-retrain") == 0
+                   *ov(MICRO + TRAIN), "--mode=back-translation") == 0
         return out
 
     def test_rows_sorted_single_and_multi(self, tmp_path, corpus_dir):
@@ -345,7 +354,7 @@ class TestSweepK:
         assert rows[0] == "arm,k,seed,bleu,token_accuracy"
         arms = [r.split(",")[:3] for r in rows[1:]]
         assert arms == [["pretrain-only", "", "0"], ["extract-edit", "1", "0"],
-                        ["extract-edit", "3", "0"], ["back-translation", "", "0"]]
+                        ["extract-edit", "3", "0"], ["back-translation", "3", "0"]]
         for name in ("metrics_k1.csv", "metrics_k3.csv", "metrics_back-translation.csv"):
             assert (out / name).exists(), name
 
@@ -357,6 +366,22 @@ class TestSweepK:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 4
         assert [r.split(",")[0] for r in rows[1:]].count("extract-edit") == 1
+
+    def test_evaluate_reproduces_the_pretrain_only_row(self, tmp_path, corpus_dir,
+                                                       fork_dir):
+        """evaluate on the saved pretrained checkpoint writes the BLEU and
+        token accuracy of sweep.csv's pretrain-only row, float for float."""
+        out = tmp_path / "eval"
+        assert run("evaluate", "--checkpoint", fork_dir / "pretrained", "--data", corpus_dir,
+                   "--out", out, "--metrics", "bleu,accuracy") == 0
+        with open(fork_dir / "sweep.csv", encoding="utf-8") as f:
+            row = next(r for r in csv.DictReader(f) if r["arm"] == "pretrain-only")
+        with open(out / "reports" / "bleu.csv", encoding="utf-8") as f:
+            (bleu,) = csv.DictReader(f)
+        with open(out / "reports" / "accuracy.csv", encoding="utf-8") as f:
+            (acc,) = csv.DictReader(f)
+        assert float(bleu["bleu"]) == float(row["bleu"])
+        assert float(acc["token_accuracy"]) == float(row["token_accuracy"])
 
     @pytest.mark.parametrize("mode,metrics_name", [
         ("extract-edit", "metrics_k3.csv"),

@@ -18,7 +18,7 @@ from extractedit.config import (
 )
 from extractedit.training import TrainConfig
 
-PLUMBING = ["extractions_path", "sweep_ks", "hits_noise_ratios", "hits_ks"]
+PLUMBING = ["sweep_ks", "hits_noise_ratios", "hits_ks"]
 
 
 def test_defaults_cover_every_key():

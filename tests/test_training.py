@@ -9,10 +9,10 @@ import pytest
 
 from extractedit import tensor as T
 from extractedit import training
+from extractedit.checkpoint import load_json, save_json
 from extractedit.cipher import CipherSpec, full_vocab_dictionary, generate_cipher_pair
 from extractedit.engine import (
     EvaluationNetwork,
-    ExtractionResult,
     edit_batch,
     extract_topk_batch,
 )
@@ -394,7 +394,7 @@ class TestMleRetrain:
         spec = CipherSpec(vocab_size=20, seed=3, substitution_seed=4, window=0,
                           n_train=120, n_valid=10, n_test=60, len_min=2, len_max=5)
         pair = generate_cipher_pair(spec)
-        tr = micro_trainer(pair, mode="mle-retrain", hidden_size=32, batch_size=16,
+        tr = micro_trainer(pair, hidden_size=32, batch_size=16,
                            lr=3e-3, pretrain_steps=0, main_steps=500)
         offset = pair.vocab.size - spec.vocab_size
         # rank-1-correct oracle dump: edited slot holds the true cipher image
@@ -413,7 +413,7 @@ class TestMleRetrain:
         spec = CipherSpec(vocab_size=20, seed=3, substitution_seed=4, window=0,
                           n_train=120, n_valid=10, n_test=60, len_min=2, len_max=5)
         pair = generate_cipher_pair(spec)
-        tr = micro_trainer(pair, mode="mle-retrain", hidden_size=32, batch_size=16,
+        tr = micro_trainer(pair, hidden_size=32, batch_size=16,
                            lr=3e-3, pretrain_steps=0, main_steps=300)
         rng = np.random.default_rng(9)
         pairs = [(s, pair.tgt_train[int(rng.integers(len(pair.tgt_train)))])
@@ -426,12 +426,10 @@ class TestMleRetrain:
         assert token_accuracy(decoded, gold_t) <= 0.25
 
     def test_deterministic_given_seed(self, pair):
-        results = [ExtractionResult(i, np.array([0]), np.array([0.0]),
-                                    [pair.tgt_train[i]]) for i in range(10)]
+        pairs = [(pair.src_train[i], pair.tgt_train[i]) for i in range(10)]
         rows = []
         for _ in range(2):
-            tr = micro_trainer(pair, mode="mle-retrain", pretrain_steps=0, main_steps=5)
-            pairs = tr.extraction_pairs(results)
+            tr = micro_trainer(pair, pretrain_steps=0, main_steps=5)
             for _ in range(5):
                 tr.mle_step(pairs)
             rows.append(tr.state.metric_rows)
@@ -503,6 +501,25 @@ class TestDeterminismAndResume:
         for k, p in full.evaluator.named_parameters().items():
             np.testing.assert_array_equal(
                 p.data, resumed.evaluator.named_parameters()[k].data, err_msg=k)
+
+    def test_restore_accepts_state_keys_of_older_versions(self, pair, tmp_path):
+        """A checkpoint whose state.json still carries keys that older
+        versions wrote (best_step, best_d, skipped_total) restores and
+        finishes the run bit-exactly."""
+        full = micro_trainer(pair, pretrain_steps=6, main_steps=14, valid_interval=5)
+        full.run()
+
+        part = micro_trainer(pair, pretrain_steps=6, main_steps=14, valid_interval=5)
+        part.run(until=10)
+        ckpt = part.save_checkpoint(tmp_path / "ck")
+        state = load_json(ckpt / training.STATE_FILE)
+        state.update(best_step=10, best_d=-1.25, skipped_total=0)
+        save_json(ckpt / training.STATE_FILE, state)
+
+        resumed = micro_trainer(pair, pretrain_steps=6, main_steps=14, valid_interval=5)
+        resumed.restore(ckpt)
+        resumed.run()
+        assert resumed.metrics_csv() == full.metrics_csv()
 
     def test_restore_rejects_config_mismatch(self, pair, tmp_path):
         tr = micro_trainer(pair, pretrain_steps=1, main_steps=0)
