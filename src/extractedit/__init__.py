@@ -21,7 +21,7 @@ from .metrics import corpus_bleu, hits_at_k, token_accuracy
 from .model import ModelConfig, TranslationModel
 from .optim import Adam
 from .tensor import Tape, Tensor, no_grad
-from .text import Corpus, Vocabulary, apply_noise, load_corpus
+from .text import Vocabulary, apply_noise, load_corpus
 from .training import TrainConfig, Trainer
 
 __version__ = "0.1.0"
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "CipherSpec",
-    "Corpus",
     "EmbeddingIndex",
     "EvaluationNetwork",
     "ModelConfig",

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .text import Corpus, Vocabulary
+from .text import Vocabulary
 
 __all__ = [
     "CipherSpecError",
@@ -183,10 +183,10 @@ class CipherPair:
 
     spec: CipherSpec
     vocab: Vocabulary
-    src_train: Corpus
-    tgt_train: Corpus
-    src_valid: Corpus
-    tgt_valid: Corpus
+    src_train: list[np.ndarray]
+    tgt_train: list[np.ndarray]
+    src_valid: list[np.ndarray]
+    tgt_valid: list[np.ndarray]
     gold: list[tuple[np.ndarray, np.ndarray]]  # (source ids, cipher ids)
     distractors: list[np.ndarray]  # cipher images of sources outside the gold set
     dictionary: np.ndarray  # content-id permutation, the oracle dictionary
@@ -237,16 +237,13 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
 
     # content-token ids in the joint vocabulary start after the reserved block
     offset = vocab.size - spec.vocab_size
-
-    def as_corpus(sents, lang, tag):
-        return Corpus([s + offset for s in sents], lang=lang, provenance=f"generated:{spec.seed}:{tag}")
     return CipherPair(
         spec=spec,
         vocab=vocab,
-        src_train=as_corpus(src_train, "src", "src_train"),
-        tgt_train=as_corpus(tgt_train, "tgt", "tgt_train"),
-        src_valid=as_corpus(src_valid, "src", "src_valid"),
-        tgt_valid=as_corpus(tgt_valid, "tgt", "tgt_valid"),
+        src_train=[s + offset for s in src_train],
+        tgt_train=[s + offset for s in tgt_train],
+        src_valid=[s + offset for s in src_valid],
+        tgt_valid=[s + offset for s in tgt_valid],
         gold=[(s + offset, t + offset) for s, t in gold],
         distractors=[d + offset for d in distractors],
         dictionary=perm,
@@ -264,7 +261,7 @@ def write_cipher_pair(pair: CipherPair, outdir) -> dict:
     outdir.mkdir(parents=True, exist_ok=True)
     vocab = pair.vocab
 
-    def write_corpus(name: str, corpus: Corpus) -> str:
+    def write_corpus(name: str, corpus: list[np.ndarray]) -> str:
         p = outdir / name
         with open(p, "w", encoding="utf-8") as f:
             for ids in corpus:
@@ -282,10 +279,9 @@ def write_cipher_pair(pair: CipherPair, outdir) -> dict:
             f.write(" ".join(vocab.decode(s)) + "\t" + " ".join(vocab.decode(t)) + "\n")
     files["gold_test"] = "gold.test.tsv"
     if pair.distractors:
-        with open(outdir / "distractors.txt", "w", encoding="utf-8") as f:
-            for d in pair.distractors:
-                f.write(" ".join(vocab.decode(d)) + "\n")
-        files["distractors"] = "distractors.txt"
+        files["distractors"] = write_corpus("distractors.txt", pair.distractors)
+    else:  # a rewrite of an older pair must not keep its pool
+        (outdir / "distractors.txt").unlink(missing_ok=True)
     inventory = token_inventory(pair.spec.vocab_size)
     with open(outdir / "oracle_dict.tsv", "w", encoding="utf-8") as f:
         for i, j in enumerate(pair.dictionary):

@@ -15,7 +15,6 @@ import argparse
 import csv
 import datetime
 import os
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -35,7 +34,7 @@ from .config import ConfigError, apply_overrides, dataclass_from, format_config,
 from .engine import write_extraction_dump
 from .metrics import grade, hits_at_k
 from .model import SRC, TGT
-from .text import Corpus, Vocabulary, load_corpus
+from .text import Vocabulary, load_corpus
 from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint
 
 ENV_OUT_ROOT = "EXTRACTEDIT_RUNS"
@@ -124,42 +123,29 @@ class RunManifest:
 def _load_data(data_dir: Path, max_len: int):
     """Load a corpus directory: vocabulary, corpora and oracle dictionary."""
     manifest_path = data_dir / "corpus_manifest.json"
+    dictionary = None
     if manifest_path.exists():
         meta = load_json(manifest_path)
         vocab = Vocabulary(token_inventory(meta["spec"]["vocab_size"]))
-        dictionary = None
         dict_path = data_dir / meta["files"].get("oracle_dict", "oracle_dict.tsv")
         if dict_path.exists():
-            inv_index = {t: i for i, t in enumerate(token_inventory(meta["spec"]["vocab_size"]))}
-            table = np.arange(vocab.size, dtype=np.int64)
-            offset = vocab.size - meta["spec"]["vocab_size"]
+            dictionary = np.arange(vocab.size, dtype=np.int64)
             with open(dict_path, encoding="utf-8") as f:
                 for line in f:
                     a, b = line.split()
-                    table[offset + inv_index[a]] = offset + inv_index[b]
-            dictionary = table
+                    dictionary[vocab.token_to_id[a]] = vocab.token_to_id[b]
     else:
-        vocab = None
-        dictionary = None
-
-    def load(name: str, lang: str) -> Corpus:
-        corpus, _ = load_corpus(data_dir / name, vocab=vocab, max_len=max_len, lang=lang)
-        return corpus
-
-    if vocab is None:
         # arbitrary corpora: build one joint frequency vocabulary
         lines = []
         for name in ("src.train.txt", "tgt.train.txt"):
             lines.extend((data_dir / name).read_text(encoding="utf-8").splitlines())
         vocab = Vocabulary.from_lines(lines)
 
-    corpora = {
-        "src_train": load("src.train.txt", "src"),
-        "tgt_train": load("tgt.train.txt", "tgt"),
-    }
-    for name, key in (("src.valid.txt", "src_valid"), ("tgt.valid.txt", "tgt_valid")):
-        if (data_dir / name).exists():
-            corpora[key] = load(name, name.split(".")[0])
+    corpora = {}
+    for name in ("src.train", "tgt.train", "src.valid", "tgt.valid"):
+        path = data_dir / f"{name}.txt"
+        if name.endswith("train") or path.exists():  # validation sets are optional
+            corpora[name.replace(".", "_")] = load_corpus(path, vocab, max_len)
     return vocab, corpora, dictionary
 
 
@@ -191,25 +177,20 @@ def cmd_gen_corpus(args, cfg: dict) -> int:
     return 0
 
 
-def _checkpoint_table(trainer: Trainer, ckpt_root: Path) -> list[dict]:
-    d_by_step: dict[str, tuple[str, str]] = {}
-    for row in trainer.state.metric_rows:
-        if row[6]:
-            d_by_step[row[0]] = (row[6], row[7])
+def _checkpoint_table(trainer: Trainer, saved: list[Path], out: Path) -> list[dict]:
+    """One entry per checkpoint directory this run saved, with its scores;
+    whatever else ``out`` holds, say from an earlier run, is not listed."""
+    d_by_step = {row[0]: (row[6], row[7]) for row in trainer.state.metric_rows if row[6]}
     table = []
-    if ckpt_root.exists():
-        for sub in sorted(ckpt_root.iterdir()):
-            match = re.fullmatch(r"step_(\d+)", sub.name)
-            if match is None or not sub.is_dir():
-                continue
-            step = str(int(match[1]))
-            ds = d_by_step.get(step, ("", ""))
-            entry = {"path": str(sub.relative_to(ckpt_root.parent)), "step": int(step),
-                     "d_s2t": float(ds[0]) if ds[0] else None,
-                     "d_t2s": float(ds[1]) if ds[1] else None}
-            entry["d_mean"] = (None if entry["d_s2t"] is None
-                               else 0.5 * (entry["d_s2t"] + entry["d_t2s"]))
-            table.append(entry)
+    for path in saved:
+        step = int(path.name.removeprefix("step_"))
+        ds = d_by_step.get(str(step), ("", ""))
+        entry = {"path": str(path.relative_to(out)), "step": step,
+                 "d_s2t": float(ds[0]) if ds[0] else None,
+                 "d_t2s": float(ds[1]) if ds[1] else None}
+        entry["d_mean"] = (None if entry["d_s2t"] is None
+                           else 0.5 * (entry["d_s2t"] + entry["d_t2s"]))
+        table.append(entry)
     return table
 
 
@@ -224,15 +205,14 @@ def cmd_train(args, cfg: dict) -> int:
 
         if args.resume:
             trainer.restore(Path(args.resume))
-        ckpt_root = out / "checkpoints"
-        trainer.run(checkpoint_dir=ckpt_root,
-                    log=lambda step, row: print(f"step {step}: total={row[2]}"))
+        saved = trainer.run(checkpoint_dir=out / "checkpoints",
+                            log=lambda step, row: print(f"step {step}: total={row[2]}"))
 
         (out / "metrics.csv").write_text(trainer.metrics_csv(), encoding="utf-8")
         manifest.add_output(out / "metrics.csv")
-        table = _checkpoint_table(trainer, ckpt_root)
-        for entry in table:
-            manifest.add_output(ckpt_root / Path(entry["path"]).name / STATE_FILE)
+        for path in saved:
+            manifest.add_output(path / STATE_FILE)
+        table = _checkpoint_table(trainer, saved, out)
         manifest.data["checkpoints"] = table
         scored = [e for e in table if e["d_mean"] is not None]
         best = (max(scored, key=lambda e: e["d_mean"]) if scored
@@ -277,9 +257,13 @@ def cmd_evaluate(args, cfg: dict) -> int:
     out = _resolve_out(args.out, "evaluation")
     _prepare_dir(out, args.overwrite)
     with RunManifest(out, "evaluate", cfg) as manifest:
+        metrics = [m for m in args.metrics.split(",") if m] if args.metrics else []
+        unknown = [m for m in metrics if m not in ("bleu", "accuracy", "hits")]
+        if unknown:
+            raise CliError(f"unknown metric(s) {', '.join(unknown)}; "
+                           "expected names from bleu,accuracy,hits")
         reports = out / "reports"
         reports.mkdir(exist_ok=True)
-        metrics = [m for m in args.metrics.split(",") if m] if args.metrics else []
         if metrics:
             model, evaluator, vocab, _ = load_checkpoint(args.checkpoint)
             data_dir = Path(args.data)
@@ -300,9 +284,8 @@ def cmd_evaluate(args, cfg: dict) -> int:
             if "hits" in metrics:
                 pool = []
                 if (data_dir / "distractors.txt").exists():
-                    pool_corpus, _ = load_corpus(data_dir / "distractors.txt", vocab=vocab,
-                                                 max_len=model.config.max_len)
-                    pool = pool_corpus.sentences
+                    pool = load_corpus(data_dir / "distractors.txt", vocab,
+                                       model.config.max_len)
                 ratios = [float(x) for x in cfg["hits_noise_ratios"].split(",")]
                 ks = [int(x) for x in cfg["hits_ks"].split(",")]
                 rows = []

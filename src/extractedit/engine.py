@@ -27,7 +27,7 @@ import numpy as np
 from . import tensor as T
 from .model import TranslationModel
 from .tensor import DegenerateInputError, Tensor
-from .text import Corpus, Vocabulary
+from .text import Vocabulary
 
 __all__ = [
     "EvaluationNetwork",
@@ -89,7 +89,6 @@ class EmbeddingIndex:
 
     rows: np.ndarray  # (N, d), gradient-free by construction
     episode: int
-    lang: str
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -98,9 +97,6 @@ class EmbeddingIndex:
     def sq_norms(self) -> np.ndarray:
         """Squared L2 norm of every row, computed once for the kNN screen."""
         return (self.rows * self.rows).sum(axis=1)
-
-    def is_stale(self, current_episode: int) -> bool:
-        return self.episode != current_episode
 
 
 @dataclass
@@ -133,13 +129,12 @@ def embed_sentences(sentences, model: TranslationModel) -> np.ndarray:
     return rows
 
 
-def build_index(corpus: Corpus, model: TranslationModel,
+def build_index(corpus: list[np.ndarray], model: TranslationModel,
                 episode: int) -> EmbeddingIndex:
     """Encode every corpus sentence forward-only under current parameters."""
     if len(corpus) == 0:
         raise DegenerateInputError("cannot index an empty corpus")
-    return EmbeddingIndex(rows=embed_sentences(corpus.sentences, model),
-                          episode=episode, lang=corpus.lang)
+    return EmbeddingIndex(rows=embed_sentences(corpus, model), episode=episode)
 
 
 def extract_topk_batch(queries: np.ndarray, index: EmbeddingIndex,
@@ -182,8 +177,7 @@ def extract_topk_batch(queries: np.ndarray, index: EmbeddingIndex,
 
 
 def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
-               model: TranslationModel, out_lang: int,
-               max_len: int | None = None) -> list[np.ndarray]:
+               model: TranslationModel, out_lang: int) -> list[np.ndarray]:
     """Edit extracted sentences toward the source embeddings, row-aligned.
 
     e_src and e_extracted are (B, d) embeddings the caller already has
@@ -194,8 +188,7 @@ def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
     gradients are needed.
     """
     pooled = np.maximum(e_src, e_extracted)
-    edited, _ = model.decode_greedy_batch(Tensor(pooled), None, None, out_lang,
-                                          max_len=max_len)
+    edited, _ = model.decode_greedy_batch(Tensor(pooled), None, None, out_lang)
     return edited
 
 

@@ -107,14 +107,6 @@ class TranslationModel:
         out["decoder.lang_tag"] = self.lang_emb
         return out
 
-    def encoder_parameters(self) -> dict[str, Tensor]:
-        """The embedding table plus the encoder stack (theta_enc)."""
-        return {k: p for k, p in self.named_parameters().items()
-                if k == "embedding" or k.startswith("encoder.")}
-
-    def decoder_parameters(self) -> dict[str, Tensor]:
-        return {k: p for k, p in self.named_parameters().items() if k.startswith("decoder.")}
-
     # -- encoding -------------------------------------------------------------
 
     def encode_batch(self, sentences) -> tuple[Tensor, Tensor, np.ndarray]:
@@ -194,19 +186,18 @@ class TranslationModel:
         return -(T.tsum(picked) * (1.0 / float(loss_mask.sum())))
 
     def decode_greedy_batch(self, init: Tensor, h_enc: Tensor | None,
-                            enc_mask: np.ndarray | None, lang: int,
-                            max_len: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+                            enc_mask: np.ndarray | None, lang: int
+                            ) -> tuple[list[np.ndarray], np.ndarray]:
         """Greedy argmax decoding; deterministic and never differentiable.
 
         ``init`` seeds the initial hidden state of every decoder layer; with
         ``h_enc`` None the decoder attends to nothing and is conditioned on
         that one vector per row (the edit path). PAD and BOS are never
         emitted, and EOS is rejected on the first step so every output has
-        at least one token. Returns the decoded sentences and a per-sentence
-        flag marking max-length truncation.
+        at least one token. Decoding runs at most ``config.max_len`` steps.
+        Returns the decoded sentences and a per-sentence flag marking
+        max-length truncation.
         """
-        if max_len is None:
-            max_len = self.config.max_len
         b = init.data.shape[0]
         with T.no_grad():
             hiddens = [init.detach() for _ in self.dec_layers]
@@ -214,7 +205,7 @@ class TranslationModel:
             tok = np.full(b, BOS, dtype=np.int64)
             done = np.zeros(b, dtype=bool)
             steps = []
-            for t in range(max_len):
+            for t in range(self.config.max_len):
                 logits = self._decoder_step(tok, t, hiddens, lang, h_enc, enc_mask).data.copy()
                 logits[:, PAD] = -np.inf
                 logits[:, BOS] = -np.inf
@@ -233,12 +224,12 @@ class TranslationModel:
             sentences.append(ids.astype(np.int64))
         return sentences, ~done
 
-    def translate_batch(self, sentences, out_lang: int,
-                        max_len: int | None = None) -> tuple[list[np.ndarray], np.ndarray]:
+    def translate_batch(self, sentences, out_lang: int
+                        ) -> tuple[list[np.ndarray], np.ndarray]:
         """Greedy translation with attention over the input states."""
         with T.no_grad():
             h_enc, pooled, mask = self.encode_batch(sentences)
-        return self.decode_greedy_batch(pooled, h_enc, mask, out_lang, max_len=max_len)
+        return self.decode_greedy_batch(pooled, h_enc, mask, out_lang)
 
     def translate(self, sentences, out_lang: int) -> list[np.ndarray]:
         """Greedy translations of a whole list, 64 sentences per batch.

@@ -105,18 +105,11 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _scalar_error()
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -143,9 +136,6 @@ class Tensor:
 
     def __neg__(self):
         return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _scalar_error():
@@ -315,27 +305,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bwd)
 
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+def tsum(x: Tensor) -> Tensor:
+    """Sum of every element, as a 0-d tensor."""
+    out = Tensor(x.data.sum())
 
     def bwd(og):
-        g = og
-        if axis is not None and not keepdims:
-            g = np.expand_dims(og, axis)
-        return (np.broadcast_to(g, x.data.shape),)
+        return (np.broadcast_to(og, x.data.shape),)
 
     return _record(out, (x,), bwd)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
-    n = x.data.size / out.data.size
+def tmean(x: Tensor) -> Tensor:
+    """Mean of every element, as a 0-d tensor."""
+    out = Tensor(x.data.mean())
+    n = x.data.size
 
     def bwd(og):
-        g = og
-        if axis is not None and not keepdims:
-            g = np.expand_dims(og, axis)
-        return (np.broadcast_to(g, x.data.shape) / n,)
+        return (np.broadcast_to(og, x.data.shape) / n,)
 
     return _record(out, (x,), bwd)
 

@@ -19,7 +19,6 @@ __all__ = [
     "RESERVED_TOKENS",
     "CorpusError",
     "Vocabulary",
-    "Corpus",
     "load_corpus",
     "apply_noise",
 ]
@@ -65,35 +64,12 @@ class Vocabulary:
         return [self.id_to_token[int(i)] for i in ids]
 
 
-class Corpus:
-    """Indexed sentence collection; sentence i is stable across reloads."""
-
-    def __init__(self, sentences: list[np.ndarray], lang: str, provenance: str):
-        self.sentences = sentences
-        self.lang = lang
-        self.provenance = provenance
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-    def __getitem__(self, i: int) -> np.ndarray:
-        return self.sentences[i]
-
-    def __iter__(self):
-        return iter(self.sentences)
-
-
-def load_corpus(
-    path,
-    vocab: Vocabulary | None = None,
-    max_len: int = 20,
-    lang: str = "src",
-) -> tuple[Corpus, Vocabulary]:
+def load_corpus(path, vocab: Vocabulary, max_len: int) -> list[np.ndarray]:
     """Load a one-sentence-per-line UTF-8 file with whitespace tokens.
 
-    A vocabulary is built by frequency unless one is supplied; unknown
-    tokens then map to UNK. Sentences longer than ``max_len`` are
-    truncated. Empty files and empty lines are ingestion errors.
+    Tokens outside ``vocab`` map to UNK, and sentences longer than
+    ``max_len`` are truncated. Empty files and empty lines are ingestion
+    errors.
     """
     path = Path(path)
     try:
@@ -113,10 +89,7 @@ def load_corpus(
         if not line.split():
             raise CorpusError(f"{path}: empty sentence at line {i}")
 
-    if vocab is None:
-        vocab = Vocabulary.from_lines(lines)
-    sentences = [vocab.encode(line.split()[:max_len]) for line in lines]
-    return Corpus(sentences, lang=lang, provenance=str(path)), vocab
+    return [vocab.encode(line.split()[:max_len]) for line in lines]
 
 
 def apply_noise(

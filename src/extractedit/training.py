@@ -43,7 +43,7 @@ from .engine import (
 from .model import SRC, TGT, ModelConfig, TranslationModel
 from .optim import Adam, TrainingDivergenceError
 from .tensor import Tape, Tensor
-from .text import Corpus, Vocabulary, apply_noise
+from .text import Vocabulary, apply_noise
 
 __all__ = [
     "MODES",
@@ -235,12 +235,18 @@ class Trainer:
     full training/validation/checkpoint lifecycle for one run."""
 
     def __init__(self, config: TrainConfig, vocab: Vocabulary,
-                 src_train: Corpus, tgt_train: Corpus,
-                 src_valid: Corpus | None = None, tgt_valid: Corpus | None = None,
+                 src_train: list[np.ndarray], tgt_train: list[np.ndarray],
+                 src_valid: list[np.ndarray] | None = None,
+                 tgt_valid: list[np.ndarray] | None = None,
                  oracle_dictionary: np.ndarray | None = None):
         config.validate()
         if config.init_mode == "oracle" and oracle_dictionary is None:
             raise ValueError("init_mode=oracle requires an oracle dictionary")
+        # validation extracts from both training corpora, in either mode
+        n = min(len(src_train), len(tgt_train))
+        if config.k > n:
+            raise ValueError(f"k must be in [1, {n}] (the smaller training corpus), "
+                             f"got {config.k}")
         self.config = config
         self.vocab = vocab
         self.corpora = {SRC: src_train, TGT: tgt_train}
@@ -316,7 +322,7 @@ class Trainer:
         episode = self._current_episode()
         for lang in langs:
             idx = self.indexes.get(lang)
-            if idx is None or idx.is_stale(episode):
+            if idx is None or idx.episode != episode:
                 self.indexes[lang] = build_index(self.corpora[lang], self.model, episode)
         self.state.episode = episode
 
@@ -333,8 +339,7 @@ class Trainer:
         e_src = pooled.data
         idxs, _ = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
         edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
-                            self._encode_corpus_rows(out_lang, idxs), self.model, out_lang,
-                            max_len=cfg.max_len)
+                            self._encode_corpus_rows(out_lang, idxs), self.model, out_lang)
         return _DirectionBatch(sources=sources, t_star=t_star, edited=edited)
 
     def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
@@ -406,7 +411,6 @@ class Trainer:
         the candidate pipeline is non-differentiable."""
         cfg = self.config
         batch_s, noised_s, batch_t, noised_t = lm_batches
-        self.opt_eval.zero_grad()
         with gen_tape:
             loss_lm = self._lm_loss(noised_s, batch_s, noised_t, batch_t)
             com_val = 0.0
@@ -512,7 +516,7 @@ class Trainer:
             e_extracted = (index.rows[idxs.ravel()] if fresh
                            else self._encode_corpus_rows(TGT, idxs))
             edited = edit_batch(np.repeat(pooled.data, cfg.k, axis=0), e_extracted,
-                                self.model, TGT, max_len=cfg.max_len)
+                                self.model, TGT)
             for bi, src_i in enumerate(rows):
                 out.append(ExtractionResult(
                     source_index=src_i,
@@ -524,10 +528,10 @@ class Trainer:
 
     # -- model selection ------------------------------------------------------------
 
-    def model_selection_score(self, direction: str = "s2t",
-                              batch_size: int = 64) -> float:
+    def model_selection_score(self, direction: str = "s2t") -> float:
         """Mean log ranking probability of greedy translations on held-out
-        monolingual data; higher is better. Order-invariant."""
+        monolingual data, 64 sentences per batch; higher is better.
+        Order-invariant."""
         in_lang, out_lang = (SRC, TGT) if direction == "s2t" else (TGT, SRC)
         corpus = self.valid[in_lang]
         if corpus is None:
@@ -535,9 +539,8 @@ class Trainer:
         self._ensure_indexes()
         cfg = self.config
         total = 0.0
-        for start in range(0, len(corpus), batch_size):
-            batch = self._prepare_direction(corpus.sentences[start : start + batch_size],
-                                            out_lang)
+        for start in range(0, len(corpus), 64):
+            batch = self._prepare_direction(corpus[start : start + 64], out_lang)
             with T.no_grad():
                 (e_s, cand), = self._encode_directions([batch])
                 logp = _ranking_logp(e_s, cand, self.evaluator, cfg.lam)
@@ -562,9 +565,10 @@ class Trainer:
         else:
             self.backtranslation_step()
 
-    def run(self, checkpoint_dir=None, log=None, until: int | None = None) -> None:
+    def run(self, checkpoint_dir=None, log=None, until: int | None = None) -> list[Path]:
         """Pretrain, then run the configured mode to its step budget,
-        validating and checkpointing at the configured intervals.
+        validating and checkpointing at the configured intervals; returns
+        the checkpoint directories saved, in step order.
 
         ``until`` stops early at a global step (for interrupt/resume
         exercises) without changing any per-step behavior.
@@ -572,6 +576,7 @@ class Trainer:
         cfg = self.config
         true_end = cfg.pretrain_steps + cfg.main_steps
         total_steps = true_end if until is None else min(true_end, until)
+        saved = []
         while self.state.step < total_steps:
             if self.state.step < cfg.pretrain_steps:
                 self.pretrain_step()
@@ -586,9 +591,11 @@ class Trainer:
             want_ckpt = at_end or (cfg.checkpoint_interval
                                    and self.state.step % cfg.checkpoint_interval == 0)
             if checkpoint_dir is not None and want_ckpt:
-                self.save_checkpoint(Path(checkpoint_dir) / f"step_{self.state.step:07d}")
+                saved.append(self.save_checkpoint(
+                    Path(checkpoint_dir) / f"step_{self.state.step:07d}"))
             if log is not None and self.state.step % 100 == 0:
                 log(self.state.step, self.state.metric_rows[-1])
+        return saved
 
     # -- bookkeeping ----------------------------------------------------------------
 
@@ -705,7 +712,6 @@ class Trainer:
                     self.indexes[lang] = EmbeddingIndex(
                         rows=arrays[f"index.{name}"],
                         episode=meta["index_episodes"][name],
-                        lang=name,
                     )
         self.rng.bit_generator.state = meta["rng"]
         self.state = TrainState(

@@ -79,6 +79,13 @@ def check_grad(build_loss, params: list[Tensor], tol: float = 1e-4, h: float = 1
             )
 
 
+def encoder_params(model) -> dict[str, Tensor]:
+    """The embedding table plus the encoder stack (theta_enc) of a
+    TranslationModel, by name."""
+    return {k: p for k, p in model.named_parameters().items()
+            if k == "embedding" or k.startswith("encoder.")}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

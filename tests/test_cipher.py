@@ -145,7 +145,7 @@ class TestWriting:
         pair = generate_cipher_pair(spec)
         manifest = write_cipher_pair(pair, tmp_path)
         assert (tmp_path / manifest["files"]["src_train"]).exists()
-        corpus, _ = load_corpus(tmp_path / "src.train.txt", vocab=pair.vocab)
+        corpus = load_corpus(tmp_path / "src.train.txt", pair.vocab, spec.len_max)
         assert len(corpus) == spec.n_train
         for i in range(len(corpus)):
             np.testing.assert_array_equal(corpus[i], pair.src_train[i])

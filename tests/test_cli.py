@@ -82,6 +82,15 @@ class TestGenCorpus:
         assert run("gen-corpus", "--out", out, *ov(MICRO)) == 1
         assert run("gen-corpus", "--out", out, "--overwrite", *ov(MICRO)) == 0
 
+    def test_overwrite_without_distractors_removes_the_old_pool(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("gen-corpus", "--out", out, *ov(MICRO)) == 0
+        assert (out / "distractors.txt").exists()
+        assert run("gen-corpus", "--out", out, "--overwrite", *ov(MICRO),
+                   "--n_distractor=0") == 0
+        assert not (out / "distractors.txt").exists()
+        assert "distractors.txt" not in load_json(out / "manifest.json")["outputs"]
+
     def test_invalid_spec_fails_with_manifest(self, tmp_path):
         out = tmp_path / "bad"
         assert run("gen-corpus", "--out", out, "--vocab_size=5") == 1
@@ -135,6 +144,31 @@ class TestTrain:
         got = load_json(out / "manifest.json")["checkpoints"]
         assert got == load_json(run_dir / "manifest.json")["checkpoints"]
         assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
+    def test_overwrite_lists_only_this_runs_checkpoints(self, tmp_path, corpus_dir):
+        """A shorter run over an earlier one's --out records its own
+        checkpoints only; the old ones stay on disk for --resume."""
+        out = tmp_path / "again"
+        args = MICRO + TRAIN + ["checkpoint_interval=5"]
+        assert run("train", "--data", corpus_dir, "--out", out,
+                   *ov(args + ["main_steps=8"])) == 0
+        assert run("train", "--data", corpus_dir, "--out", out, "--overwrite",
+                   *ov(args + ["pretrain_steps=5", "main_steps=0"])) == 0
+        manifest = load_json(out / "manifest.json")
+        assert [e["step"] for e in manifest["checkpoints"]] == [5]
+        assert manifest["best_checkpoint"]["path"] == "checkpoints/step_0000005"
+        assert [p for p in manifest["outputs"] if p.startswith("checkpoints/")] == [
+            "checkpoints/step_0000005/state.json"]
+        assert (out / "checkpoints" / "step_0000020").is_dir()
+
+    def test_k_larger_than_corpus_fails_before_training(self, tmp_path, corpus_dir, capsys):
+        out = tmp_path / "bigk"
+        capsys.readouterr()
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+                   "--k=500", "--checkpoint_interval=6") == 1  # 6: a pretraining save
+        assert "k must be in [1, 150]" in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert not (out / "checkpoints").exists()
 
     def test_plain_corpus_directory(self, tmp_path, corpus_dir, capsys):
         """Corpora without a corpus manifest get a frequency vocabulary and
@@ -193,7 +227,7 @@ class TestTranslate:
         tc = TrainConfig(**load_json(ck / "state.json")["config"])
         trainer = _make_trainer(tc, corpus_dir)
         trainer.restore(ck)
-        decoded, _ = trainer.model.translate_batch(trainer.valid[SRC].sentences, TGT)
+        decoded, _ = trainer.model.translate_batch(trainer.valid[SRC], TGT)
         assert len(decoded) == 24
         assert dst.read_text().splitlines() == [" ".join(trainer.vocab.decode(ids))
                                                 for ids in decoded]
@@ -294,6 +328,16 @@ class TestExtractAndEvaluate:
         hits = (out / "reports" / "hits.csv").read_text().splitlines()
         assert hits[0] == "noise_ratio,k,hits,queries,candidates"
         assert len(hits) == 1 + 3 * 7  # three ratios, seven cutoffs
+
+    def test_evaluate_unknown_metric_fails_and_names_it(self, tmp_path, corpus_dir,
+                                                         run_dir, capsys):
+        out = tmp_path / "evalbad"
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", checkpoint_of(run_dir),
+                   "--data", corpus_dir, "--out", out, "--metrics", "bleu,foo") == 1
+        assert "foo" in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert not (out / "reports").exists()
 
     def test_evaluate_no_metrics_manifest_only(self, tmp_path, corpus_dir, run_dir):
         out = tmp_path / "eval0"

@@ -19,7 +19,7 @@ from extractedit.engine import (
 )
 from extractedit.model import TGT, ModelConfig, TranslationModel
 from extractedit.tensor import DegenerateInputError, Tensor
-from extractedit.text import Corpus, Vocabulary
+from extractedit.text import Vocabulary
 
 from conftest import check_grad
 
@@ -30,8 +30,7 @@ def tiny_model(d=8, vocab=20, seed=0):
 
 
 def make_corpus(rng, n, vocab=20):
-    sents = [rng.integers(4, vocab, size=rng.integers(1, 7)) for _ in range(n)]
-    return Corpus(sents, lang="tgt", provenance="test")
+    return [rng.integers(4, vocab, size=rng.integers(1, 7)) for _ in range(n)]
 
 
 class TestBuildIndex:
@@ -58,25 +57,26 @@ class TestBuildIndex:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DegenerateInputError):
-            build_index(Corpus([], "tgt", "x"), tiny_model(), episode=0)
+            build_index([], tiny_model(), episode=0)
 
     def test_staleness(self, rng):
+        """The index records the episode it was built in; the trainer
+        rebuilds it once that differs from the current episode."""
         idx = build_index(make_corpus(rng, 3), tiny_model(), episode=4)
-        assert not idx.is_stale(4)
-        assert idx.is_stale(5)
+        assert idx.episode == 4
 
 
 class TestExtractTopK:
     def test_self_retrieval_rank_one(self, rng):
         rows = rng.normal(size=(20, 6))
-        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        index = EmbeddingIndex(rows, episode=0)
         idx, dist = extract_topk_batch(rows[7:8], index, k=3)
         assert idx[0, 0] == 7
         assert dist[0, 0] == 0.0
 
     def test_k_equals_size_returns_all_sorted(self, rng):
         rows = rng.normal(size=(8, 4))
-        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        index = EmbeddingIndex(rows, episode=0)
         idx, dist = extract_topk_batch(rng.normal(size=(1, 4)), index, k=8)
         assert sorted(idx[0].tolist()) == list(range(8))
         assert np.all(np.diff(dist[0]) >= 0)
@@ -84,7 +84,7 @@ class TestExtractTopK:
     def test_matches_full_sort_oracle(self, rng):
         """Random 50-row index, k=10: exact agreement with argsort oracle."""
         rows = rng.normal(size=(50, 6))
-        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        index = EmbeddingIndex(rows, episode=0)
         q = rng.normal(size=6)
         idx, dist = extract_topk_batch(q[None, :], index, k=10)
         oracle = np.argsort(np.linalg.norm(rows - q, axis=1), kind="stable")[:10]
@@ -94,7 +94,7 @@ class TestExtractTopK:
         """Agreement with the oracle across index sizes and every valid k."""
         for n in [1, 2, 3, 5, 17, 50, 100]:
             rows = rng.normal(size=(n, 4))
-            index = EmbeddingIndex(rows, episode=0, lang="tgt")
+            index = EmbeddingIndex(rows, episode=0)
             q = rng.normal(size=4)
             for k in {1, n // 2 or 1, n}:
                 idx, _ = extract_topk_batch(q[None, :], index, k)
@@ -103,12 +103,12 @@ class TestExtractTopK:
 
     def test_ties_break_by_corpus_index(self):
         rows = np.zeros((5, 3))
-        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        index = EmbeddingIndex(rows, episode=0)
         idx, _ = extract_topk_batch(np.ones((1, 3)), index, k=5)
         np.testing.assert_array_equal(idx[0], [0, 1, 2, 3, 4])
 
     def test_k_out_of_range(self, rng):
-        index = EmbeddingIndex(rng.normal(size=(4, 3)), episode=0, lang="tgt")
+        index = EmbeddingIndex(rng.normal(size=(4, 3)), episode=0)
         with pytest.raises(ValueError):
             extract_topk_batch(np.zeros((1, 3)), index, k=5)
         with pytest.raises(ValueError):
@@ -117,7 +117,7 @@ class TestExtractTopK:
     def test_batch_matches_single(self, rng):
         """A query's answer does not depend on the other queries in its batch."""
         rows = rng.normal(size=(30, 5))
-        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        index = EmbeddingIndex(rows, episode=0)
         qs = rng.normal(size=(4, 5))
         bidx, bdist = extract_topk_batch(qs, index, k=6)
         for i in range(4):
@@ -141,7 +141,7 @@ class TestExtractTopKAdversarial:
     """The GEMM screen must never change the full scan's answer, bit for bit."""
 
     def check(self, queries, rows, ks):
-        index = EmbeddingIndex(rows, episode=0, lang="tgt")
+        index = EmbeddingIndex(rows, episode=0)
         for k in ks:
             idx, dist = extract_topk_batch(queries, index, k)
             o_idx, o_dist = full_scan(queries, rows, k)

@@ -13,11 +13,11 @@ from extractedit.optim import Adam
 from extractedit.tensor import DegenerateInputError, Tape, Tensor
 from extractedit.text import BOS, EOS, PAD
 
-from conftest import check_grad
+from conftest import check_grad, encoder_params
 
 
-def tiny_model(d=8, layers=2, vocab=20, seed=0) -> TranslationModel:
-    cfg = ModelConfig(vocab_size=vocab, hidden_size=d, layers=layers, max_len=12)
+def tiny_model(d=8, layers=2, vocab=20, seed=0, max_len=12) -> TranslationModel:
+    cfg = ModelConfig(vocab_size=vocab, hidden_size=d, layers=layers, max_len=max_len)
     return TranslationModel(cfg, np.random.default_rng(seed))
 
 
@@ -74,7 +74,7 @@ class TestEncode:
         m = tiny_model(d=8, layers=2)
         s = np.array([4, 7, 5, 9])
         fixed = Tensor(rng.normal(size=8))
-        params = m.encoder_parameters()
+        params = encoder_params(m)
 
         def loss():
             _, e, _ = m.encode_batch([s])
@@ -85,7 +85,7 @@ class TestEncode:
     def test_weight_sharing_object_identity(self):
         """Both languages encode through the same parameter objects."""
         m = tiny_model()
-        assert m.encoder_parameters()["embedding"] is m.embedding
+        assert encoder_params(m)["embedding"] is m.embedding
         p1 = m.named_parameters()
         p2 = m.named_parameters()
         for k in p1:
@@ -124,7 +124,7 @@ class TestPackedEncoder:
             h_seq, pooled, _ = m.encode_batch(sents)
             return T.tsum(pooled * w_pool) + T.tsum(h_seq * w_seq)
 
-        check_grad(loss, list(m.encoder_parameters().values()), tol=1e-4,
+        check_grad(loss, list(encoder_params(m).values()), tol=1e-4,
                    max_coords=8, rng=rng)
 
     @pytest.mark.parametrize("rows, d", [(48, 32), (400, 64)])
@@ -154,7 +154,7 @@ class TestPackedEncoder:
         ref_seq, ref_pooled, ref_grads = run(lambda: unpacked_encode(m, sents))
         np.testing.assert_array_equal(h_seq, ref_seq)
         np.testing.assert_array_equal(pooled, ref_pooled)
-        assert grads.keys() == ref_grads.keys() == m.encoder_parameters().keys()
+        assert grads.keys() == ref_grads.keys() == encoder_params(m).keys()
         for k in grads:
             np.testing.assert_array_equal(grads[k], ref_grads[k], err_msg=k)
 
@@ -200,11 +200,11 @@ class TestGreedyDecode:
         assert not truncated[0]
 
     def test_truncation_flagged(self):
-        m = tiny_model()
+        m = tiny_model(max_len=5)
         m.w_out.data[:] = 0.0
         m.b_out.data[:] = 0.0
         m.b_out.data[7] = 50.0  # never emits EOS
-        out, truncated = m.translate_batch([np.array([4, 5])], TGT, max_len=5)
+        out, truncated = m.translate_batch([np.array([4, 5])], TGT)
         assert truncated[0]
         assert len(out[0]) == 5
 

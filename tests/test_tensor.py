@@ -280,7 +280,6 @@ class TestGradientSweep:
             "log": lambda: T.tsum(T.log(a * a + 0.5)),
             "tanh": lambda: T.tsum(T.tanh(a)),
             "mean": lambda: T.tmean(a * a),
-            "sum_axis": lambda: T.tsum(T.tsum(a, axis=1) * 2.0),
             "reshape": lambda: T.tsum(T.reshape(a, (d, 3)) * 0.5),
             "concat": lambda: T.tsum(T.concat([a, b], axis=1) * 0.7),
             "stack": lambda: T.tsum(T.stack([a, b], axis=0) * 0.7),

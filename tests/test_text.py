@@ -13,7 +13,6 @@ from extractedit.text import (
     PAD,
     UNK,
     CorpusError,
-    Corpus,
     Vocabulary,
     apply_noise,
     load_corpus,
@@ -44,27 +43,29 @@ class TestLoadCorpus:
     def test_two_line_file(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("a b\nb c\n", encoding="utf-8")
-        corpus, vocab = load_corpus(p)
-        assert len(corpus) == 2
-        assert sorted(vocab.id_to_token[4:]) == ["a", "b", "c"]
+        vocab = Vocabulary.from_lines(["a b", "b c"])
+        assert vocab.id_to_token[4:] == ["b", "a", "c"]  # by frequency, then name
+        corpus = load_corpus(p, vocab, max_len=20)
+        assert isinstance(corpus, list) and len(corpus) == 2
+        np.testing.assert_array_equal(corpus[1], [4, 6])
 
     def test_empty_file_is_error(self, tmp_path):
         p = tmp_path / "empty.txt"
         p.write_text("", encoding="utf-8")
         with pytest.raises(CorpusError, match="empty"):
-            load_corpus(p)
+            load_corpus(p, Vocabulary([]), max_len=20)
 
     def test_blank_line_error_names_line(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("a b\n\nc\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
-            load_corpus(p)
+            load_corpus(p, Vocabulary([]), max_len=20)
 
     def test_malformed_utf8_error_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"
         p.write_bytes(b"ok line\n\xff\xfe broken\n")
         with pytest.raises(CorpusError, match="line 2"):
-            load_corpus(p)
+            load_corpus(p, Vocabulary([]), max_len=20)
 
     def test_indexing_stable_across_reloads(self, tmp_path, rng):
         """1000-line file: sentence i identical across two loads."""
@@ -72,10 +73,9 @@ class TestLoadCorpus:
         lines = [" ".join(rng.choice(toks, size=rng.integers(1, 8))) for _ in range(1000)]
         p = tmp_path / "big.txt"
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        c1, v1 = load_corpus(p)
-        c2, v2 = load_corpus(p)
+        c1 = load_corpus(p, Vocabulary(toks), max_len=20)
+        c2 = load_corpus(p, Vocabulary(toks), max_len=20)
         assert len(c1) == 1000
-        assert v1.id_to_token == v2.id_to_token
         for i in range(1000):
             np.testing.assert_array_equal(c1[i], c2[i])
 
@@ -83,14 +83,13 @@ class TestLoadCorpus:
         p = tmp_path / "c.txt"
         p.write_text("a b q\n", encoding="utf-8")
         vocab = Vocabulary(["a", "b"])
-        corpus, v2 = load_corpus(p, vocab=vocab)
-        assert v2 is vocab
+        corpus = load_corpus(p, vocab, max_len=20)
         np.testing.assert_array_equal(corpus[0], [4, 5, UNK])
 
     def test_truncation_to_max_len(self, tmp_path):
         p = tmp_path / "c.txt"
         p.write_text("a a a a a a\n", encoding="utf-8")
-        corpus, _ = load_corpus(p, max_len=4)
+        corpus = load_corpus(p, Vocabulary(["a"]), max_len=4)
         assert len(corpus[0]) == 4
 
 

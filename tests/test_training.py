@@ -28,7 +28,7 @@ from extractedit.training import (
     evaluator_loss,
 )
 
-from conftest import check_grad
+from conftest import check_grad, encoder_params
 
 
 def micro_pair(seed=1, vocab=30, n_train=150, window=1):
@@ -78,6 +78,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: -1}).validate()
         TrainConfig(**{key: 0}).validate()  # an interval of 0 turns it off
+
+    @pytest.mark.parametrize("mode", ["extract-edit", "back-translation"])
+    def test_k_beyond_either_training_corpus_rejected_at_construction(self, pair, mode):
+        """Validation extracts in both directions in either mode, so k is
+        checked against the smaller training corpus before any step runs."""
+        with pytest.raises(ValueError, match=r"k must be in \[1, 150\]"):
+            micro_trainer(pair, mode=mode, k=151)
+        cfg = TrainConfig(mode=mode, k=5, init_mode="random")
+        with pytest.raises(ValueError, match=r"k must be in \[1, 4\]"):
+            Trainer(cfg, pair.vocab, pair.src_train, pair.tgt_train[:4])
+        micro_trainer(pair, mode=mode, k=150)
 
 
 class TestPretraining:
@@ -168,7 +179,7 @@ class TestComparativeLoss:
         s, t_star = pair.src_train[0], pair.tgt_train[1]
         edited = [pair.tgt_train[2], pair.tgt_train[3]]
 
-        enc = list(tr.model.encoder_parameters().values())
+        enc = list(encoder_params(tr.model).values())
         check_grad(
             lambda: comparative_loss(*embed(tr, [s], [t_star], edited), tr.evaluator, 0.5),
             enc, tol=1e-4, max_coords=3, rng=rng)
@@ -178,8 +189,9 @@ class TestComparativeLoss:
         with Tape() as tape:
             loss = comparative_loss(*embed(tr, [s], [t_star], edited), tr.evaluator, 0.5)
         tape.backward(loss)
-        for name, p in tr.model.decoder_parameters().items():
-            assert p.grad is None, f"{name} received gradient from the comparative loss"
+        for name, p in tr.model.named_parameters().items():
+            if name.startswith("decoder."):
+                assert p.grad is None, f"{name} received gradient from the comparative loss"
 
     def test_gradient_through_repeated_candidates(self, pair, rng):
         """Finite differences over encoder params when slots repeat a
@@ -191,7 +203,7 @@ class TestComparativeLoss:
         sources, t_star = [s, s], [pair.tgt_train[2], t]
         edited = [t, t, t, pair.tgt_train[3]]
 
-        enc = list(tr.model.encoder_parameters().values())
+        enc = list(encoder_params(tr.model).values())
         check_grad(
             lambda: comparative_loss(*embed(tr, sources, t_star, edited), tr.evaluator, 0.5),
             enc, tol=1e-4, max_coords=3, rng=rng)
@@ -450,9 +462,9 @@ class TestModelSelection:
         for _ in range(3):
             tr.pretrain_step()
         d1 = tr.model_selection_score("s2t")
-        shuffled = list(pair.src_valid.sentences)
+        shuffled = list(pair.src_valid)
         np.random.default_rng(0).shuffle(shuffled)
-        tr.valid[SRC].sentences = shuffled
+        tr.valid[SRC] = shuffled
         d2 = tr.model_selection_score("s2t")
         assert d1 == pytest.approx(d2, abs=1e-9)
 
@@ -462,8 +474,9 @@ class TestModelSelection:
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
         for _ in range(3):
             tr.pretrain_step()
-        sents = pair.src_valid.sentences
-        d = tr.model_selection_score("s2t", batch_size=len(sents))
+        sents = pair.src_valid
+        assert len(sents) <= 64  # one validation batch
+        d = tr.model_selection_score("s2t")
         batch = tr._prepare_direction(sents, TGT)
         with T.no_grad():
             (e_s, cand), = tr._encode_directions([batch])
@@ -603,8 +616,7 @@ def reference_edits(trainer, e_src, out_lang):
     with T.no_grad():
         _, e_x, _ = trainer.model.encode_batch([corpus[int(j)] for j in idxs.ravel()])
     edited, _ = trainer.model.decode_greedy_batch(
-        Tensor(np.maximum(np.repeat(e_src, cfg.k, axis=0), e_x.data)), None, None, out_lang,
-        max_len=cfg.max_len)
+        Tensor(np.maximum(np.repeat(e_src, cfg.k, axis=0), e_x.data)), None, None, out_lang)
     return idxs, dists, e_x.data, edited
 
 
@@ -668,6 +680,16 @@ class TestEncodeOnce:
             for x, y in zip(got, edited):
                 np.testing.assert_array_equal(x, y)
 
+    def test_indexes_kept_within_an_episode_and_rebuilt_after(self, pair):
+        tr = micro_trainer(pair, pretrain_steps=0, main_steps=3, episode_len=2)
+        tr.adversarial_step()
+        first = dict(tr.indexes)
+        tr.adversarial_step()  # step 1: still episode 0
+        assert all(tr.indexes[lang] is first[lang] for lang in (SRC, TGT))
+        tr.adversarial_step()  # step 2: episode 1
+        assert all(tr.indexes[lang] is not first[lang] and tr.indexes[lang].episode == 1
+                   for lang in (SRC, TGT))
+
     def test_extract_fresh_index_edits_from_its_rows(self, pair, monkeypatch):
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
         tr.run()
@@ -687,7 +709,7 @@ class TestEncodeOnce:
         tr.adversarial_step()
         index = tr.indexes[TGT]
         with T.no_grad():
-            _, now, _ = tr.model.encode_batch(tr.corpora[TGT].sentences)
+            _, now, _ = tr.model.encode_batch(tr.corpora[TGT])
         assert not np.array_equal(index.rows, now.data)
         seen = spy_edit_inputs(monkeypatch)
         results = tr.extract_corpus(limit=20)
@@ -798,7 +820,7 @@ class TestEncodeDirections:
     @staticmethod
     def distinct_pool(pair, n):
         seen, pool = set(), []
-        for s in [*pair.src_train.sentences, *pair.tgt_train.sentences]:
+        for s in [*pair.src_train, *pair.tgt_train]:
             if s.tobytes() not in seen:
                 seen.add(s.tobytes())
                 pool.append(s)
