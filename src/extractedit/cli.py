@@ -107,6 +107,13 @@ class RunManifest:
     def add_output(self, path: Path) -> None:
         self.data["outputs"].append(str(path.relative_to(self.out_dir)))
 
+    def remove_stale(self, pattern: str) -> None:
+        """Delete the files matching ``pattern`` under the run directory that
+        this run did not write, such as an earlier run's under --overwrite."""
+        for path in self.out_dir.glob(pattern):
+            if path.is_file() and str(path.relative_to(self.out_dir)) not in self.data["outputs"]:
+                path.unlink()
+
     def __enter__(self) -> "RunManifest":
         return self
 
@@ -149,8 +156,9 @@ def _load_data(data_dir: Path, max_len: int):
     return vocab, corpora, dictionary
 
 
-def _make_trainer(tc: TrainConfig, data_dir: Path) -> Trainer:
-    vocab, corpora, dictionary = _load_data(data_dir, tc.max_len)
+def _make_trainer(tc: TrainConfig, data) -> Trainer:
+    """A Trainer over what ``_load_data`` read with ``tc.max_len``."""
+    vocab, corpora, dictionary = data
     if tc.init_mode == "oracle" and dictionary is None:
         raise CliError("init_mode=oracle needs an oracle dictionary in the data directory "
                        "(use init_mode=random for plain corpora)")
@@ -198,8 +206,8 @@ def cmd_train(args, cfg: dict) -> int:
     out = _resolve_out(args.out, f"{cfg['mode']}-seed{cfg['seed']}")
     _prepare_dir(out, args.overwrite)
     with RunManifest(out, "train", cfg) as manifest:
-        data_dir = Path(args.data)
-        trainer = _make_trainer(dataclass_from(TrainConfig, cfg), data_dir)
+        tc = dataclass_from(TrainConfig, cfg)
+        trainer = _make_trainer(tc, _load_data(Path(args.data), tc.max_len))
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
         manifest.add_output(out / "config.txt")
 
@@ -244,8 +252,8 @@ def cmd_translate(args, cfg: dict) -> int:
 
 
 def cmd_extract(args, cfg: dict) -> int:
-    _, _, _, tc = load_checkpoint(args.checkpoint)
-    trainer = _make_trainer(tc, Path(args.data))
+    tc = TrainConfig(**load_json(Path(args.checkpoint) / STATE_FILE)["config"])
+    trainer = _make_trainer(tc, _load_data(Path(args.data), tc.max_len))
     trainer.restore(args.checkpoint)
     results = trainer.extract_corpus(limit=args.limit)
     write_extraction_dump(args.out_file, results, trainer.vocab)
@@ -302,6 +310,7 @@ def cmd_evaluate(args, cfg: dict) -> int:
             manifest.add_output(reports / "report.txt")
             for line in text_lines:
                 print(line)
+        manifest.remove_stale("reports/*")
     return 0
 
 
@@ -317,11 +326,15 @@ def cmd_sweep_k(args, cfg: dict) -> int:
         data_dir = Path(args.data)
 
         tc = replace(dataclass_from(TrainConfig, cfg), mode="extract-edit")
-        pre_trainer = _make_trainer(replace(tc, main_steps=0), data_dir)
+        # every arm is built, and so checked, before the shared pretraining
+        data = _load_data(data_dir, tc.max_len)
+        pre_trainer = _make_trainer(replace(tc, main_steps=0), data)
+        arms = [(_make_trainer(replace(tc, k=k), data), k, f"metrics_k{k}.csv") for k in ks]
+        arms.append((_make_trainer(replace(tc, mode="back-translation"), data), tc.k,
+                     "metrics_back-translation.csv"))
+        gold = read_gold_pairs(data_dir / "gold.test.tsv", pre_trainer.vocab)
         pre_trainer.run()
         pre_dir = pre_trainer.save_checkpoint(out / "pretrained")
-
-        gold = read_gold_pairs(data_dir / "gold.test.tsv", pre_trainer.vocab)
 
         def graded_row(arm: str, k, trainer: Trainer) -> dict:
             bleu, acc = grade(trainer.model, gold)
@@ -332,18 +345,15 @@ def cmd_sweep_k(args, cfg: dict) -> int:
             return row
 
         rows = [graded_row("pretrain-only", "", pre_trainer)]
-        arms = [(replace(tc, k=k), k, f"metrics_k{k}.csv") for k in ks]
-        arms.append((replace(tc, mode="back-translation"), tc.k,
-                     "metrics_back-translation.csv"))
-        for arm_tc, k, metrics_name in arms:
-            trainer = _make_trainer(arm_tc, data_dir)
+        for trainer, k, metrics_name in arms:
             trainer.restore(pre_dir, require_same_config=False)
             trainer.run()
-            rows.append(graded_row(arm_tc.mode, k, trainer))
+            rows.append(graded_row(trainer.config.mode, k, trainer))
             (out / metrics_name).write_text(trainer.metrics_csv(), encoding="utf-8")
             manifest.add_output(out / metrics_name)
         _write_csv(out / "sweep.csv", rows)
         manifest.add_output(out / "sweep.csv")
+        manifest.remove_stale("metrics_*.csv")
     return 0
 
 

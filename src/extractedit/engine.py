@@ -49,8 +49,7 @@ _SCREEN_SLACK = 1e-9  # kNN screen margin, relative to (max ||r|| + ||q||)^2
 class EvaluationNetwork:
     """Shared MLP projecting sentence embeddings into the joint ranking space."""
 
-    def __init__(self, d_in: int, rng: np.random.Generator,
-                 hidden: int = 64, d_out: int = 64):
+    def __init__(self, d_in: int, rng: np.random.Generator, hidden: int, d_out: int):
         def glorot(shape):
             limit = np.sqrt(6.0 / sum(shape))
             return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)

@@ -145,8 +145,7 @@ class HitsReport:
 
 
 def hits_at_k(gold_pairs, distractor_pool, noise_ratio: float,
-              model: TranslationModel, evaluator: EvaluationNetwork,
-              ks=(1, 3, 5, 8, 10, 15, 20)) -> HitsReport:
+              model: TranslationModel, evaluator: EvaluationNetwork, ks) -> HitsReport:
     """Rank gold targets among distractor-diluted candidates.
 
     The candidate set holds every gold target plus enough distractors for

@@ -26,9 +26,9 @@ SRC, TGT = 0, 1
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
-    hidden_size: int = 64
-    layers: int = 2
-    max_len: int = 20
+    hidden_size: int
+    layers: int
+    max_len: int
 
 
 def pad_batch(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Adam", "TrainingDivergenceError", "adam_apply"]
+__all__ = ["Adam", "TrainingDivergenceError"]
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the published Adam constants
 
 
 class TrainingDivergenceError(RuntimeError):
@@ -17,30 +19,6 @@ class TrainingDivergenceError(RuntimeError):
         self.step = step
 
 
-def adam_apply(
-    param: np.ndarray,
-    grad: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    step: int,
-    lr: float,
-    beta1: float,
-    beta2: float,
-    eps: float,
-) -> None:
-    """One bias-corrected Adam update, in place on param/m/v.
-
-    ``step`` is the 1-based count of updates including this one.
-    """
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
 class Adam:
     """Adam over a named parameter dict; moments are keyed by name.
 
@@ -49,37 +27,32 @@ class Adam:
     moments are zero.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 3e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
 
     def step(self) -> None:
+        """One bias-corrected update of every parameter and its moments, in
+        place."""
         self.step_count += 1
+        t = self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
             elif not np.all(np.isfinite(g)):
-                raise TrainingDivergenceError(
-                    f"non-finite gradient for {name}", self.step_count
-                )
-            adam_apply(
-                p.data, g, self.m[name], self.v[name],
-                self.step_count, self.lr, self.beta1, self.beta2, self.eps,
-            )
+                raise TrainingDivergenceError(f"non-finite gradient for {name}", t)
+            m, v = self.m[name], self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -88,18 +88,15 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Tensor:
     """Dense float64 array that can participate in gradient recording.
 
-    ``grad`` is allocated lazily by the backward pass; ``tape_id`` is the
-    index of the producing node in the tape that recorded this tensor
-    (None for leaves and for tensors built outside any tape).
+    ``grad`` is allocated lazily by the backward pass.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "tape_id")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_f64(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.tape_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -218,7 +215,6 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd) -> Tensor:
     tape = _ACTIVE
     if tape is not None and any(i.requires_grad for i in inputs):
         out.requires_grad = True
-        out.tape_id = len(tape.nodes)
         tape.nodes.append(_Node(out, inputs, bwd))
     return out
 

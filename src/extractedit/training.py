@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import shutil
 from dataclasses import asdict, dataclass, field
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -276,11 +278,11 @@ class Trainer:
         cfg = self.config
         return [apply_noise(s, cfg.p_drop, cfg.shuffle_window, self.rng) for s in batch]
 
-    def _draw_lm_batches(self):
-        """Batch + noise draws shared by every step type, in a fixed RNG order."""
-        batch_s = self._sample_batch(SRC)
-        batch_t = self._sample_batch(TGT)
-        return batch_s, self._noised(batch_s), batch_t, self._noised(batch_t)
+    def _draw_lm_batches(self) -> tuple[list, list]:
+        """Clean and noised batches of each language, indexed by SRC and TGT,
+        drawn in a fixed RNG order; shared by every step type."""
+        batches = [self._sample_batch(SRC), self._sample_batch(TGT)]
+        return batches, [self._noised(b) for b in batches]
 
     def _word_translate(self, batch: list[np.ndarray], to_lang: int) -> list[np.ndarray]:
         table = self.dictionary if to_lang == TGT else self.inv_dictionary
@@ -288,28 +290,25 @@ class Trainer:
 
     # -- language modeling / pretraining --------------------------------------
 
-    def _lm_loss(self, noised_s, batch_s, noised_t, batch_t) -> Tensor:
+    def _lm_loss(self, batches: list, noised: list) -> Tensor:
         """Two-language denoising autoencoding loss."""
-        return (self.model.nll_batch(noised_s, batch_s, SRC)
-                + self.model.nll_batch(noised_t, batch_t, TGT))
+        return (self.model.nll_batch(noised[SRC], batches[SRC], SRC)
+                + self.model.nll_batch(noised[TGT], batches[TGT], TGT))
 
     def pretrain_step(self) -> None:
         cfg = self.config
-        batch_s, noised_s, batch_t, noised_t = self._draw_lm_batches()
-        self.opt_gen.zero_grad()
-        with Tape() as tape:
-            loss_lm = self._lm_loss(noised_s, batch_s, noised_t, batch_t)
+        batches, noised = self._draw_lm_batches()
+
+        def losses():
+            lm = self._lm_loss(batches, noised)
             if cfg.init_mode == "oracle":
-                loss_lm = loss_lm + (
-                    self.model.nll_batch(noised_s, self._word_translate(batch_s, TGT), TGT)
-                    + self.model.nll_batch(noised_t, self._word_translate(batch_t, SRC), SRC)
-                )
-            total = loss_lm * cfg.omega_lm
-        self._check_loss(total)
-        tape.backward(total)
-        self.opt_gen.step()
-        self.state.step += 1
-        self._append_row("pretrain", total=total.item(), lm=loss_lm.item())
+                words = [self._word_translate(batches[SRC], TGT),
+                         self._word_translate(batches[TGT], SRC)]
+                lm = lm + (self.model.nll_batch(noised[SRC], words[SRC], TGT)
+                           + self.model.nll_batch(noised[TGT], words[TGT], SRC))
+            return {"total": lm * cfg.omega_lm, "lm": lm}
+
+        self._finish_step("pretrain", **self._update(self.opt_gen, losses))
 
     # -- episodes and indexes --------------------------------------------------
 
@@ -387,87 +386,57 @@ class Trainer:
         _, pooled, _ = self.model.encode_batch(sents)
         return [(T.take_rows(pooled, src), T.take_rows(pooled, cand)) for src, cand in slots]
 
-    def _update_evaluator(self, embeds: list[tuple[Tensor, Tensor]]) -> float:
-        """Evaluator update on detached embeddings (the encoder is frozen);
-        ranks the edited candidates above the translation."""
-        cfg = self.config
-        self.opt_eval.zero_grad()
-        with Tape() as tape:
-            loss = None
-            for e_s, cand in embeds:
-                term = evaluator_loss(e_s, cand, self.evaluator, cfg.lam)
-                loss = term if loss is None else loss + term
-        self._check_loss(loss)
-        tape.backward(loss)
-        self.opt_eval.step()
-        return loss.item()
-
-    def _update_generator(self, lm_batches, embeds: list[tuple[Tensor, Tensor]],
-                          gen_tape: Tape) -> tuple[float, float, float]:
-        """Encoder/decoder update: language modeling plus the comparative
-        ranking loss. The evaluator participates in the forward pass but its
-        gradients are discarded (frozen in this pass); the decoder receives
-        gradient only from the language-modeling term since every decode in
-        the candidate pipeline is non-differentiable."""
-        cfg = self.config
-        batch_s, noised_s, batch_t, noised_t = lm_batches
-        with gen_tape:
-            loss_lm = self._lm_loss(noised_s, batch_s, noised_t, batch_t)
-            com_val = 0.0
-            if cfg.omega_com > 0:
-                loss_com = None
-                for e_s, cand in embeds:
-                    term = comparative_loss(e_s, cand, self.evaluator, cfg.lam)
-                    loss_com = term if loss_com is None else loss_com + term
-                total = loss_lm * cfg.omega_lm + loss_com * cfg.omega_com
-                com_val = loss_com.item()
-            else:
-                total = loss_lm * cfg.omega_lm
-        self._check_loss(total)
-        gen_tape.backward(total)
-        self.opt_gen.step()
-        self.opt_eval.zero_grad()  # R stays frozen in this pass
-        return total.item(), loss_lm.item(), com_val
-
     def adversarial_step(self) -> None:
-        """One 1:1 alternation: evaluator update, then encoder/decoder update,
-        both directions handled symmetrically inside the step."""
+        """One 1:1 alternation, both directions handled symmetrically.
+
+        The evaluator update ranks the edited candidates above the
+        translation on detached embeddings (the encoder is frozen in it).
+        It nests inside the encoder/decoder update, after the candidate
+        encode both share: that update backpropagates language modeling
+        plus the comparative ranking loss through the encoder, while the
+        evaluator takes part in the forward pass only (frozen in this
+        pass), and the decoder gets gradient from the language-modeling
+        term alone since every decode in the candidate pipeline is
+        non-differentiable.
+        """
+        cfg = self.config
         self._ensure_indexes()
-        lm_batches = self._draw_lm_batches()
-        batch_s, _, batch_t, _ = lm_batches
-        directions = [self._prepare_direction(batch_s, TGT),
-                      self._prepare_direction(batch_t, SRC)]
-        self.opt_gen.zero_grad()
-        gen_tape = Tape()
-        with gen_tape:
+        batches, noised = self._draw_lm_batches()
+        directions = [self._prepare_direction(batches[SRC], TGT),
+                      self._prepare_direction(batches[TGT], SRC)]
+
+        def losses():
             embeds = self._encode_directions(directions)
-        loss_r = self._update_evaluator(
-            [(Tensor(e.data), Tensor(c.data)) for e, c in embeds])
-        total, lm, com = self._update_generator(lm_batches, embeds, gen_tape)
-        self.state.step += 1
-        self._append_row("extract-edit", total=total, lm=lm, com=com, loss_r=loss_r)
+            loss_r = self._update(self.opt_eval, lambda: {"total": reduce(add, (
+                evaluator_loss(e_s.detach(), cand.detach(), self.evaluator, cfg.lam)
+                for e_s, cand in embeds))})["total"]
+            lm = self._lm_loss(batches, noised)
+            if cfg.omega_com == 0:  # the language-modeling-only arm; its loss_com reads 0
+                return {"total": lm * cfg.omega_lm, "lm": lm, "com": Tensor(0.0),
+                        "loss_r": loss_r}
+            com = reduce(add, (comparative_loss(e_s, cand, self.evaluator, cfg.lam)
+                               for e_s, cand in embeds))
+            return {"total": lm * cfg.omega_lm + com * cfg.omega_com, "lm": lm, "com": com,
+                    "loss_r": loss_r}
+
+        self._finish_step("extract-edit", **self._update(self.opt_gen, losses))
 
     # -- back-translation baseline ----------------------------------------------
 
     def backtranslation_step(self) -> None:
         """Pseudo pairs from greedy decoding, then reconstruction MLE plus LM."""
         cfg = self.config
-        lm_batches = self._draw_lm_batches()
-        batch_s, noised_s, batch_t, noised_t = lm_batches
-        t_hat, _ = self.model.translate_batch(batch_s, TGT)
-        s_hat, _ = self.model.translate_batch(batch_t, SRC)
-        self.opt_gen.zero_grad()
-        with Tape() as tape:
-            loss_lm = self._lm_loss(noised_s, batch_s, noised_t, batch_t)
-            loss_bt = (self.model.nll_batch(t_hat, batch_s, SRC)
-                       + self.model.nll_batch(s_hat, batch_t, TGT))
-            total = loss_lm * cfg.omega_lm + loss_bt * cfg.omega_com
-        self._check_loss(total)
-        tape.backward(total)
-        self.opt_gen.step()
-        self.state.step += 1
-        self._append_row("back-translation", total=total.item(), lm=loss_lm.item(),
-                         com=loss_bt.item())
+        batches, noised = self._draw_lm_batches()
+        t_hat, _ = self.model.translate_batch(batches[SRC], TGT)
+        s_hat, _ = self.model.translate_batch(batches[TGT], SRC)
+
+        def losses():
+            lm = self._lm_loss(batches, noised)
+            bt = (self.model.nll_batch(t_hat, batches[SRC], SRC)
+                  + self.model.nll_batch(s_hat, batches[TGT], TGT))
+            return {"total": lm * cfg.omega_lm + bt * cfg.omega_com, "lm": lm, "com": bt}
+
+        self._finish_step("back-translation", **self._update(self.opt_gen, losses))
 
     # -- supervised MLE ----------------------------------------------------------
 
@@ -476,15 +445,12 @@ class Trainer:
         cfg = self.config
         idx = self.rng.integers(0, len(pairs), size=cfg.batch_size)
         batch = [pairs[int(i)] for i in idx]
-        self.opt_gen.zero_grad()
-        with Tape() as tape:
-            loss = self.model.nll_batch([s for s, _ in batch], [t for _, t in batch], TGT)
-            total = loss * cfg.omega_com
-        self._check_loss(total)
-        tape.backward(total)
-        self.opt_gen.step()
-        self.state.step += 1
-        self._append_row("mle", total=total.item(), com=loss.item())
+
+        def losses():
+            nll = self.model.nll_batch([s for s, _ in batch], [t for _, t in batch], TGT)
+            return {"total": nll * cfg.omega_com, "com": nll}
+
+        self._finish_step("mle", **self._update(self.opt_gen, losses))
 
     # -- extraction dumps ----------------------------------------------------------
 
@@ -599,19 +565,32 @@ class Trainer:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def _check_loss(self, loss: Tensor) -> None:
-        if not np.isfinite(loss.data).all():
-            raise TrainingDivergenceError("non-finite training loss", self.state.step + 1)
+    def _update(self, opt: Adam, losses) -> dict[str, Tensor]:
+        """One optimizer update, and the only code that makes one: zero
+        ``opt``'s gradients, record ``losses()`` on a fresh tape, check that
+        its ``"total"`` is finite, backpropagate it and step ``opt``.
 
-    def _append_row(self, mode: str, total: float, lm: float | None = None,
-                    com: float | None = None, loss_r: float | None = None) -> None:
+        ``losses`` returns named scalar terms, which come back as they are;
+        an update run inside another's ``losses`` records on its own tape
+        only.
+        """
+        opt.zero_grad()
+        with Tape() as tape:
+            terms = losses()
+        if not np.isfinite(terms["total"].data).all():
+            raise TrainingDivergenceError("non-finite training loss", self.state.step + 1)
+        tape.backward(terms["total"])
+        opt.step()
+        return terms
+
+    def _finish_step(self, mode: str, total: Tensor, lm: Tensor | None = None,
+                     com: Tensor | None = None, loss_r: Tensor | None = None) -> None:
+        """Count the step and append its metrics row."""
+        self.state.step += 1
         self.state.metric_rows.append([
             str(self.state.step),
             mode,
-            _fmt(total),
-            "" if lm is None else _fmt(lm),
-            "" if com is None else _fmt(com),
-            "" if loss_r is None else _fmt(loss_r),
+            *("" if t is None else _fmt(t.item()) for t in (total, lm, com, loss_r)),
             "",
             "",
             "0",  # skipped: no row is ever skipped; the column stays for readers

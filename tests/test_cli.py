@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
-from extractedit.cli import _make_trainer, build_parser, main
+from extractedit.cli import _load_data, _make_trainer, build_parser, main
 from extractedit.config import parse_value
 from extractedit.model import SRC, TGT
 from extractedit.training import TrainConfig, load_checkpoint
@@ -225,7 +225,7 @@ class TestTranslate:
         assert run("translate", "--checkpoint", ck,
                    "--input", corpus_dir / "src.valid.txt", "--output", dst) == 0
         tc = TrainConfig(**load_json(ck / "state.json")["config"])
-        trainer = _make_trainer(tc, corpus_dir)
+        trainer = _make_trainer(tc, _load_data(corpus_dir, tc.max_len))
         trainer.restore(ck)
         decoded, _ = trainer.model.translate_batch(trainer.valid[SRC], TGT)
         assert len(decoded) == 24
@@ -339,6 +339,19 @@ class TestExtractAndEvaluate:
         assert load_json(out / "manifest.json")["success"] is False
         assert not (out / "reports").exists()
 
+    def test_evaluate_overwrite_removes_reports_it_did_not_write(self, tmp_path, corpus_dir,
+                                                                  run_dir):
+        out = tmp_path / "eval"
+        argv = ["--checkpoint", checkpoint_of(run_dir), "--data", corpus_dir, "--out", out]
+        assert run("evaluate", *argv, "--metrics", "bleu,accuracy,hits", *ov(MICRO)) == 0
+        (out / "notes.txt").write_text("kept\n")
+        assert run("evaluate", *argv, "--metrics", "bleu", "--overwrite") == 0
+        written = load_json(out / "manifest.json")["outputs"]
+        assert sorted(written) == ["reports/bleu.csv", "reports/report.txt"]
+        assert sorted(p.name for p in (out / "reports").iterdir()) == ["bleu.csv",
+                                                                        "report.txt"]
+        assert (out / "notes.txt").exists()
+
     def test_evaluate_no_metrics_manifest_only(self, tmp_path, corpus_dir, run_dir):
         out = tmp_path / "eval0"
         assert run("evaluate", "--checkpoint", checkpoint_of(run_dir),
@@ -410,6 +423,28 @@ class TestSweepK:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 4
         assert [r.split(",")[0] for r in rows[1:]].count("extract-edit") == 1
+
+    def test_k_beyond_corpus_fails_before_pretraining(self, tmp_path, corpus_dir, capsys):
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+                   "--sweep_ks=1,500") == 1
+        assert "k must be in [1, 150]" in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_overwrite_removes_an_earlier_runs_arms(self, tmp_path, corpus_dir):
+        out = tmp_path / "sweep"
+        args = MICRO + TRAIN + ["pretrain_steps=2", "main_steps=2", "checkpoint_interval=0",
+                                "valid_interval=0"]
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args),
+                   "--sweep_ks=1,3") == 0
+        assert (out / "metrics_k3.csv").exists()
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args),
+                   "--sweep_ks=1", "--overwrite") == 0
+        assert sorted(p.name for p in out.glob("metrics_*.csv")) == [
+            "metrics_back-translation.csv", "metrics_k1.csv"]
+        assert (out / "pretrained").is_dir()
 
     def test_evaluate_reproduces_the_pretrain_only_row(self, tmp_path, corpus_dir,
                                                        fork_dir):

@@ -214,14 +214,14 @@ class TestEdit:
 
 class TestScoreCandidates:
     def test_singleton_probability_one(self, rng):
-        ev = EvaluationNetwork(6, rng)
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         probs = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
                                        Tensor(rng.normal(size=(1, 1, 6))),
                                        ev, inv_temperature=0.5)
         np.testing.assert_allclose(probs.data, [[1.0]], atol=1e-15)
 
     def test_identical_candidates_uniform(self, rng):
-        ev = EvaluationNetwork(6, rng)
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         c = rng.normal(size=6)
         probs = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
                                        Tensor(np.tile(c, (1, 4, 1))), ev, 0.5)
@@ -229,7 +229,7 @@ class TestScoreCandidates:
 
     def test_matches_direct_formula(self, rng):
         """Scaled softmax of joint-space cosines computed by hand."""
-        ev = EvaluationNetwork(6, rng)
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         e_s = rng.normal(size=6)
         cands = rng.normal(size=(3, 6))
         probs = score_candidates_batch(Tensor(e_s[None, :]), Tensor(cands[None]), ev,
@@ -244,7 +244,7 @@ class TestScoreCandidates:
         np.testing.assert_allclose(probs.data[0], z / z.sum(), atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
-        ev = EvaluationNetwork(6, rng)
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         e_s = Tensor(rng.normal(size=(1, 6)))
         cands = rng.normal(size=(1, 5, 6))
         p1 = score_candidates_batch(e_s, Tensor(cands), ev, 0.5).data
@@ -253,7 +253,7 @@ class TestScoreCandidates:
         np.testing.assert_allclose(p2, p1[:, perm], atol=1e-15)
 
     def test_argmax_invariant_to_temperature(self, rng):
-        ev = EvaluationNetwork(6, rng)
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         e_s = Tensor(rng.normal(size=(1, 6)))
         cands = Tensor(rng.normal(size=(1, 6, 6)))
         argmaxes = {

@@ -147,7 +147,7 @@ class TestHitsAtK:
         gold = [(rng.integers(4, 40, size=4), rng.integers(4, 40, size=4))
                 for _ in range(10)]
         with pytest.raises(ValueError, match="distractors"):
-            hits_at_k(gold, [], 0.5, model, ev)
+            hits_at_k(gold, [], 0.5, model, ev, ks=(1,))
 
     def test_untrained_encoder_sits_at_chance(self):
         """Chance-level oracle: with equal-length sentences an untrained

@@ -57,7 +57,7 @@ def test_three_steps_match_reference_recurrence():
         ref_trace.append(w_ref)
 
     w = Tensor([1.5], requires_grad=True)
-    opt = Adam({"w": w}, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    opt = Adam({"w": w}, lr=lr)
     for t in range(3):
         opt.zero_grad()
         with Tape() as tape:
@@ -69,7 +69,7 @@ def test_three_steps_match_reference_recurrence():
 
 def test_step_count_increments_by_one():
     p = Tensor([0.0], requires_grad=True)
-    opt = Adam({"p": p})
+    opt = Adam({"p": p}, lr=3e-4)
     for expected in (1, 2, 3):
         opt.step()
         assert opt.step_count == expected
@@ -77,7 +77,7 @@ def test_step_count_increments_by_one():
 
 def test_non_finite_gradient_raises_with_step_index():
     p = Tensor([0.0], requires_grad=True)
-    opt = Adam({"p": p})
+    opt = Adam({"p": p}, lr=3e-4)
     opt.step()
     p.grad = np.array([np.nan])
     with pytest.raises(TrainingDivergenceError) as exc:
@@ -88,7 +88,7 @@ def test_non_finite_gradient_raises_with_step_index():
 def test_moment_shapes_match_parameters():
     p = Tensor(np.zeros((3, 4)), requires_grad=True)
     q = Tensor(np.zeros(7), requires_grad=True)
-    opt = Adam({"p": p, "q": q})
+    opt = Adam({"p": p, "q": q}, lr=3e-4)
     assert opt.m["p"].shape == (3, 4)
     assert opt.v["q"].shape == (7,)
 

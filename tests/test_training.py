@@ -293,33 +293,35 @@ class TestAdversarialStep:
             np.testing.assert_array_equal(p.data, b.model.named_parameters()[k].data,
                                           err_msg=k)
 
-    def test_update_isolation_bitwise(self, pair):
-        """R updates leave enc/dec bytes untouched and vice versa."""
+    def test_update_isolation_bitwise(self, pair, monkeypatch):
+        """R's update leaves enc/dec bytes untouched; the enc/dec update
+        then leaves R's bytes untouched and changes its own. Both checked
+        around each ``_update`` of one alternation step, in its order."""
         tr = micro_trainer(pair)
         for _ in range(3):
             tr.pretrain_step()
-        tr._ensure_indexes()
-        lm_batches = tr._draw_lm_batches()
-        directions = [tr._prepare_direction(lm_batches[0], TGT),
-                      tr._prepare_direction(lm_batches[2], SRC)]
-        gen_tape = Tape()
-        with gen_tape:
-            embeds = tr._encode_directions(directions)
 
-        gen_before = {k: p.data.tobytes() for k, p in tr.model.named_parameters().items()}
-        eval_before = {k: p.data.tobytes() for k, p in tr.evaluator.named_parameters().items()}
-        tr._update_evaluator([(Tensor(e.data), Tensor(c.data)) for e, c in embeds])
-        assert all(tr.model.named_parameters()[k].data.tobytes() == v
-                   for k, v in gen_before.items())
-        assert any(tr.evaluator.named_parameters()[k].data.tobytes() != v
-                   for k, v in eval_before.items())
+        def snapshot():
+            return ({k: p.data.tobytes() for k, p in tr.model.named_parameters().items()},
+                    {k: p.data.tobytes() for k, p in tr.evaluator.named_parameters().items()})
 
-        eval_mid = {k: p.data.tobytes() for k, p in tr.evaluator.named_parameters().items()}
-        tr._update_generator(lm_batches, embeds, gen_tape)
-        assert all(tr.evaluator.named_parameters()[k].data.tobytes() == v
-                   for k, v in eval_mid.items())
-        assert any(tr.model.named_parameters()[k].data.tobytes() != v
-                   for k, v in gen_before.items())
+        after = []
+        update = Trainer._update
+
+        def spy(self, opt, losses):
+            terms = update(self, opt, losses)
+            after.append((opt, snapshot()))
+            return terms
+
+        monkeypatch.setattr(Trainer, "_update", spy)
+        gen_before, eval_before = snapshot()
+        tr.adversarial_step()
+        (opt_r, (gen_mid, eval_mid)), (opt_g, (gen_after, eval_after)) = after
+        assert opt_r is tr.opt_eval and opt_g is tr.opt_gen
+        assert gen_mid == gen_before
+        assert any(eval_mid[k] != v for k, v in eval_before.items())
+        assert eval_after == eval_mid
+        assert any(gen_after[k] != v for k, v in gen_before.items())
 
     def test_updates_use_the_shared_losses(self, pair, monkeypatch):
         """Both updates build their ranking terms with the loss functions
