@@ -2,8 +2,13 @@
 
 The tape is rebuilt every training step: ops executed while a ``Tape`` is
 active append one node each, and ``Tape.backward`` replays the nodes in
-exact reverse append order. Parameters are plain ``Tensor`` objects with
-``requires_grad=True`` that outlive any tape. Fused kernels (``gru_step``,
+exact reverse append order. A tape is single-use: as the backward pass
+goes, it releases each node's closure, inputs and output, and the
+gradient of every intermediate output, so a step holds at most its
+forward state and never all of its gradients on top. A node's closure
+keeps only what its backward reads. Parameters are plain ``Tensor``
+objects with ``requires_grad=True`` that outlive any tape, and they and
+the other leaves keep their gradients. Fused kernels (``gru_step``,
 ``attend``, ``masked_max``, the softmax family) keep tapes short enough
 for pure-Python dispatch to stay off the critical path.
 
@@ -162,6 +167,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._prev: Tape | None = None
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         global _ACTIVE
@@ -178,18 +184,35 @@ class Tape:
         return len(self.nodes)
 
     def backward(self, root: Tensor) -> int:
+        """Accumulate d root / d leaf into the ``grad`` of every leaf that
+        requires it; returns the number of nodes whose backward ran.
+
+        Each node is released as the walk reaches it: its closure, inputs
+        and output are dropped, and so is its output's gradient (unless
+        that output is ``root``), which is final by then because every
+        consumer of the output was appended later and has already run. The
+        tape therefore cannot run backward twice: a second call raises
+        ``RuntimeError``. ``len(tape)`` still counts the recorded nodes.
+        """
+        if self._spent:
+            raise RuntimeError("this tape has already run backward; record a new Tape")
         if root.data.size != 1:
             raise DimensionError("backward root must be a scalar")
+        self._spent = True
         if root.grad is None:
             root.grad = np.ones_like(root.data)
         visited = 0
         for node in reversed(self.nodes):
-            og = node.out.grad
+            out, inputs, bwd = node.out, node.inputs, node.bwd
+            node.out = node.inputs = node.bwd = None
+            og = out.grad
             if og is None:
                 continue
             visited += 1
-            grads = node.bwd(og)
-            for t, g in zip(node.inputs, grads):
+            if out is not root:
+                out.grad = None
+            grads = bwd(og)
+            for t, g in zip(inputs, grads):
                 if g is None or not t.requires_grad:
                     continue
                 if t.grad is None:
@@ -211,11 +234,15 @@ def no_grad():
         _ACTIVE = prev
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``inputs`` would be recorded on the active tape."""
+    return _ACTIVE is not None and any(i.requires_grad for i in inputs)
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], bwd) -> Tensor:
-    tape = _ACTIVE
-    if tape is not None and any(i.requires_grad for i in inputs):
+    if _recording(inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(out, inputs, bwd))
+        _ACTIVE.nodes.append(_Node(out, inputs, bwd))
     return out
 
 
@@ -508,6 +535,12 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
     one, and ``x.T @ dgi`` changes once the frozen rows are dropped), so
     they run at full height on gate gradients that are zero on the frozen
     rows; only the element-wise gate work is restricted to the live rows.
+
+    A recorded step keeps, per live row, ``rz`` (both gates), a copy of the
+    candidate third of ``h @ w_hh + b_hh`` and the candidate ``n``: 4 × d
+    floats. The backward gathers the live rows of ``h`` again and
+    recomputes ``1 - z``; both give the forward's bits. A step that is not
+    recorded makes no copy and builds no closure.
     """
     x, h = _wrap(x), _wrap(h)
     d = h.data.shape[-1]
@@ -536,8 +569,7 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
     n = r * gh_n
     n += gi[:, 2 * d :]
     np.tanh(n, out=n)
-    one_z = 1.0 - z
-    h_new = one_z * n
+    h_new = (1.0 - z) * n
     h_new += z * hl
     if live is not None:
         out_data = h.data.copy()
@@ -545,11 +577,17 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
         h_new = out_data
     out = Tensor(h_new)
     _check_finite(out.data, "gru_step")
+    inputs = (x, h, w_ih, b_ih, w_hh, b_hh)
+    if not _recording(inputs):
+        return out
+    gh_n = gh_n.copy()  # the backward reads this third of gh, and none of gi
 
     def bwd(og):
         ogl = og[rows]
+        hl = h.data[rows]
+        one_z = 1.0 - z
         # gate-space gradients of the live rows, written into fused buffers
-        dgl = np.empty_like(gh)
+        dgl = np.empty((n.shape[0], 3 * d))
         da_r = dgl[:, :d]
         da_z = dgl[:, d : 2 * d]
         da_n = dgl[:, 2 * d :]
@@ -576,7 +614,7 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
         return (dx, dh, x.data.T @ dgi, dgi.sum(axis=0),
                 h.data.T @ dgh, dgh.sum(axis=0))
 
-    return _record(out, (x, h, w_ih, b_ih, w_hh, b_hh), bwd)
+    return _record(out, inputs, bwd)
 
 
 def attend(query: Tensor, keys: Tensor, mask: np.ndarray) -> Tensor:

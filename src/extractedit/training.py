@@ -223,6 +223,7 @@ class _DirectionBatch:
     sources: list[np.ndarray]
     t_star: list[np.ndarray]
     edited: list[np.ndarray]  # B*k sentences, row-major
+    e_src: np.ndarray | None = None  # (B, d) forward-only embeddings of the sources
 
 
 @dataclass
@@ -339,7 +340,7 @@ class Trainer:
         idxs, _ = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
         edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
                             self._encode_corpus_rows(out_lang, idxs), self.model, out_lang)
-        return _DirectionBatch(sources=sources, t_star=t_star, edited=edited)
+        return _DirectionBatch(sources=sources, t_star=t_star, edited=edited, e_src=e_src)
 
     def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
         """Forward-only embeddings (idxs.size, d) of the corpus sentences at
@@ -349,8 +350,8 @@ class Trainer:
         rows = embed_sentences([corpus[int(j)] for j in uniq], self.model)
         return rows[inverse.ravel()]
 
-    def _encode_directions(self, directions: list[_DirectionBatch]
-                           ) -> list[tuple[Tensor, Tensor]]:
+    def _encode_directions(self, directions: list[_DirectionBatch],
+                           reuse_sources: bool = False) -> list[tuple[Tensor, Tensor]]:
         """(source embeddings (B,d), candidates (B,k+1,d)) per direction.
 
         Each distinct sentence of all directions is encoded once, in one
@@ -368,8 +369,19 @@ class Trainer:
         gather's backward before the encoder backward, which then runs at
         the distinct height: equal in exact arithmetic, the gradients differ
         only by the reassociation of float64 sums.
+
+        With ``reuse_sources`` the sources take the rows of ``e_src`` and
+        are not encoded again: the same values, with no gradient, for
+        callers that need none.
         """
         row_of: dict[bytes, int] = {}
+        known: list[np.ndarray] = []  # reused rows, placed before the encoded ones
+        if reuse_sources:
+            for d in directions:
+                for s, e in zip(d.sources, d.e_src):
+                    if s.tobytes() not in row_of:
+                        row_of[s.tobytes()] = len(known)
+                        known.append(e)
         sents: list[np.ndarray] = []
         slots = []
         for d in directions:
@@ -377,13 +389,17 @@ class Trainer:
             for s in (*d.sources, *d.edited, *d.t_star):
                 key = s.tobytes()
                 if key not in row_of:
-                    row_of[key] = len(sents)
+                    row_of[key] = len(known) + len(sents)
                     sents.append(s)
                 rows.append(row_of[key])
             b = len(d.sources)
             rows = np.array(rows)
             slots.append((rows[:b], np.column_stack([rows[b:-b].reshape(b, -1), rows[-b:]])))
-        _, pooled, _ = self.model.encode_batch(sents)
+        if not known:
+            _, pooled, _ = self.model.encode_batch(sents)
+        else:
+            encoded = [self.model.encode_batch(sents)[1].data] if sents else []
+            pooled = Tensor(np.concatenate([np.stack(known), *encoded]))
         return [(T.take_rows(pooled, src), T.take_rows(pooled, cand)) for src, cand in slots]
 
     def adversarial_step(self) -> None:
@@ -508,7 +524,7 @@ class Trainer:
         for start in range(0, len(corpus), 64):
             batch = self._prepare_direction(corpus[start : start + 64], out_lang)
             with T.no_grad():
-                (e_s, cand), = self._encode_directions([batch])
+                (e_s, cand), = self._encode_directions([batch], reuse_sources=True)
                 logp = _ranking_logp(e_s, cand, self.evaluator, cfg.lam)
             total += float(logp.data[:, cfg.k].sum())
         return total / max(len(corpus), 1)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,11 +154,42 @@ class TestPackedEncoder:
 
         h_seq, pooled, grads = run(lambda: m.encode_batch(sents)[:2])
         ref_seq, ref_pooled, ref_grads = run(lambda: unpacked_encode(m, sents))
+        with T.no_grad():  # a step that is not recorded takes its own early return
+            ng_seq, ng_pooled, _ = m.encode_batch(sents)
         np.testing.assert_array_equal(h_seq, ref_seq)
         np.testing.assert_array_equal(pooled, ref_pooled)
+        np.testing.assert_array_equal(ng_seq.data, h_seq)
+        np.testing.assert_array_equal(ng_pooled.data, pooled)
         assert grads.keys() == ref_grads.keys() == encoder_params(m).keys()
         for k in grads:
             np.testing.assert_array_equal(grads[k], ref_grads[k], err_msg=k)
+
+    def test_tape_state_per_live_row_step(self):
+        """Beyond the outputs of its nodes, a taped encode of a ragged batch
+        holds under 5 * d floats per live row and layer step: gru_step keeps
+        rz, the candidate third of h @ w_hh and n (4 * d), and the rest is
+        per-step overhead. Keeping all of gh, h's live rows or 1 - z would
+        cross the bound."""
+        d, layers = 64, 2
+        m = tiny_model(d=d, layers=layers, vocab=40)
+        r = np.random.default_rng(1)
+        lengths = r.integers(1, 13, size=32)
+        sents = [r.integers(4, 40, size=n) for n in lengths]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                h_seq, pooled, _ = m.encode_batch(sents)
+            held = tracemalloc.get_traced_memory()[0]
+            outputs = sum(node.out.data.nbytes for node in tape.nodes
+                          if node.out is not h_seq and node.out is not pooled)
+            del tape
+            gc.collect()
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        per_row_step = (released - outputs) / (layers * int(lengths.sum()))
+        assert 0 < per_row_step < 5 * d * 8
 
     def test_work_is_live_rows_only(self, rng, monkeypatch):
         m = tiny_model(layers=2)

@@ -7,6 +7,7 @@ Derived expectations are computed by independent oracles inside the tests
 from __future__ import annotations
 
 import math
+import weakref
 
 import mpmath
 import numpy as np
@@ -175,6 +176,53 @@ class TestTapeMechanics:
             loss = T.tsum(p * 3.0 + p * 4.0)
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, [7.0])
+
+    def test_tape_is_single_use(self):
+        p = Tensor([2.0], requires_grad=True)
+        with Tape() as tape:
+            loss = T.tsum(p * 3.0)
+        tape.backward(loss)
+        with pytest.raises(RuntimeError, match="already run backward"):
+            tape.backward(loss)
+        np.testing.assert_array_equal(p.grad, [3.0])
+
+    def test_backward_releases_intermediates_keeps_leaf_grads(self, rng):
+        """After backward, on a tape still alive, the gru_step outputs inside
+        a 3-step chain are gone and intermediate gradients are cleared;
+        parameter and leaf gradients are those of a finite-difference check."""
+        d = 3
+        params = [Tensor(rng.normal(size=s) * 0.4, requires_grad=True) for s in
+                  [(d, 3 * d), (3 * d,), (d, 3 * d), (3 * d,)]]
+        x = Tensor(rng.normal(size=(2, d)), requires_grad=True)
+        h0 = Tensor(rng.normal(size=(2, d)), requires_grad=True)
+
+        def chain():
+            h1 = T.gru_step(x, h0, *params)
+            h2 = T.gru_step(x, h1, *params, live=np.array([1]))
+            h3 = T.gru_step(x, h2, *params)
+            return h1, h2, h3
+
+        def build_loss():
+            return T.tsum(chain()[2] * 0.5)
+
+        leaves = [*params, x, h0]
+        check_grad(build_loss, leaves, tol=1e-4)
+        expect = [p.grad.copy() for p in leaves]
+        for p in leaves:
+            p.grad = None
+        with Tape() as tape:
+            h1, h2, h3 = chain()
+            scaled = h3 * 0.5
+            loss = T.tsum(scaled)
+        refs = [weakref.ref(h.data) for h in (h1, h2)]
+        del h1, h2
+        assert all(r() is not None for r in refs)  # the tape holds them until backward
+        assert tape.backward(loss) == len(tape) == 5
+        assert all(r() is None for r in refs)
+        assert h3.grad is None and scaled.grad is None
+        np.testing.assert_array_equal(loss.grad, 1.0)
+        for p, g in zip(leaves, expect):
+            np.testing.assert_array_equal(p.grad, g)
 
     def test_forward_determinism(self, rng):
         a = rng.normal(size=(4, 4))

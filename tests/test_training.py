@@ -485,6 +485,36 @@ class TestModelSelection:
             loss = comparative_loss(e_s, cand, tr.evaluator, tr.config.lam)
         assert abs(d + loss.item()) <= 1e-12
 
+    def test_sources_encoded_once(self, pair, monkeypatch):
+        """The candidate encode reuses the source rows _prepare_direction
+        computed: on 30 sources, the encodes are the sources, the distinct
+        extracted sentences, then only the edits and translations that are
+        not sources; D keeps the bits of encoding the sources again."""
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
+        for _ in range(3):
+            tr.pretrain_step()
+        tr._ensure_indexes()
+        sources = pair.src_valid
+        assert len(sources) == 30
+        calls = []
+        inner = TranslationModel.encode_batch
+
+        def recording(self, sentences):
+            calls.append(list(sentences))
+            return inner(self, sentences)
+
+        monkeypatch.setattr(TranslationModel, "encode_batch", recording)
+        d = tr.model_selection_score("s2t")
+        assert [len(c) for c in calls] == [30, 36, 26]
+        batch = tr._prepare_direction(sources, TGT)
+        source_keys = {s.tobytes() for s in sources}
+        distinct = dict.fromkeys(s.tobytes() for s in (*batch.edited, *batch.t_star))
+        assert [s.tobytes() for s in calls[2]] == [k for k in distinct if k not in source_keys]
+        with T.no_grad():
+            (e_s, cand), = tr._encode_directions([batch])
+            logp = training._ranking_logp(e_s, cand, tr.evaluator, tr.config.lam)
+        assert d == float(logp.data[:, tr.config.k].sum()) / len(sources)
+
 
 class TestDeterminismAndResume:
     def test_identical_config_identical_metrics(self, pair):
