@@ -7,10 +7,11 @@ batches). One GEMM per query block screens every row, and the few rows
 that pass are re-ranked with the exact distance, so the result equals a
 brute-force scan bit for bit. Editing max-pools the source embedding
 with an extracted sentence's embedding and greedily decodes the pooled
-vector; callers supply both embeddings (an extraction dump takes the
-extracted ones straight from the index rows), and the trainer encodes the
-decoded sentences with its other ranking candidates, so all of them live
-in the same representation space. Scoring projects embeddings through a
+vector; callers supply both embeddings (the trainer takes the extracted
+ones straight from the index rows while the generator has made no update
+since the index was built), and the trainer encodes the decoded sentences
+with its other ranking candidates, so all of them live in the same
+representation space. Scoring projects embeddings through a
 shared MLP into a joint space, measures cosine similarity to the source
 there, and turns the similarities into a ranking distribution with a
 scaled softmax. Every function takes a batch of rows; a single query is

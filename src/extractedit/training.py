@@ -223,7 +223,7 @@ class _DirectionBatch:
     sources: list[np.ndarray]
     t_star: list[np.ndarray]
     edited: list[np.ndarray]  # B*k sentences, row-major
-    e_src: np.ndarray | None = None  # (B, d) forward-only embeddings of the sources
+    e_src: np.ndarray  # (B, d) forward-only embeddings of the sources
 
 
 @dataclass
@@ -267,6 +267,8 @@ class Trainer:
         self.opt_eval = Adam(self.evaluator.named_parameters(), lr=config.lr_evaluator)
         self.state = TrainState()
         self.indexes: dict[int, EmbeddingIndex] = {}
+        # opt_gen.step_count when _ensure_indexes built each index; a restored one has none
+        self._index_built_at: dict[int, int] = {}
 
     # -- batching ------------------------------------------------------------
 
@@ -324,31 +326,44 @@ class Trainer:
             idx = self.indexes.get(lang)
             if idx is None or idx.episode != episode:
                 self.indexes[lang] = build_index(self.corpora[lang], self.model, episode)
+                self._index_built_at[lang] = self.opt_gen.step_count
         self.state.episode = episode
 
     # -- extract-edit ----------------------------------------------------------
 
     def _prepare_direction(self, sources: list[np.ndarray], out_lang: int) -> _DirectionBatch:
         """Non-differentiable half of a step: translate, extract, edit."""
-        cfg = self.config
         with T.no_grad():
             h_enc, pooled, mask = self.model.encode_batch(sources)
         t_star, _ = self.model.decode_greedy_batch(pooled, h_enc, mask, out_lang)
         # the first decode step bans EOS, so every translation has a token
         assert all(len(s) for s in t_star), "empty greedy translation"
-        e_src = pooled.data
-        idxs, _ = extract_topk_batch(e_src, self.indexes[out_lang], cfg.k)
-        edited = edit_batch(np.repeat(e_src, cfg.k, axis=0),
-                            self._encode_corpus_rows(out_lang, idxs), self.model, out_lang)
-        return _DirectionBatch(sources=sources, t_star=t_star, edited=edited, e_src=e_src)
+        _, _, edited = self._extract_edit(pooled.data, out_lang)
+        return _DirectionBatch(sources=sources, t_star=t_star, edited=edited, e_src=pooled.data)
 
-    def _encode_corpus_rows(self, lang: int, idxs: np.ndarray) -> np.ndarray:
-        """Forward-only embeddings (idxs.size, d) of the corpus sentences at
-        ``idxs`` in row-major order; each distinct sentence is encoded once."""
-        uniq, inverse = np.unique(idxs, return_inverse=True)
-        corpus = self.corpora[lang]
-        rows = embed_sentences([corpus[int(j)] for j in uniq], self.model)
-        return rows[inverse.ravel()]
+    def _extract_edit(self, e_src: np.ndarray, out_lang: int
+                      ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """Extract the k nearest ``out_lang`` sentences to each source
+        embedding (B, d) and edit each toward its source: (indices (B, k),
+        distances (B, k), B*k edited sentences, row-major).
+
+        The edits start from the index rows of the extracted sentences while
+        the generator has made no update since the index was built: those
+        rows are then the current encodes bit for bit. Otherwise each
+        distinct extracted sentence is encoded again.
+        """
+        k = self.config.k
+        index = self.indexes[out_lang]
+        idxs, dists = extract_topk_batch(e_src, index, k)
+        if self._index_built_at.get(out_lang) == self.opt_gen.step_count:
+            e_extracted = index.rows[idxs.ravel()]
+        else:
+            uniq, inverse = np.unique(idxs, return_inverse=True)
+            corpus = self.corpora[out_lang]
+            rows = embed_sentences([corpus[int(j)] for j in uniq], self.model)
+            e_extracted = rows[inverse.ravel()]
+        edited = edit_batch(np.repeat(e_src, k, axis=0), e_extracted, self.model, out_lang)
+        return idxs, dists, edited
 
     def _encode_directions(self, directions: list[_DirectionBatch],
                            reuse_sources: bool = False) -> list[tuple[Tensor, Tensor]]:
@@ -454,37 +469,13 @@ class Trainer:
 
         self._finish_step("back-translation", **self._update(self.opt_gen, losses))
 
-    # -- supervised MLE ----------------------------------------------------------
-
-    def mle_step(self, pairs: list[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Supervised MLE on (source, target) pairs."""
-        cfg = self.config
-        idx = self.rng.integers(0, len(pairs), size=cfg.batch_size)
-        batch = [pairs[int(i)] for i in idx]
-
-        def losses():
-            nll = self.model.nll_batch([s for s, _ in batch], [t for _, t in batch], TGT)
-            return {"total": nll * cfg.omega_com, "com": nll}
-
-        self._finish_step("mle", **self._update(self.opt_gen, losses))
-
     # -- extraction dumps ----------------------------------------------------------
 
     def extract_corpus(self, limit: int | None = None) -> list[ExtractionResult]:
-        """Top-k extractions plus edits for every source sentence (or a prefix).
-
-        The edits start from the index rows of the extracted sentences when
-        this call built the index, because the parameters cannot have moved
-        since; an index that was already there (say, restored with a
-        checkpoint from the middle of an episode) may predate the current
-        parameters, so the extracted sentences are encoded afresh.
-        """
+        """Top-k extractions plus edits for every source sentence (or a prefix)."""
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
-        previous = self.indexes.get(TGT)
         self._ensure_indexes((TGT,))  # only the target side is searched
-        index = self.indexes[TGT]
-        fresh = index is not previous
         cfg = self.config
         corpus = self.corpora[SRC]
         n = len(corpus) if limit is None else min(limit, len(corpus))
@@ -494,11 +485,7 @@ class Trainer:
             sents = [corpus[i] for i in rows]
             with T.no_grad():
                 _, pooled, _ = self.model.encode_batch(sents)
-            idxs, dists = extract_topk_batch(pooled.data, index, cfg.k)
-            e_extracted = (index.rows[idxs.ravel()] if fresh
-                           else self._encode_corpus_rows(TGT, idxs))
-            edited = edit_batch(np.repeat(pooled.data, cfg.k, axis=0), e_extracted,
-                                self.model, TGT)
+            idxs, dists, edited = self._extract_edit(pooled.data, TGT)
             for bi, src_i in enumerate(rows):
                 out.append(ExtractionResult(
                     source_index=src_i,
@@ -700,6 +687,7 @@ class Trainer:
             {k[len("eval."):]: v for k, v in optim.items() if k.startswith("eval.")},
             step_count=meta["opt_eval_steps"])
         self.indexes = {}
+        self._index_built_at = {}  # a restored index counts as stale
         if (directory / "index.bin").exists():
             arrays = load_tensors(directory / "index.bin")
             for lang, name in ((SRC, "src"), (TGT, "tgt")):

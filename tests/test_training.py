@@ -14,9 +14,9 @@ from extractedit.cipher import CipherSpec, full_vocab_dictionary, generate_ciphe
 from extractedit.engine import (
     EvaluationNetwork,
     edit_batch,
+    embed_sentences,
     extract_topk_batch,
 )
-from extractedit.metrics import token_accuracy
 from extractedit.model import SRC, TGT, TranslationModel
 from extractedit.optim import Adam
 from extractedit.tensor import Tape, Tensor
@@ -127,6 +127,12 @@ class TestPretraining:
         assert exact >= 45
 
 
+def direction(tr, sources, t_star, edited) -> training._DirectionBatch:
+    """One direction of a step, with the sources' forward-only rows."""
+    return training._DirectionBatch(sources=sources, t_star=t_star, edited=edited,
+                                    e_src=embed_sentences(sources, tr.model))
+
+
 def embed(tr, sources, t_star, edited):
     """(e_s (B,d), cand (B,k+1,d)) as the trainer builds them for one
     direction: the k = len(edited) // B edits of each source, row-major,
@@ -134,8 +140,7 @@ def embed(tr, sources, t_star, edited):
     b = len(sources)
     k = len(edited) // b
     assert tr.config.k == k
-    batch = training._DirectionBatch(sources=sources, t_star=t_star, edited=edited)
-    (e_s, cand), = tr._encode_directions([batch])
+    (e_s, cand), = tr._encode_directions([direction(tr, sources, t_star, edited)])
     return e_s, cand
 
 
@@ -402,54 +407,6 @@ class TestBackTranslation:
         assert header == ",".join(METRIC_COLUMNS)
 
 
-class TestMleRetrain:
-    def test_oracle_extractions_approach_supervised_skyline(self):
-        """Gold-injected extractions: pure MLE learns the cipher mapping."""
-        spec = CipherSpec(vocab_size=20, seed=3, substitution_seed=4, window=0,
-                          n_train=120, n_valid=10, n_test=60, len_min=2, len_max=5)
-        pair = generate_cipher_pair(spec)
-        tr = micro_trainer(pair, hidden_size=32, batch_size=16,
-                           lr=3e-3, pretrain_steps=0, main_steps=500)
-        offset = pair.vocab.size - spec.vocab_size
-        # rank-1-correct oracle dump: edited slot holds the true cipher image
-        table = full_vocab_dictionary(pair)
-        pairs = [(s, table[s]) for s in pair.src_train]
-        for _ in range(500):
-            tr.mle_step(pairs)
-        gold_s = [s for s, _ in pair.gold]
-        gold_t = [t for _, t in pair.gold]
-        decoded, _ = tr.model.translate_batch(gold_s, TGT)
-        acc = token_accuracy(decoded, gold_t)
-        assert acc >= 0.8
-
-    def test_random_extractions_stay_near_chance(self):
-        """Noise-floor control: random targets teach nothing about the cipher."""
-        spec = CipherSpec(vocab_size=20, seed=3, substitution_seed=4, window=0,
-                          n_train=120, n_valid=10, n_test=60, len_min=2, len_max=5)
-        pair = generate_cipher_pair(spec)
-        tr = micro_trainer(pair, hidden_size=32, batch_size=16,
-                           lr=3e-3, pretrain_steps=0, main_steps=300)
-        rng = np.random.default_rng(9)
-        pairs = [(s, pair.tgt_train[int(rng.integers(len(pair.tgt_train)))])
-                 for s in pair.src_train]
-        for _ in range(300):
-            tr.mle_step(pairs)
-        gold_s = [s for s, _ in pair.gold]
-        gold_t = [t for _, t in pair.gold]
-        decoded, _ = tr.model.translate_batch(gold_s, TGT)
-        assert token_accuracy(decoded, gold_t) <= 0.25
-
-    def test_deterministic_given_seed(self, pair):
-        pairs = [(pair.src_train[i], pair.tgt_train[i]) for i in range(10)]
-        rows = []
-        for _ in range(2):
-            tr = micro_trainer(pair, pretrain_steps=0, main_steps=5)
-            for _ in range(5):
-                tr.mle_step(pairs)
-            rows.append(tr.state.metric_rows)
-        assert rows[0] == rows[1]
-
-
 class TestModelSelection:
     def test_uniform_anchor_minus_log_k_plus_1(self, pair):
         """Identical candidates make D exactly -ln(k+1)."""
@@ -487,9 +444,10 @@ class TestModelSelection:
 
     def test_sources_encoded_once(self, pair, monkeypatch):
         """The candidate encode reuses the source rows _prepare_direction
-        computed: on 30 sources, the encodes are the sources, the distinct
-        extracted sentences, then only the edits and translations that are
-        not sources; D keeps the bits of encoding the sources again."""
+        computed: on 30 sources, with an index built since the last update,
+        the encodes are the sources, then only the edits and translations
+        that are not sources; D keeps the bits of encoding the sources
+        again."""
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
         for _ in range(3):
             tr.pretrain_step()
@@ -505,11 +463,11 @@ class TestModelSelection:
 
         monkeypatch.setattr(TranslationModel, "encode_batch", recording)
         d = tr.model_selection_score("s2t")
-        assert [len(c) for c in calls] == [30, 36, 26]
+        assert [len(c) for c in calls] == [30, 26]
         batch = tr._prepare_direction(sources, TGT)
         source_keys = {s.tobytes() for s in sources}
         distinct = dict.fromkeys(s.tobytes() for s in (*batch.edited, *batch.t_star))
-        assert [s.tobytes() for s in calls[2]] == [k for k in distinct if k not in source_keys]
+        assert [s.tobytes() for s in calls[1]] == [k for k in distinct if k not in source_keys]
         with T.no_grad():
             (e_s, cand), = tr._encode_directions([batch])
             logp = training._ranking_logp(e_s, cand, tr.evaluator, tr.config.lam)
@@ -756,6 +714,8 @@ class TestEncodeOnce:
         assert sum(rows) == len(tr.corpora[TGT]) + 20
 
     def test_prepare_direction_encodes_each_sentence_once(self, pair, monkeypatch):
+        """The sources, then, once the generator has moved past the index,
+        each distinct extracted sentence."""
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=5, k=5)
         tr.run(until=3)
         tr._ensure_indexes()
@@ -763,7 +723,11 @@ class TestEncodeOnce:
         rows = count_encoded_rows(monkeypatch)
         extracted = spy_extracted_idx(monkeypatch)
         tr._prepare_direction(sources, TGT)
-        (idxs,) = extracted
+        assert sum(rows) == len(sources)
+        tr.pretrain_step()
+        rows.clear()
+        tr._prepare_direction(sources, TGT)
+        idxs = extracted[-1]
         assert sum(rows) == len(sources) + len(np.unique(idxs))
 
     def test_prepare_direction_matches_encode_everything(self, pair, monkeypatch):
@@ -789,6 +753,76 @@ class TestEncodeOnce:
         assert len(d.edited) == len(edited)
         for x, y in zip(d.edited, edited):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("caller", ["extract_corpus", "prepare_direction"])
+    @pytest.mark.parametrize("since_build", ["nothing", "update", "restore"])
+    def test_index_rows_reused_until_the_generator_moves(self, pair, tmp_path, monkeypatch,
+                                                         caller, since_build):
+        """Edits start from the index rows while the generator has made no
+        update since the index was built; after an update, or in a trainer
+        that restored the index (here one saved after an update), every
+        distinct extracted sentence is encoded again from the current
+        parameters."""
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=5)
+        tr.run(until=3)
+        tr._ensure_indexes()
+        if since_build != "nothing":
+            tr.pretrain_step()
+        if since_build == "restore":
+            ckpt = tr.save_checkpoint(tmp_path / "ck")
+            tr = micro_trainer(pair, pretrain_steps=3, main_steps=5)
+            tr.restore(ckpt)
+        index = tr.indexes[TGT]
+        seen = spy_edit_inputs(monkeypatch)
+        extracted = spy_extracted_idx(monkeypatch)
+        rows = count_encoded_rows(monkeypatch)
+        if caller == "extract_corpus":
+            n_sources = 20
+            tr.extract_corpus(limit=n_sources)
+        else:
+            sources = tr._sample_batch(SRC)
+            n_sources = len(sources)
+            tr._prepare_direction(sources, TGT)
+        encoded = sum(rows)
+        assert tr.indexes[TGT] is index
+        assert len(seen) == len(extracted) >= 1
+        corpus = tr.corpora[TGT]
+        for e_x, idxs in zip(seen, extracted):
+            if since_build == "nothing":
+                np.testing.assert_array_equal(e_x, index.rows[idxs.ravel()])
+            else:
+                with T.no_grad():
+                    _, now, _ = tr.model.encode_batch([corpus[int(j)] for j in idxs.ravel()])
+                assert not np.array_equal(index.rows[idxs.ravel()], now.data)
+                np.testing.assert_array_equal(e_x, now.data)
+        reencoded = 0 if since_build == "nothing" else sum(len(np.unique(i)) for i in extracted)
+        assert encoded == n_sources + reencoded
+
+    def test_rebuild_step_encodes_no_extracted_sentence(self, pair, monkeypatch):
+        """A training step that builds the indexes edits from their rows: it
+        encodes no extracted sentence, and its metrics row is that of
+        encoding every extracted sentence again."""
+        def reference(self, e_src, out_lang):
+            idxs, dists, _, edited = reference_edits(self, e_src, out_lang)
+            return idxs, dists, edited
+
+        rows = []
+        for use_reference in (False, True):
+            tr = micro_trainer(pair, pretrain_steps=3, main_steps=5)
+            tr.run(until=3)
+            assert not tr.indexes
+            with monkeypatch.context() as m:
+                if use_reference:
+                    m.setattr(Trainer, "_extract_edit", reference)
+                reencoded = []
+                m.setattr(training, "embed_sentences",
+                          lambda sents, model: reencoded.append(len(sents))
+                          or embed_sentences(sents, model))
+                tr.adversarial_step()
+            assert set(tr.indexes) == {SRC, TGT}
+            assert reencoded == []
+            rows.append(tr.state.metric_rows[-1])
+        assert rows[0] == rows[1]
 
     def test_negative_limit_rejected(self, pair):
         tr = micro_trainer(pair, pretrain_steps=0, main_steps=0)
@@ -858,29 +892,27 @@ class TestEncodeDirections:
                 pool.append(s)
         return pool[:n]
 
-    def directions(self, pair, repeats: bool):
+    def directions(self, tr, pair, repeats: bool):
         """Two directions of 4 sources at k = 3: 40 slots holding 40
         distinct sentences, or 12 with repeats within and across slots,
         sources and directions."""
         p = self.distinct_pool(pair, 40)
         if not repeats:
-            return [training._DirectionBatch(
-                sources=p[i : i + 4], edited=p[i + 4 : i + 16], t_star=p[i + 16 : i + 20])
-                for i in (0, 20)], 40
+            return [direction(tr, sources=p[i : i + 4], edited=p[i + 4 : i + 16],
+                              t_star=p[i + 16 : i + 20])
+                    for i in (0, 20)], 40
         return [
-            training._DirectionBatch(
-                sources=[p[0], p[1], p[0], p[2]], t_star=[p[3], p[4], p[3], p[5]],
-                edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3),
-            training._DirectionBatch(
-                sources=[p[3], p[8], p[9], p[8]], t_star=[p[0], p[6], p[10], p[10]],
-                edited=[p[11], p[11], p[0]] * 4),
+            direction(tr, sources=[p[0], p[1], p[0], p[2]], t_star=[p[3], p[4], p[3], p[5]],
+                      edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3),
+            direction(tr, sources=[p[3], p[8], p[9], p[8]], t_star=[p[0], p[6], p[10], p[10]],
+                      edited=[p[11], p[11], p[0]] * 4),
         ], 12
 
     @pytest.mark.parametrize("repeats", [False, True])
     def test_matches_encoding_every_slot(self, pair, tr, repeats):
         """Embeddings and loss bit-identical; every gradient too when
         nothing repeats, else within 1e-12 of its largest entry."""
-        directions, _ = self.directions(pair, repeats)
+        directions, _ = self.directions(tr, pair, repeats)
         embeds, loss, grads = ranking_grads(tr, tr._encode_directions, directions)
         embeds_ref, loss_ref, grads_ref = ranking_grads(
             tr, lambda ds: encode_every_slot(tr, ds), directions)
@@ -899,7 +931,7 @@ class TestEncodeDirections:
 
     @pytest.mark.parametrize("repeats", [False, True])
     def test_each_distinct_sentence_encoded_once(self, pair, tr, monkeypatch, repeats):
-        directions, n_distinct = self.directions(pair, repeats)
+        directions, n_distinct = self.directions(tr, pair, repeats)
         rows = count_encoded_rows(monkeypatch)
         tr._encode_directions(directions)
         assert rows == [n_distinct]
