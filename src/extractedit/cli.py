@@ -159,9 +159,6 @@ def _load_data(data_dir: Path, max_len: int):
 def _make_trainer(tc: TrainConfig, data) -> Trainer:
     """A Trainer over what ``_load_data`` read with ``tc.max_len``."""
     vocab, corpora, dictionary = data
-    if tc.init_mode == "oracle" and dictionary is None:
-        raise CliError("init_mode=oracle needs an oracle dictionary in the data directory "
-                       "(use init_mode=random for plain corpora)")
     return Trainer(tc, vocab, corpora["src_train"], corpora["tgt_train"],
                    corpora.get("src_valid"), corpora.get("tgt_valid"),
                    oracle_dictionary=dictionary)
@@ -323,6 +320,9 @@ def cmd_sweep_k(args, cfg: dict) -> int:
     _prepare_dir(out, args.overwrite)
     with RunManifest(out, "sweep-k", cfg) as manifest:
         ks = sorted(int(x) for x in cfg["sweep_ks"].split(","))
+        repeated = sorted({k for k in ks if ks.count(k) > 1})
+        if repeated:
+            raise CliError(f"sweep_ks repeats k={', '.join(map(str, repeated))}")
         data_dir = Path(args.data)
 
         tc = replace(dataclass_from(TrainConfig, cfg), mode="extract-edit")

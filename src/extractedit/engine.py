@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .model import TranslationModel
+from .model import TranslationModel, _glorot
 from .tensor import DegenerateInputError, Tensor
 from .text import Vocabulary
 
@@ -51,29 +51,20 @@ class EvaluationNetwork:
     """Shared MLP projecting sentence embeddings into the joint ranking space."""
 
     def __init__(self, d_in: int, rng: np.random.Generator, hidden: int, d_out: int):
-        def glorot(shape):
-            limit = np.sqrt(6.0 / sum(shape))
-            return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
-
-        self.w1 = glorot((d_in, hidden))
+        self.w1 = _glorot(rng, (d_in, hidden))
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = glorot((hidden, hidden))
+        self.w2 = _glorot(rng, (hidden, hidden))
         self.b2 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w3 = glorot((hidden, d_out))
+        self.w3 = _glorot(rng, (hidden, d_out))
         self.b3 = Tensor(np.zeros(d_out), requires_grad=True)
-        self.d_in = d_in
-        self.d_out = d_out
 
     def forward(self, e: Tensor) -> Tensor:
         """Map (..., d_in) embeddings to (..., d_out) joint-space vectors."""
         lead = e.data.shape[:-1]
-        x = T.reshape(e, (-1, self.d_in)) if len(lead) != 1 else e
-        h = T.tanh(T.matmul(x, self.w1) + self.b1)
+        h = T.tanh(T.matmul(T.reshape(e, (-1, e.data.shape[-1])), self.w1) + self.b1)
         h = T.tanh(T.matmul(h, self.w2) + self.b2)
         out = T.matmul(h, self.w3) + self.b3
-        if len(lead) != 1:
-            out = T.reshape(out, (*lead, self.d_out))
-        return out
+        return T.reshape(out, (*lead, out.data.shape[-1]))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {

@@ -18,7 +18,7 @@ from . import tensor as T
 from .tensor import DegenerateInputError, Tensor
 from .text import BOS, EOS, PAD
 
-__all__ = ["SRC", "TGT", "ModelConfig", "GRULayer", "TranslationModel", "pad_batch"]
+__all__ = ["SRC", "TGT", "ModelConfig", "TranslationModel", "pad_batch"]
 
 SRC, TGT = 0, 1
 
@@ -44,34 +44,21 @@ def pad_batch(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, lengths, mask
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """A trainable weight of ``shape``, Glorot-uniform; the one weight initializer."""
     limit = np.sqrt(6.0 / sum(shape))
-    return rng.uniform(-limit, limit, size=shape)
+    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
 
 
-class GRULayer:
-    """One gated-recurrence layer; gate layout [reset | update | candidate]."""
-
-    def __init__(self, w_ih: Tensor, b_ih: Tensor, w_hh: Tensor, b_hh: Tensor):
-        self.w_ih = w_ih
-        self.b_ih = b_ih
-        self.w_hh = w_hh
-        self.b_hh = b_hh
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, d_in: int, d_h: int) -> "GRULayer":
-        return cls(
-            Tensor(_glorot(rng, (d_in, 3 * d_h)), requires_grad=True),
-            Tensor(np.zeros(3 * d_h), requires_grad=True),
-            Tensor(_glorot(rng, (d_h, 3 * d_h)), requires_grad=True),
-            Tensor(np.zeros(3 * d_h), requires_grad=True),
-        )
-
-    def step(self, x: Tensor, h: Tensor, live: np.ndarray | None = None) -> Tensor:
-        return T.gru_step(x, h, self.w_ih, self.b_ih, self.w_hh, self.b_hh, live=live)
-
-    def params(self) -> dict[str, Tensor]:
-        return {"w_ih": self.w_ih, "b_ih": self.b_ih, "w_hh": self.w_hh, "b_hh": self.b_hh}
+def _gru_layer(rng: np.random.Generator, d_in: int, d_h: int) -> dict[str, Tensor]:
+    """One gated-recurrence layer: ``tensor.gru_step``'s weights, in its
+    argument order; gate layout [reset | update | candidate]."""
+    return {
+        "w_ih": _glorot(rng, (d_in, 3 * d_h)),
+        "b_ih": Tensor(np.zeros(3 * d_h), requires_grad=True),
+        "w_hh": _glorot(rng, (d_h, 3 * d_h)),
+        "b_hh": Tensor(np.zeros(3 * d_h), requires_grad=True),
+    }
 
 
 class TranslationModel:
@@ -82,11 +69,11 @@ class TranslationModel:
         v = config.vocab_size
         self.config = config
         self.embedding = Tensor(rng.uniform(-0.1, 0.1, size=(v, d)), requires_grad=True)
-        self.enc_layers = [GRULayer.create(rng, d, d) for _ in range(config.layers)]
-        self.dec_layers = [GRULayer.create(rng, d, d) for _ in range(config.layers)]
-        self.w_att = Tensor(_glorot(rng, (2 * d, d)), requires_grad=True)
+        self.enc_layers = [_gru_layer(rng, d, d) for _ in range(config.layers)]
+        self.dec_layers = [_gru_layer(rng, d, d) for _ in range(config.layers)]
+        self.w_att = _glorot(rng, (2 * d, d))
         self.b_att = Tensor(np.zeros(d), requires_grad=True)
-        self.w_out = Tensor(_glorot(rng, (d, v)), requires_grad=True)
+        self.w_out = _glorot(rng, (d, v))
         self.b_out = Tensor(np.zeros(v), requires_grad=True)
         self.lang_emb = Tensor(rng.uniform(-0.1, 0.1, size=(2, d)), requires_grad=True)
 
@@ -94,12 +81,9 @@ class TranslationModel:
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = {"embedding": self.embedding}
-        for i, layer in enumerate(self.enc_layers):
-            for k, p in layer.params().items():
-                out[f"encoder.l{i}.{k}"] = p
-        for i, layer in enumerate(self.dec_layers):
-            for k, p in layer.params().items():
-                out[f"decoder.l{i}.{k}"] = p
+        for side, layers in (("encoder", self.enc_layers), ("decoder", self.dec_layers)):
+            for i, layer in enumerate(layers):
+                out.update({f"{side}.l{i}.{k}": p for k, p in layer.items()})
         out["decoder.attn.w"] = self.w_att
         out["decoder.attn.b"] = self.b_att
         out["decoder.proj.w"] = self.w_out
@@ -134,7 +118,7 @@ class TranslationModel:
             h = Tensor(np.zeros((b, d)))
             outs = []
             for t in range(t_max):
-                h = layer.step(xs[t], h, live=live[t])
+                h = T.gru_step(xs[t], h, *layer.values(), live=live[t])
                 outs.append(h)
             xs = outs
         h_seq = T.stack(xs, axis=1)
@@ -150,7 +134,7 @@ class TranslationModel:
             x = x + T.take_rows(self.lang_emb, np.full(len(tok_ids), lang))
         inp = x
         for i, layer in enumerate(self.dec_layers):
-            hiddens[i] = layer.step(inp, hiddens[i])
+            hiddens[i] = T.gru_step(inp, hiddens[i], *layer.values())
             inp = hiddens[i]
         top = hiddens[-1]
         if h_enc is not None:
@@ -200,8 +184,7 @@ class TranslationModel:
         """
         b = init.data.shape[0]
         with T.no_grad():
-            hiddens = [init.detach() for _ in self.dec_layers]
-            h_enc = None if h_enc is None else h_enc.detach()
+            hiddens = [init for _ in self.dec_layers]
             tok = np.full(b, BOS, dtype=np.int64)
             done = np.zeros(b, dtype=bool)
             steps = []

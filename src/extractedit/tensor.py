@@ -12,8 +12,9 @@ the other leaves keep their gradients. Fused kernels (``gru_step``,
 ``attend``, ``masked_max``, the softmax family) keep tapes short enough
 for pure-Python dispatch to stay off the critical path.
 
-Every forward op validates that its output is finite; NaN/Inf raises
-``NonFiniteError`` instead of propagating silently.
+``add``, ``sub``, ``mul``, ``matmul``, ``log``, ``cosine``, ``gru_step``,
+``attend`` and ``masked_max`` check that their output is finite (NaN/Inf
+raises ``NonFiniteError``); the other ops do not.
 
 The module sets no thread policy: BLAS runs with whatever thread count
 the environment gives numpy when it is first imported.

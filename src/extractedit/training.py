@@ -22,6 +22,7 @@ of the checkpoint for exactly this reason).
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 from dataclasses import asdict, dataclass, field
 from functools import reduce
@@ -106,17 +107,27 @@ class TrainConfig:
             raise ValueError(f"init_mode must be oracle or random, got {self.init_mode!r}")
         if self.episode_len < 1:
             raise ValueError("episode_len must be >= 1")
+        if not 0.0 <= self.p_drop < 1.0:
+            raise ValueError(f"p_drop must be in [0, 1), got {self.p_drop}")
         for key in ("batch_size", "hidden_size", "layers", "eval_hidden", "eval_out",
                     "max_len"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("lr", "lr_evaluator", "valid_interval", "checkpoint_interval"):
+        for key in ("lr", "lr_evaluator", "valid_interval", "checkpoint_interval",
+                    "shuffle_window"):
             if getattr(self, key) < 0:  # interval 0 turns validation/checkpoints off
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _corpus_digest(corpus: list[np.ndarray]) -> str:
+    """sha256 of a corpus's sentence lengths and token ids, in order."""
+    lengths = np.array([len(s) for s in corpus], dtype=np.int64)
+    tokens = np.concatenate(corpus).astype(np.int64)
+    return hashlib.sha256(lengths.tobytes() + tokens.tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +255,8 @@ class Trainer:
                  oracle_dictionary: np.ndarray | None = None):
         config.validate()
         if config.init_mode == "oracle" and oracle_dictionary is None:
-            raise ValueError("init_mode=oracle requires an oracle dictionary")
+            raise ValueError("init_mode=oracle needs an oracle dictionary "
+                             "(use init_mode=random for plain corpora)")
         # validation extracts from both training corpora, in either mode
         n = min(len(src_train), len(tgt_train))
         if config.k > n:
@@ -641,11 +653,13 @@ class Trainer:
         save_tensors(directory / "optim.bin", optim)
         index_arrays = {}
         index_meta = {}
+        index_corpora = {}
         for lang, name in ((SRC, "src"), (TGT, "tgt")):
             idx = self.indexes.get(lang)
             if idx is not None:
                 index_arrays[f"index.{name}"] = idx.rows
                 index_meta[name] = idx.episode
+                index_corpora[name] = _corpus_digest(self.corpora[lang])
         if index_arrays:
             save_tensors(directory / "index.bin", index_arrays)
         save_json(directory / STATE_FILE, {
@@ -659,6 +673,7 @@ class Trainer:
             "config": asdict(self.config),
             "vocab_content": self.vocab.id_to_token[4:],
             "index_episodes": index_meta,
+            "index_corpus_sha256": index_corpora,
             "has_dictionary": self.dictionary is not None,
         })
 
@@ -669,6 +684,10 @@ class Trainer:
         been written under an identical TrainConfig; sweeps that share a
         pretrained initialization across k values disable the check (array
         shapes are still validated by the parameter load).
+
+        An index snapshot whose corpus digest differs from this trainer's
+        corpus is dropped, so the next ``_ensure_indexes`` builds it anew; a
+        checkpoint that records no digests restores every snapshot.
         """
         directory = Path(directory)
         meta = load_json(directory / STATE_FILE)
@@ -690,8 +709,10 @@ class Trainer:
         self._index_built_at = {}  # a restored index counts as stale
         if (directory / "index.bin").exists():
             arrays = load_tensors(directory / "index.bin")
+            digests = meta.get("index_corpus_sha256")
             for lang, name in ((SRC, "src"), (TGT, "tgt")):
-                if f"index.{name}" in arrays:
+                if f"index.{name}" in arrays and (
+                        digests is None or digests[name] == _corpus_digest(self.corpora[lang])):
                     self.indexes[lang] = EmbeddingIndex(
                         rows=arrays[f"index.{name}"],
                         episode=meta["index_episodes"][name],

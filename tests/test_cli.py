@@ -170,6 +170,17 @@ class TestTrain:
         assert load_json(out / "manifest.json")["success"] is False
         assert not (out / "checkpoints").exists()
 
+    @pytest.mark.parametrize("setting", ["p_drop=1.0", "shuffle_window=-1"])
+    def test_bad_noise_setting_fails_before_training(self, tmp_path, corpus_dir, capsys,
+                                                     setting):
+        out = tmp_path / "noise"
+        capsys.readouterr()
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+                   f"--{setting}") == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     def test_plain_corpus_directory(self, tmp_path, corpus_dir, capsys):
         """Corpora without a corpus manifest get a frequency vocabulary and
         no oracle dictionary: random init trains, oracle init is refused."""
@@ -430,6 +441,15 @@ class TestSweepK:
         assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
                    "--sweep_ks=1,500") == 1
         assert "k must be in [1, 150]" in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_repeated_k_fails_before_pretraining(self, tmp_path, corpus_dir, capsys):
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+                   "--sweep_ks=3,1,3") == 1
+        assert "repeats k=3" in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 

@@ -105,7 +105,7 @@ def unpacked_encode(m: TranslationModel, sentences) -> tuple[Tensor, Tensor]:
         outs = []
         for t in range(t_max):
             keep = Tensor(mask[:, t : t + 1].astype(np.float64))
-            h = keep * layer.step(xs[t], h) + (1.0 - keep) * h
+            h = keep * T.gru_step(xs[t], h, *layer.values()) + (1.0 - keep) * h
             outs.append(h)
         xs = outs
     h_seq = T.stack(xs, axis=1)

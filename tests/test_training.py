@@ -72,6 +72,14 @@ class TestConfig:
             TrainConfig(**{key: 0}).validate()
         TrainConfig(**{key: 1}).validate()
 
+    @pytest.mark.parametrize("key, bad, good", [("p_drop", 1.0, 0.0), ("p_drop", -0.1, 0.5),
+                                                ("shuffle_window", -1, 0)])
+    def test_noise_settings_checked(self, key, bad, good):
+        """apply_noise would refuse these at the first step; validate does first."""
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: bad}).validate()
+        TrainConfig(**{key: good}).validate()
+
     @pytest.mark.parametrize("key", ["lr", "lr_evaluator", "valid_interval",
                                      "checkpoint_interval"])
     def test_rates_and_intervals_must_be_non_negative(self, key):
@@ -531,6 +539,42 @@ class TestDeterminismAndResume:
         other = micro_trainer(pair, pretrain_steps=2, main_steps=0)
         with pytest.raises(ValueError, match="config mismatch"):
             other.restore(ckpt)
+
+
+    @pytest.mark.parametrize("other", ["fewer sentences", "same size, reordered"])
+    def test_restore_drops_an_index_built_over_another_corpus(self, pair, tmp_path, other):
+        """An index snapshot restores only over the corpus it was built from;
+        over another, extraction builds the index from this trainer's corpus."""
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.run()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        tgt = pair.tgt_train[:120] if other == "fewer sentences" else pair.tgt_train[::-1]
+        moved = Trainer(tr.config, pair.vocab, pair.src_train, tgt,
+                        oracle_dictionary=full_vocab_dictionary(pair))
+        moved.restore(ckpt)
+        assert sorted(moved.indexes) == [SRC]
+        np.testing.assert_array_equal(moved.indexes[SRC].rows, tr.indexes[SRC].rows)
+        results = moved.extract_corpus(limit=8)
+        np.testing.assert_array_equal(moved.indexes[TGT].rows,
+                                      embed_sentences(tgt, moved.model))
+        assert len(results) == 8 and all(r.indices.max() < len(tgt) for r in results)
+
+    def test_restore_keeps_the_index_of_the_same_corpus(self, pair, tmp_path):
+        """Over its own corpus a snapshot is restored as saved, and so is every
+        snapshot of a checkpoint that records no corpus digests."""
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.run()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        for drop_digests in (False, True):
+            if drop_digests:
+                state = load_json(ckpt / training.STATE_FILE)
+                del state["index_corpus_sha256"]
+                save_json(ckpt / training.STATE_FILE, state)
+            back = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+            back.restore(ckpt)
+            assert sorted(back.indexes) == [SRC, TGT]
+            for lang in (SRC, TGT):
+                np.testing.assert_array_equal(back.indexes[lang].rows, tr.indexes[lang].rows)
 
 
 def fail_on_second_file(monkeypatch) -> None:
