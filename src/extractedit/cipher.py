@@ -69,18 +69,23 @@ class CipherSpec:
     parallel_fraction: float = 0.0
 
     def validate(self) -> None:
-        if self.vocab_size < 10:
-            raise CipherSpecError(f"vocab_size must be >= 10, got {self.vocab_size}")
-        if self.n_train < 100:
-            raise CipherSpecError(f"n_train must be >= 100, got {self.n_train}")
-        if self.window < 0:
-            raise CipherSpecError(f"window must be >= 0, got {self.window}")
+        for key, least in (("vocab_size", 10), ("n_train", 100), ("n_valid", 1),
+                           ("n_test", 1), ("n_distractor", 0), ("window", 0)):
+            if getattr(self, key) < least:
+                raise CipherSpecError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if self.reorder_rule != "block-reverse":
             raise CipherSpecError(f"unknown reorder_rule {self.reorder_rule!r}")
         if not 1 <= self.len_min <= self.len_max:
             raise CipherSpecError("need 1 <= len_min <= len_max")
-        if not 0.0 <= self.parallel_fraction <= 1.0:
-            raise CipherSpecError("parallel_fraction must be in [0, 1]")
+        for key in ("parallel_fraction", "bigram_weight"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise CipherSpecError(f"{key} must be in [0, 1], got {getattr(self, key)}")
+        if not np.isfinite(self.zipf_exponent):
+            raise CipherSpecError(f"zipf_exponent must be finite, got {self.zipf_exponent}")
+        distinct = _distinct_sentences(self, cap=self.n_test)
+        if distinct < self.n_test:
+            raise CipherSpecError(f"n_test must be <= {distinct}, the number of distinct "
+                                  f"sentences this spec can draw, got {self.n_test}")
 
 
 def token_inventory(size: int) -> list[str]:
@@ -134,6 +139,16 @@ def invert_cipher(ids: np.ndarray, perm: np.ndarray, window: int) -> np.ndarray:
     return inv[_block_reverse(ids, window)]
 
 
+def _sampler_tables(spec: CipherSpec, rng: np.random.Generator):
+    """The unigram CDF, and each token's three preferred successors: the
+    first draw a spec's stream makes."""
+    ranks = np.arange(1, spec.vocab_size + 1, dtype=np.float64)
+    weights = ranks ** (-spec.zipf_exponent)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist(), rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3)).tolist()
+
+
 class _SentenceSampler:
     """Zipfian unigram sampler with per-token preferred successors.
 
@@ -153,12 +168,7 @@ class _SentenceSampler:
     """
 
     def __init__(self, spec: CipherSpec, rng: np.random.Generator):
-        ranks = np.arange(1, spec.vocab_size + 1, dtype=np.float64)
-        weights = ranks ** (-spec.zipf_exponent)
-        cdf = (weights / weights.sum()).cumsum()
-        cdf /= cdf[-1]
-        self.cdf = cdf.tolist()
-        self.successors = rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3)).tolist()
+        self.cdf, self.successors = _sampler_tables(spec, rng)
         self.spec = spec
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -175,6 +185,26 @@ class _SentenceSampler:
                 tok = bisect_right(cdf, random())
             out.append(tok)
         return np.array(out, dtype=np.int64)
+
+
+def _distinct_sentences(spec: CipherSpec, cap: int) -> int:
+    """How many distinct sentences ``spec`` can draw, at most ``cap``: each
+    token is a unigram draw, or after the first (if ``bigram_weight > 0``)
+    a preferred successor, which it always is if ``bigram_weight == 1``."""
+    cdf, successors = _sampler_tables(spec, np.random.default_rng(spec.seed))
+    unigram = np.diff(cdf, prepend=0.0) > 0  # the tokens a unigram draw can reach
+    unigram_next = spec.bigram_weight < 1
+    succ = np.sort(successors, axis=1)
+    # each distinct successor once, unless a unigram draw reaches it too
+    pick = (np.diff(succ, axis=1, prepend=-1) > 0) & ~(unigram_next & unigram[succ])
+    pick &= spec.bigram_weight > 0
+    counts = np.ones(spec.vocab_size)  # length-n sentences from each token; floats never wrap
+    total = 0.0
+    for n in range(1, spec.len_max + 1):
+        starts = counts[unigram].sum()
+        total += starts if n >= spec.len_min else 0.0
+        counts = np.minimum((counts[succ] * pick).sum(axis=1) + unigram_next * starts, cap)
+    return int(min(total, cap))
 
 
 @dataclass

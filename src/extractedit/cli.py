@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Subcommands: gen-corpus, train, translate, extract, evaluate, and sweep-k,
-the one experiment driver (pretrain once, fork every arm from that start,
-grade each on the gold set). Every command takes ``--config FILE`` plus
-``--key=value`` overrides for any config key, writes its artifacts under a
-run directory (``--out``, or ``$EXTRACTEDIT_RUNS/<default name>``), and
-records a manifest; the exit code is 0 exactly when the manifest records
-success.
+``build_parser`` declares each subcommand once, with its handler: corpus
+generation, training, translation, extraction, evaluation, and the one
+experiment driver (pretrain once, fork every arm from that start, grade
+each on the gold set). The commands that take ``--config FILE`` also take
+every config key as a ``--key=value`` option, write their artifacts under
+a run directory (``--out``, or ``$EXTRACTEDIT_RUNS/<default name>``), and
+record a manifest; the exit code is 0 exactly when the manifest records
+success. Translation and extraction read every setting from the checkpoint.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cipher import (
     token_inventory,
     write_cipher_pair,
 )
-from .config import ConfigError, apply_overrides, dataclass_from, format_config, load_config
+from .config import CONFIG_KEYS, ConfigError, dataclass_from, format_config, load_config
 from .engine import write_extraction_dump
 from .metrics import grade, hits_at_k
 from .model import SRC, TGT
@@ -67,33 +68,25 @@ def _build_id() -> str:
         return "unknown"
 
 
-def _resolve_out(out: str | None, default_name: str) -> Path:
-    if out:
-        return Path(out)
-    root = os.environ.get(ENV_OUT_ROOT)
-    if root:
-        return Path(root) / default_name
-    raise CliError(f"--out is required (or set ${ENV_OUT_ROOT})")
-
-
-def _prepare_dir(path: Path, overwrite: bool) -> None:
-    if path.exists() and any(path.iterdir()):
-        if not overwrite:
-            raise CliError(f"output directory {path} is not empty (use --overwrite)")
-    path.mkdir(parents=True, exist_ok=True)
-
-
 class RunManifest:
-    """Collects what a command produced; written as manifest.json.
+    """The run directory of a command that takes a config (``--out``, or
+    ``default_name`` under $EXTRACTEDIT_RUNS), and what the command wrote
+    there; saved as manifest.json.
 
     A context manager: leaving the block records success, or failure when
     an exception escapes it (which then propagates).
     """
 
-    def __init__(self, out_dir: Path, command: str, cfg: dict):
-        self.out_dir = out_dir
+    def __init__(self, args, cfg: dict, default_name: str):
+        root = os.environ.get(ENV_OUT_ROOT)
+        if not (args.out or root):
+            raise CliError(f"--out is required (or set ${ENV_OUT_ROOT})")
+        self.out_dir = Path(args.out) if args.out else Path(root) / default_name
+        if self.out_dir.exists() and any(self.out_dir.iterdir()) and not args.overwrite:
+            raise CliError(f"output directory {self.out_dir} is not empty (use --overwrite)")
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.data = {
-            "command": command,
+            "command": args.command,
             "config": dict(cfg),
             "seed": cfg.get("seed"),
             "build": _build_id(),
@@ -169,9 +162,8 @@ def _make_trainer(tc: TrainConfig, data) -> Trainer:
 
 
 def cmd_gen_corpus(args, cfg: dict) -> int:
-    out = _resolve_out(args.out, f"corpus-seed{cfg['data_seed']}")
-    _prepare_dir(out, args.overwrite)
-    with RunManifest(out, "gen-corpus", cfg) as manifest:
+    with RunManifest(args, cfg, f"corpus-seed{cfg['data_seed']}") as manifest:
+        out = manifest.out_dir
         spec = dataclass_from(CipherSpec, cfg)
         pair = generate_cipher_pair(spec)
         files = write_cipher_pair(pair, out)["files"]
@@ -200,9 +192,8 @@ def _checkpoint_table(trainer: Trainer, saved: list[Path], out: Path) -> list[di
 
 
 def cmd_train(args, cfg: dict) -> int:
-    out = _resolve_out(args.out, f"{cfg['mode']}-seed{cfg['seed']}")
-    _prepare_dir(out, args.overwrite)
-    with RunManifest(out, "train", cfg) as manifest:
+    with RunManifest(args, cfg, f"{cfg['mode']}-seed{cfg['seed']}") as manifest:
+        out = manifest.out_dir
         tc = dataclass_from(TrainConfig, cfg)
         trainer = _make_trainer(tc, _load_data(Path(args.data), tc.max_len))
         (out / "config.txt").write_text(format_config(cfg), encoding="utf-8")
@@ -259,9 +250,8 @@ def cmd_extract(args, cfg: dict) -> int:
 
 
 def cmd_evaluate(args, cfg: dict) -> int:
-    out = _resolve_out(args.out, "evaluation")
-    _prepare_dir(out, args.overwrite)
-    with RunManifest(out, "evaluate", cfg) as manifest:
+    with RunManifest(args, cfg, "evaluation") as manifest:
+        out = manifest.out_dir
         metrics = [m for m in args.metrics.split(",") if m] if args.metrics else []
         unknown = [m for m in metrics if m not in ("bleu", "accuracy", "hits")]
         if unknown:
@@ -316,9 +306,8 @@ def cmd_sweep_k(args, cfg: dict) -> int:
     the gold set: pretrain-only, extract-edit at each k of ``sweep_ks``,
     then back-translation. Each arm sets its own mode, so the ``mode`` key
     is ignored."""
-    out = _resolve_out(args.out, f"sweep-k-seed{cfg['seed']}")
-    _prepare_dir(out, args.overwrite)
-    with RunManifest(out, "sweep-k", cfg) as manifest:
+    with RunManifest(args, cfg, f"{args.command}-seed{cfg['seed']}") as manifest:
+        out = manifest.out_dir
         ks = sorted(int(x) for x in cfg["sweep_ks"].split(","))
         repeated = sorted({k for k in ks if ks.count(k) > 1})
         if repeated:
@@ -368,8 +357,14 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # abbreviation matching is off so a --key=value config override is never
-    # taken for a prefix of a real option
+    """The command line: each subcommand with its options and its handler.
+
+    A command that takes a config also takes every config key as an option
+    (``--lambda=0.7``) that overrides the ``--config`` file, and writes its
+    run directory under ``--out``. Abbreviation matching is off, so a key
+    is only ever set by its full name: ``--pretrain=5`` is an error, not a
+    shorthand for ``--pretrain_steps``.
+    """
     parser = argparse.ArgumentParser(
         prog="extractedit",
         description="Desk-scale unsupervised translation experiments on cipher "
@@ -378,77 +373,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cmd(name, help_text):
-        return sub.add_parser(name, help=help_text, allow_abbrev=False)
-
-    def common(p, out=True):
-        p.add_argument("--config", default=None, help="key=value config file")
-        if out:
+    def add_cmd(name, handler, help_text, config=True):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        if config:
+            p.add_argument("--config", default=None, help="key=value config file")
             p.add_argument("--out", default=None, help="output directory")
             p.add_argument("--overwrite", action="store_true",
                            help="replace existing outputs")
+            keys = p.add_argument_group("config keys", "each overrides the --config file")
+            for key, (parse, default, doc) in CONFIG_KEYS.items():
+                keys.add_argument(f"--{key}", type=parse, default=argparse.SUPPRESS,
+                                  help=f"{doc} (default: {default})")
+        return p
 
-    p = add_cmd("gen-corpus", "generate a cipher language pair")
-    common(p)
+    add_cmd("gen-corpus", cmd_gen_corpus, "generate a cipher language pair")
 
-    p = add_cmd("train", "pretrain then run the configured mode")
-    common(p)
+    p = add_cmd("train", cmd_train, "pretrain then run the configured mode")
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--resume", default=None, help="checkpoint directory to resume")
 
-    p = add_cmd("translate", "translate a file with a checkpoint")
-    common(p, out=False)
+    p = add_cmd("translate", cmd_translate, "translate a file with a checkpoint",
+                config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--direction", choices=["s2t", "t2s"], default="s2t")
 
-    p = add_cmd("extract", "dump top-k extractions with edits")
-    common(p, out=False)
+    p = add_cmd("extract", cmd_extract, "dump top-k extractions with edits", config=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out-file", required=True)
     p.add_argument("--limit", type=int, default=None)
 
-    p = add_cmd("evaluate", "score a checkpoint on the gold test set")
-    common(p)
+    p = add_cmd("evaluate", cmd_evaluate, "score a checkpoint on the gold test set")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--metrics", default="bleu,accuracy",
                    help="comma list from: bleu,accuracy,hits (empty = manifest only)")
 
-    p = add_cmd("sweep-k", "pretrain-only, extract-edit per k and back-translation "
-                           "from one pretrained start")
-    common(p)
+    p = add_cmd("sweep-k", cmd_sweep_k, "pretrain-only, extract-edit per k and "
+                                        "back-translation from one pretrained start")
     p.add_argument("--data", required=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    overrides = []
-    for item in extra:
-        if item.startswith("--") and "=" in item:
-            overrides.append(item[2:])
-        else:
-            parser.error(f"unrecognized argument: {item}")
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        apply_overrides(cfg, overrides)
+        cfg = load_config(getattr(args, "config", None))
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    handlers = {
-        "gen-corpus": cmd_gen_corpus,
-        "train": cmd_train,
-        "translate": cmd_translate,
-        "extract": cmd_extract,
-        "evaluate": cmd_evaluate,
-        "sweep-k": cmd_sweep_k,
-    }
+    cfg.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS)
     try:
-        return handlers[args.command](args, cfg)
+        return args.handler(args, cfg)
     except Exception as e:
         print(f"{args.command} failed: {e}", file=sys.stderr)
         return 1

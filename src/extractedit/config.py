@@ -1,11 +1,12 @@
-"""Flat key=value configuration shared by every command.
+"""Flat key=value configuration shared by the commands that take one.
 
 One text file, one namespace: corpus-generation keys feed CipherSpec,
 training keys feed TrainConfig, and the rest steer individual commands.
 The keys, their parsers and their defaults come from the two dataclasses'
 fields; this module adds only a description per key and the command-line
 names of the two fields whose names clash or are reserved words.
-Command lines may override any key with ``--key=value``.
+``parse_value`` reads a key from the file with the same parser that
+``cli.build_parser`` gives the key's ``--key`` option.
 """
 
 from __future__ import annotations
@@ -17,28 +18,28 @@ from .cipher import CipherSpec
 from .training import TrainConfig
 
 __all__ = ["ConfigError", "CONFIG_KEYS", "default_config", "load_config",
-           "apply_overrides", "parse_value", "dataclass_from", "format_config"]
+           "parse_value", "dataclass_from", "format_config"]
 
 
 class ConfigError(ValueError):
     """Unknown key, bad value, or unreadable config file."""
 
 
-def _opt_int(s: str):
+def int_or_none(s: str):
     return None if s.lower() in ("none", "") else int(s)
 
 
-_PARSERS = {"int": int, "float": float, "str": str, "int | None": _opt_int}
+_PARSERS = {"int": int, "float": float, "str": str, "int | None": int_or_none}
 
 # (dataclass, field) -> config key, where the two differ: both dataclasses
 # have a ``seed``, and ``lambda`` is a Python keyword
 _RENAMED = {(CipherSpec, "seed"): "data_seed", (TrainConfig, "lam"): "lambda"}
 
-# keys that steer individual commands, with their defaults
+# keys that steer individual commands: (default, description)
 _PLUMBING = {
-    "sweep_ks": "1,3,5,8,10",
-    "hits_noise_ratios": "0,0.5,0.9",
-    "hits_ks": "1,3,5,8,10,15,20",
+    "sweep_ks": ("1,3,5,8,10", "k values of the extract-edit arms of sweep-k"),
+    "hits_noise_ratios": ("0,0.5,0.9", "distractor ratios for the hits report"),
+    "hits_ks": ("1,3,5,8,10,15,20", "rank cutoffs for the hits report"),
 }
 
 _DESCRIPTIONS = {
@@ -80,10 +81,6 @@ _DESCRIPTIONS = {
     "init_mode": "oracle = mix dictionary word translation into pretraining",
     "valid_interval": "steps between model-selection scoring",
     "checkpoint_interval": "steps between checkpoints",
-    # command plumbing
-    "sweep_ks": "k values of the extract-edit arms of sweep-k",
-    "hits_noise_ratios": "distractor ratios for the hits report",
-    "hits_ks": "rank cutoffs for the hits report",
 }
 
 
@@ -96,7 +93,7 @@ def _key(cls, name: str) -> str:
 CONFIG_KEYS: dict[str, tuple] = {
     **{_key(cls, f.name): (_PARSERS[f.type], f.default, _DESCRIPTIONS[_key(cls, f.name)])
        for cls in (CipherSpec, TrainConfig) for f in fields(cls)},
-    **{k: (str, default, _DESCRIPTIONS[k]) for k, default in _PLUMBING.items()},
+    **{k: (str, default, doc) for k, (default, doc) in _PLUMBING.items()},
 }
 
 
@@ -132,16 +129,6 @@ def load_config(path=None) -> dict:
             raise ConfigError(f"{path}: line {i} is not key = value")
         key, raw = stripped.split("=", 1)
         cfg[key.strip()] = parse_value(key.strip(), raw)
-    return cfg
-
-
-def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
-    """Apply ``key=value`` strings (from --key=value arguments)."""
-    for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, raw = item.split("=", 1)
-        cfg[key] = parse_value(key, raw)
     return cfg
 
 

@@ -93,6 +93,9 @@ class TrainConfig:
     checkpoint_interval: int = 1000
 
     def validate(self) -> None:
+        for key in ("lr", "lr_evaluator", "omega_lm", "omega_com", "lam"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.omega_lm < 0 or self.omega_com < 0:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,26 @@ class TestGeneration:
             generate_cipher_pair(small_spec(vocab_size=5))
         with pytest.raises(CipherSpecError):
             generate_cipher_pair(small_spec(n_train=50))
+
+    def test_more_gold_sources_than_distinct_sentences_rejected(self):
+        """Ten one-token sentences exist, so an eleventh unique gold source
+        can never be drawn: validate says so instead of sampling forever."""
+        spec = small_spec(vocab_size=10, len_min=1, len_max=1, n_test=11)
+        with pytest.raises(CipherSpecError, match="n_test"):
+            spec.validate()
+        assert len(generate_cipher_pair(replace(spec, n_test=10)).gold) == 10
+
+    def test_successor_chains_bound_the_gold_set(self):
+        """With bigram_weight = 1 every second token is a preferred
+        successor of the first, so only those pairs can be gold sources."""
+        spec = small_spec(vocab_size=10, len_min=2, len_max=2, bigram_weight=1.0)
+        successors = cipher._SentenceSampler(spec, np.random.default_rng(spec.seed)).successors
+        chains = {(a, b) for a in range(10) for b in successors[a]}
+        with pytest.raises(CipherSpecError, match="n_test"):
+            replace(spec, n_test=len(chains) + 1).validate()
+        pair = generate_cipher_pair(replace(spec, n_test=len(chains)))
+        offset = pair.vocab.size - spec.vocab_size
+        assert {tuple((s - offset).tolist()) for s, _ in pair.gold} == chains
 
     def test_gold_sources_unique(self):
         pair = generate_cipher_pair(small_spec(n_test=100))

@@ -13,7 +13,7 @@ import pytest
 
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
 from extractedit.cli import _load_data, _make_trainer, build_parser, main
-from extractedit.config import parse_value
+from extractedit.config import CONFIG_KEYS, load_config
 from extractedit.model import SRC, TGT
 from extractedit.training import TrainConfig, load_checkpoint
 
@@ -95,6 +95,19 @@ class TestGenCorpus:
         out = tmp_path / "bad"
         assert run("gen-corpus", "--out", out, "--vocab_size=5") == 1
         assert load_json(out / "manifest.json")["success"] is False
+
+    @pytest.mark.parametrize("setting", [
+        "n_valid=0", "n_valid=-1", "n_test=-5", "n_distractor=-1", "bigram_weight=nan",
+        "bigram_weight=1.5", "zipf_exponent=nan", "zipf_exponent=inf"])
+    def test_degenerate_spec_fails_before_writing(self, tmp_path, capsys, setting):
+        """Specs that would write empty splits or break the sampler are
+        refused by name, and only the failure manifest is written."""
+        out = tmp_path / "bad"
+        capsys.readouterr()
+        assert run("gen-corpus", "--out", out, *ov(MICRO), f"--{setting}") == 1
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 class TestTrain:
@@ -179,6 +192,18 @@ class TestTrain:
                    f"--{setting}") == 1
         assert setting.split("=")[0] in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    @pytest.mark.parametrize("setting,key", [
+        ("lr=nan", "lr"), ("lr_evaluator=inf", "lr_evaluator"), ("omega_lm=inf", "omega_lm"),
+        ("omega_com=nan", "omega_com"), ("lambda=inf", "lam")])
+    def test_non_finite_setting_fails_before_training(self, tmp_path, corpus_dir, capsys,
+                                                      setting, key):
+        out = tmp_path / "nonfinite"
+        capsys.readouterr()
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+                   f"--{setting}") == 1
+        assert f"{key} must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_plain_corpus_directory(self, tmp_path, corpus_dir, capsys):
@@ -500,22 +525,67 @@ class TestSweepK:
 
 def test_readme_command_lines_parse():
     """Every ``extractedit ...`` line of the README's command-line block
-    parses: options the parser knows, and --key=value for config keys."""
+    parses, config keys included."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     parser = build_parser()
     seen = set()
     for line in block.replace("\\\n", " ").splitlines():
         argv = shlex.split(line, comments=True)
-        if not argv or argv[0] != "extractedit":
-            continue
-        args, extra = parser.parse_known_args(argv[1:])
-        seen.add(args.command)
-        for item in extra:
-            assert item.startswith("--") and "=" in item, (line, item)
-            key, raw = item[2:].split("=", 1)
-            parse_value(key, raw)
+        if argv and argv[0] == "extractedit":
+            seen.add(parser.parse_args(argv[1:]).command)
     assert seen == {"gen-corpus", "train", "translate", "extract", "evaluate", "sweep-k"}
+
+
+class TestCommandLine:
+    def test_key_beats_config_file_beats_default(self, tmp_path, corpus_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 4\nlambda = 0.25\n", encoding="utf-8")
+        out = tmp_path / "run"
+        args = MICRO + TRAIN + ["pretrain_steps=0", "main_steps=0", "checkpoint_interval=0"]
+        assert run("train", "--data", corpus_dir, "--out", out, "--config", cfg, *ov(args),
+                   "--k=5", "--substitution_seed=none") == 0
+        got = load_config(out / "config.txt")
+        assert got["k"] == 5  # the command line beats the file (and TRAIN's k=3)
+        assert got["lambda"] == 0.25  # the file beats the default
+        assert got["omega_com"] == CONFIG_KEYS["omega_com"][1]
+        assert got["substitution_seed"] is None
+        assert load_json(out / "manifest.json")["config"] == got
+
+    @pytest.mark.parametrize("arg", ["--k=three", "--mystery=1", "--pretrain=5"])
+    def test_bad_key_or_value_exits_2_before_any_output(self, tmp_path, corpus_dir, capsys,
+                                                         arg):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run("train", "--data", corpus_dir, "--out", out, arg)
+        assert exit_.value.code == 2
+        assert arg.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen-corpus", "train", "evaluate", "sweep-k"])
+    def test_help_lists_every_key_with_its_description(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # no description wrapped mid-word
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run(command, "--help")
+        assert exit_.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for key, (_, default, doc) in CONFIG_KEYS.items():
+            assert f"--{key} {key.upper()} {doc} (default: {default})" in text, key
+
+    @pytest.mark.parametrize("command", ["translate", "extract"])
+    @pytest.mark.parametrize("arg", ["--k=1", "--config=run.cfg"])
+    def test_checkpoint_commands_take_no_config(self, command, arg, tmp_path, capsys):
+        """translate and extract read every setting from the checkpoint, so
+        a key or a config file would be ignored: both are parse errors."""
+        argv = {"translate": ["--input", tmp_path / "in.txt", "--output", tmp_path / "o.txt"],
+                "extract": ["--data", tmp_path, "--out-file", tmp_path / "d.tsv"]}[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_:
+            run(command, "--checkpoint", tmp_path, *argv, arg)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {arg}" in capsys.readouterr().err
 
 
 class TestOutRoot:

@@ -1,4 +1,4 @@
-"""Config file parsing, overrides, and structured-config construction."""
+"""Config file parsing and structured-config construction."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from extractedit.cipher import CipherSpec
 from extractedit.config import (
     CONFIG_KEYS,
     ConfigError,
-    apply_overrides,
     dataclass_from,
     default_config,
     format_config,
@@ -51,19 +50,6 @@ def test_unknown_key_rejected(tmp_path):
     path.write_text("mystery = 1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="mystery"):
         load_config(path)
-
-
-def test_overrides():
-    cfg = default_config()
-    apply_overrides(cfg, ["k=4", "lambda=0.25", "substitution_seed=none"])
-    assert cfg["k"] == 4
-    assert cfg["lambda"] == 0.25
-    assert cfg["substitution_seed"] is None
-
-
-def test_bad_override_value():
-    with pytest.raises(ConfigError):
-        apply_overrides(default_config(), ["k=three"])
 
 
 def test_structured_configs():

@@ -80,6 +80,13 @@ class TestConfig:
             TrainConfig(**{key: bad}).validate()
         TrainConfig(**{key: good}).validate()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", ["lr", "lr_evaluator", "omega_lm", "omega_com", "lam"])
+    def test_rates_and_weights_must_be_finite(self, key, bad):
+        """A non-finite rate or weight would fail only at the first step."""
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            TrainConfig(**{key: bad}).validate()
+
     @pytest.mark.parametrize("key", ["lr", "lr_evaluator", "valid_interval",
                                      "checkpoint_interval"])
     def test_rates_and_intervals_must_be_non_negative(self, key):
