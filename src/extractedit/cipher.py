@@ -230,7 +230,8 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
     image of its own draw, never of the source side (except for an
     optional injected fraction of true parallels in the training split).
     Gold test sources are de-duplicated so each gold target is unique in
-    ranking pools.
+    ranking pools; if 100 * n_test draws do not yield n_test distinct ones,
+    raises CipherSpecError (the spec's rarest sentences are too rare).
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -252,16 +253,16 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
     src_valid = draw(spec.n_valid)
     tgt_valid = [apply_cipher(s, perm, spec.window) for s in draw(spec.n_valid)]
 
-    gold_src: list[np.ndarray] = []
-    seen: set[tuple[int, ...]] = set()
-    while len(gold_src) < spec.n_test:
+    gold_src: dict[tuple[int, ...], np.ndarray] = {}  # first draw of each sentence
+    for _ in range(100 * spec.n_test):
         s = sampler.sample(rng)
-        key = tuple(s.tolist())
-        if key in seen:
-            continue
-        seen.add(key)
-        gold_src.append(s)
-    gold = [(s, apply_cipher(s, perm, spec.window)) for s in gold_src]
+        gold_src.setdefault(tuple(s.tolist()), s)
+        if len(gold_src) == spec.n_test:
+            break
+    else:
+        raise CipherSpecError(f"n_test={spec.n_test} distinct gold sources not drawn "
+                              f"in {100 * spec.n_test} draws; lower n_test")
+    gold = [(s, apply_cipher(s, perm, spec.window)) for s in gold_src.values()]
 
     distractors = [apply_cipher(s, perm, spec.window) for s in draw(spec.n_distractor)]
 

@@ -4,10 +4,11 @@
 generation, training, translation, extraction, evaluation, and the one
 experiment driver (pretrain once, fork every arm from that start, grade
 each on the gold set). The commands that take ``--config FILE`` also take
-every config key as a ``--key=value`` option, write their artifacts under
-a run directory (``--out``, or ``$EXTRACTEDIT_RUNS/<default name>``), and
-record a manifest; the exit code is 0 exactly when the manifest records
-success. Translation and extraction read every setting from the checkpoint.
+each of their config keys as a ``--key=value`` option, write their
+artifacts under a run directory (``--out``, or
+``$EXTRACTEDIT_RUNS/<default name>``), and record a manifest; the exit
+code is 0 exactly when the manifest records success. Translation and
+extraction read every setting from the checkpoint.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .cipher import (
     token_inventory,
     write_cipher_pair,
 )
-from .config import CONFIG_KEYS, ConfigError, dataclass_from, format_config, load_config
+from .config import (COMMAND_KEYS, ConfigError, dataclass_from, format_config,
+                     format_value, load_config)
 from .engine import write_extraction_dump
 from .metrics import grade, hits_at_k
 from .model import SRC, TGT
@@ -162,7 +164,7 @@ def _make_trainer(tc: TrainConfig, data) -> Trainer:
 
 
 def cmd_gen_corpus(args, cfg: dict) -> int:
-    with RunManifest(args, cfg, f"corpus-seed{cfg['data_seed']}") as manifest:
+    with RunManifest(args, cfg, f"corpus-seed{cfg['seed']}") as manifest:
         out = manifest.out_dir
         spec = dataclass_from(CipherSpec, cfg)
         pair = generate_cipher_pair(spec)
@@ -252,39 +254,33 @@ def cmd_extract(args, cfg: dict) -> int:
 def cmd_evaluate(args, cfg: dict) -> int:
     with RunManifest(args, cfg, "evaluation") as manifest:
         out = manifest.out_dir
-        metrics = [m for m in args.metrics.split(",") if m] if args.metrics else []
-        unknown = [m for m in metrics if m not in ("bleu", "accuracy", "hits")]
-        if unknown:
-            raise CliError(f"unknown metric(s) {', '.join(unknown)}; "
-                           "expected names from bleu,accuracy,hits")
         reports = out / "reports"
         reports.mkdir(exist_ok=True)
-        if metrics:
+        if args.metrics:
             model, evaluator, vocab, _ = load_checkpoint(args.checkpoint)
             data_dir = Path(args.data)
             gold = read_gold_pairs(data_dir / "gold.test.tsv", vocab)
             text_lines = []
-            if "bleu" in metrics or "accuracy" in metrics:
+            if "bleu" in args.metrics or "accuracy" in args.metrics:
                 rep, acc = grade(model, gold)
-                if "bleu" in metrics:
+                if "bleu" in args.metrics:
                     _write_csv(reports / "bleu.csv", rep.rows())
                     manifest.add_output(reports / "bleu.csv")
                     text_lines.append(
                         f"BLEU {rep.bleu:.2f} (p={['%.3f' % p for p in rep.precisions]}, "
                         f"BP={rep.brevity_penalty:.3f})")
-                if "accuracy" in metrics:
+                if "accuracy" in args.metrics:
                     _write_csv(reports / "accuracy.csv", [{"token_accuracy": acc}])
                     manifest.add_output(reports / "accuracy.csv")
                     text_lines.append(f"token accuracy {acc:.4f}")
-            if "hits" in metrics:
+            if "hits" in args.metrics:
                 pool = []
                 if (data_dir / "distractors.txt").exists():
                     pool = load_corpus(data_dir / "distractors.txt", vocab,
                                        model.config.max_len)
-                ratios = [float(x) for x in cfg["hits_noise_ratios"].split(",")]
-                ks = [int(x) for x in cfg["hits_ks"].split(",")]
+                ks = cfg["hits_ks"]
                 rows = []
-                for ratio in ratios:
+                for ratio in cfg["hits_noise_ratios"]:
                     rep = hits_at_k(gold, pool, ratio, model, evaluator, ks=ks)
                     rows.extend(rep.rows())
                     text_lines.append(
@@ -304,17 +300,14 @@ def cmd_evaluate(args, cfg: dict) -> int:
 def cmd_sweep_k(args, cfg: dict) -> int:
     """Pretrain once, fork every arm from that start, and grade each row on
     the gold set: pretrain-only, extract-edit at each k of ``sweep_ks``,
-    then back-translation. Each arm sets its own mode, so the ``mode`` key
-    is ignored."""
+    then back-translation. Each arm sets its own mode, so sweep-k takes no
+    ``mode`` key."""
     with RunManifest(args, cfg, f"{args.command}-seed{cfg['seed']}") as manifest:
         out = manifest.out_dir
-        ks = sorted(int(x) for x in cfg["sweep_ks"].split(","))
-        repeated = sorted({k for k in ks if ks.count(k) > 1})
-        if repeated:
-            raise CliError(f"sweep_ks repeats k={', '.join(map(str, repeated))}")
+        ks = sorted(cfg["sweep_ks"])
         data_dir = Path(args.data)
 
-        tc = replace(dataclass_from(TrainConfig, cfg), mode="extract-edit")
+        tc = dataclass_from(TrainConfig, {**cfg, "mode": "extract-edit"})
         # every arm is built, and so checked, before the shared pretraining
         data = _load_data(data_dir, tc.max_len)
         pre_trainer = _make_trainer(replace(tc, main_steps=0), data)
@@ -356,14 +349,23 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 # ---------------------------------------------------------------------------
 
 
+def metric_names(s: str) -> list[str]:
+    names = [m for m in s.split(",") if m]
+    unknown = [m for m in names if m not in ("bleu", "accuracy", "hits")]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown metric(s) {', '.join(unknown)}; "
+                                         "expected names from bleu,accuracy,hits")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The command line: each subcommand with its options and its handler.
 
-    A command that takes a config also takes every config key as an option
-    (``--lambda=0.7``) that overrides the ``--config`` file, and writes its
-    run directory under ``--out``. Abbreviation matching is off, so a key
-    is only ever set by its full name: ``--pretrain=5`` is an error, not a
-    shorthand for ``--pretrain_steps``.
+    A command that takes a config also takes each of its config keys as an
+    option (``--lambda=0.7``) that overrides the ``--config`` file, and
+    writes its run directory under ``--out``. Abbreviation matching is off,
+    so a key is only ever set by its full name: ``--pretrain=5`` is an
+    error, not a shorthand for ``--pretrain_steps``.
     """
     parser = argparse.ArgumentParser(
         prog="extractedit",
@@ -373,18 +375,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_cmd(name, handler, help_text, config=True):
+    def add_cmd(name, handler, help_text):
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(handler=handler)
-        if config:
+        if name in COMMAND_KEYS:
             p.add_argument("--config", default=None, help="key=value config file")
             p.add_argument("--out", default=None, help="output directory")
             p.add_argument("--overwrite", action="store_true",
                            help="replace existing outputs")
             keys = p.add_argument_group("config keys", "each overrides the --config file")
-            for key, (parse, default, doc) in CONFIG_KEYS.items():
+            for key, (parse, default, doc) in COMMAND_KEYS[name].items():
                 keys.add_argument(f"--{key}", type=parse, default=argparse.SUPPRESS,
-                                  help=f"{doc} (default: {default})")
+                                  help=f"{doc} (default: {format_value(default)})")
         return p
 
     add_cmd("gen-corpus", cmd_gen_corpus, "generate a cipher language pair")
@@ -393,14 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="corpus directory")
     p.add_argument("--resume", default=None, help="checkpoint directory to resume")
 
-    p = add_cmd("translate", cmd_translate, "translate a file with a checkpoint",
-                config=False)
+    p = add_cmd("translate", cmd_translate, "translate a file with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--direction", choices=["s2t", "t2s"], default="s2t")
 
-    p = add_cmd("extract", cmd_extract, "dump top-k extractions with edits", config=False)
+    p = add_cmd("extract", cmd_extract, "dump top-k extractions with edits")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out-file", required=True)
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_cmd("evaluate", cmd_evaluate, "score a checkpoint on the gold test set")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--metrics", default="bleu,accuracy",
+    p.add_argument("--metrics", type=metric_names, default="bleu,accuracy",
                    help="comma list from: bleu,accuracy,hits (empty = manifest only)")
 
     p = add_cmd("sweep-k", cmd_sweep_k, "pretrain-only, extract-edit per k and "
@@ -420,12 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(getattr(args, "config", None))
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    cfg.update((key, value) for key, value in vars(args).items() if key in CONFIG_KEYS)
+    cfg = {}
+    if args.command in COMMAND_KEYS:
+        try:
+            cfg = load_config(args.command, args.config)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
+        cfg.update((key, value) for key, value in vars(args).items() if key in cfg)
     try:
         return args.handler(args, cfg)
     except Exception as e:

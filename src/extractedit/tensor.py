@@ -12,7 +12,7 @@ the other leaves keep their gradients. Fused kernels (``gru_step``,
 ``attend``, ``masked_max``, the softmax family) keep tapes short enough
 for pure-Python dispatch to stay off the critical path.
 
-``add``, ``sub``, ``mul``, ``matmul``, ``log``, ``cosine``, ``gru_step``,
+``add``, ``mul``, ``matmul``, ``log``, ``cosine``, ``gru_step``,
 ``attend`` and ``masked_max`` check that their output is finite (NaN/Inf
 raises ``NonFiniteError``); the other ops do not.
 
@@ -34,7 +34,6 @@ __all__ = [
     "NonFiniteError",
     "no_grad",
     "add",
-    "sub",
     "mul",
     "neg",
     "matmul",
@@ -124,12 +123,6 @@ class Tensor:
 
     def __radd__(self, other):
         return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -275,17 +268,6 @@ def add(a, b) -> Tensor:
 
     def bwd(og):
         return _unbroadcast(og, a.data.shape), _unbroadcast(og, b.data.shape)
-
-    return _record(out, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    out = Tensor(a.data - b.data)
-    _check_finite(out.data, "sub")
-
-    def bwd(og):
-        return _unbroadcast(og, a.data.shape), _unbroadcast(-og, b.data.shape)
 
     return _record(out, (a, b), bwd)
 

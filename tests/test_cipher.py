@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +157,21 @@ class TestGeneration:
         pair = generate_cipher_pair(replace(spec, n_test=len(chains)))
         offset = pair.vocab.size - spec.vocab_size
         assert {tuple((s - offset).tolist()) for s, _ in pair.gold} == chains
+
+    def test_rare_gold_tail_fails_within_the_draw_budget(self):
+        """1000 three-token sentences exist, but at Zipf exponent 3 the
+        rarest has p ~ 6e-10, so drawing 999 distinct ones could take hours;
+        generation gives up after 100 draws per gold source. Run in a child
+        process so that a generator without the budget fails on the timeout."""
+        code = ("from extractedit.cipher import CipherSpec, generate_cipher_pair\n"
+                "generate_cipher_pair(CipherSpec(vocab_size=10, len_min=3, len_max=3,"
+                " zipf_exponent=3, n_test=999, n_train=100, n_valid=5))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert done.returncode == 1
+        assert "CipherSpecError: n_test=999 distinct gold sources not drawn in 99900" in (
+            done.stderr)
 
     def test_gold_sources_unique(self):
         pair = generate_cipher_pair(small_spec(n_test=100))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -13,12 +14,12 @@ import pytest
 
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
 from extractedit.cli import _load_data, _make_trainer, build_parser, main
-from extractedit.config import CONFIG_KEYS, load_config
+from extractedit.config import COMMAND_KEYS, format_value, load_config
 from extractedit.model import SRC, TGT
 from extractedit.training import TrainConfig, load_checkpoint
 
 MICRO = [
-    "vocab_size=30", "data_seed=1", "substitution_seed=2", "window=1",
+    "vocab_size=30", "seed=1", "substitution_seed=2", "window=1",
     "n_train=150", "n_valid=24", "n_test=30", "n_distractor=270",
     "len_min=2", "len_max=6",
 ]
@@ -33,6 +34,14 @@ TRAIN = [
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def exit_code(*argv) -> int:
+    """``run``'s exit code, also where argparse exits on a parse error."""
+    try:
+        return run(*argv)
+    except SystemExit as e:
+        return e.code
 
 
 def ov(pairs):
@@ -50,7 +59,7 @@ def corpus_dir(tmp_path_factory) -> Path:
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory, corpus_dir) -> Path:
     out = tmp_path_factory.mktemp("runs") / "ee"
-    code = run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN))
+    code = run("train", "--data", corpus_dir, "--out", out, *ov(TRAIN))
     assert code == 0
     return out
 
@@ -127,21 +136,21 @@ class TestTrain:
 
     def test_determinism_byte_identical_metrics(self, tmp_path, corpus_dir):
         a, b = tmp_path / "a", tmp_path / "b"
-        args = MICRO + TRAIN
+        args = TRAIN
         assert run("train", "--data", corpus_dir, "--out", a, *ov(args)) == 0
         assert run("train", "--data", corpus_dir, "--out", b, *ov(args)) == 0
         assert (a / "metrics.csv").read_bytes() == (b / "metrics.csv").read_bytes()
 
     def test_zero_main_steps_best_is_pretrained(self, tmp_path, corpus_dir):
         out = tmp_path / "pre"
-        args = MICRO + TRAIN + ["main_steps=0", "checkpoint_interval=0"]
+        args = TRAIN + ["main_steps=0", "checkpoint_interval=0"]
         assert run("train", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         manifest = load_json(out / "manifest.json")
         assert manifest["best_checkpoint"]["step"] == 12
 
     def test_back_translation_same_schema(self, tmp_path, corpus_dir):
         out = tmp_path / "bt"
-        args = MICRO + TRAIN + ["mode=back-translation"]
+        args = TRAIN + ["mode=back-translation"]
         assert run("train", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         header = (out / "metrics.csv").read_text().splitlines()[0]
         assert header == "step,mode,loss_total,loss_lm,loss_com,loss_R,D_s2t,D_t2s,skipped"
@@ -151,7 +160,7 @@ class TestTrain:
         (out / "checkpoints" / "notes").mkdir(parents=True)
         (out / "checkpoints" / "README.txt").write_text("kept by hand\n")
         (out / "checkpoints" / "step_0000012.tar").write_text("")
-        args = MICRO + TRAIN
+        args = TRAIN
         assert run("train", "--data", corpus_dir, "--out", out, "--overwrite",
                    *ov(args)) == 0
         got = load_json(out / "manifest.json")["checkpoints"]
@@ -162,7 +171,7 @@ class TestTrain:
         """A shorter run over an earlier one's --out records its own
         checkpoints only; the old ones stay on disk for --resume."""
         out = tmp_path / "again"
-        args = MICRO + TRAIN + ["checkpoint_interval=5"]
+        args = TRAIN + ["checkpoint_interval=5"]
         assert run("train", "--data", corpus_dir, "--out", out,
                    *ov(args + ["main_steps=8"])) == 0
         assert run("train", "--data", corpus_dir, "--out", out, "--overwrite",
@@ -177,7 +186,7 @@ class TestTrain:
     def test_k_larger_than_corpus_fails_before_training(self, tmp_path, corpus_dir, capsys):
         out = tmp_path / "bigk"
         capsys.readouterr()
-        assert run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(TRAIN),
                    "--k=500", "--checkpoint_interval=6") == 1  # 6: a pretraining save
         assert "k must be in [1, 150]" in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
@@ -188,7 +197,7 @@ class TestTrain:
                                                      setting):
         out = tmp_path / "noise"
         capsys.readouterr()
-        assert run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(TRAIN),
                    f"--{setting}") == 1
         assert setting.split("=")[0] in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
@@ -201,7 +210,7 @@ class TestTrain:
                                                       setting, key):
         out = tmp_path / "nonfinite"
         capsys.readouterr()
-        assert run("train", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+        assert run("train", "--data", corpus_dir, "--out", out, *ov(TRAIN),
                    f"--{setting}") == 1
         assert f"{key} must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
@@ -215,19 +224,19 @@ class TestTrain:
             shutil.copy(corpus_dir / name, plain / name)
         out = tmp_path / "random"
         assert run("train", "--data", plain, "--out", out, "--init_mode=random",
-                   *ov(MICRO + TRAIN)) == 0
+                   *ov(TRAIN)) == 0
         assert (out / "metrics.csv").exists()
 
         out = tmp_path / "oracle"
         capsys.readouterr()
-        assert run("train", "--data", plain, "--out", out, *ov(MICRO + TRAIN)) == 1
+        assert run("train", "--data", plain, "--out", out, *ov(TRAIN)) == 1
         assert "oracle dictionary" in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
 
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_dir, run_dir):
         ckpt = checkpoint_of(run_dir)  # saved at step 12 (pretrain boundary)
         out = tmp_path / "resumed"
-        args = MICRO + TRAIN
+        args = TRAIN
         assert run("train", "--data", corpus_dir, "--out", out, "--resume",
                    sorted((run_dir / "checkpoints").iterdir())[0], *ov(args)) == 0
         full = (run_dir / "metrics.csv").read_text()
@@ -344,7 +353,7 @@ class TestExtractAndEvaluate:
         """extract rebuilds the trainer from the checkpoint's own config,
         including keys whose command-line name differs (lambda -> lam)."""
         out = tmp_path / "lam"
-        args = MICRO + TRAIN + ["lambda=1.0", "main_steps=2", "valid_interval=0"]
+        args = TRAIN + ["lambda=1.0", "main_steps=2", "valid_interval=0"]
         assert run("train", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         dump = tmp_path / "d.tsv"
         assert run("extract", "--checkpoint", checkpoint_of(out),
@@ -355,7 +364,7 @@ class TestExtractAndEvaluate:
         out = tmp_path / "eval"
         assert run("evaluate", "--checkpoint", checkpoint_of(run_dir),
                    "--data", corpus_dir, "--out", out,
-                   "--metrics", "bleu,accuracy,hits", *ov(MICRO)) == 0
+                   "--metrics", "bleu,accuracy,hits") == 0
         manifest = load_json(out / "manifest.json")
         assert manifest["success"] is True
         assert (out / "reports" / "bleu.csv").exists()
@@ -367,19 +376,19 @@ class TestExtractAndEvaluate:
 
     def test_evaluate_unknown_metric_fails_and_names_it(self, tmp_path, corpus_dir,
                                                          run_dir, capsys):
+        """--metrics is checked as it is parsed: exit 2, nothing written."""
         out = tmp_path / "evalbad"
         capsys.readouterr()
-        assert run("evaluate", "--checkpoint", checkpoint_of(run_dir),
-                   "--data", corpus_dir, "--out", out, "--metrics", "bleu,foo") == 1
-        assert "foo" in capsys.readouterr().err
-        assert load_json(out / "manifest.json")["success"] is False
-        assert not (out / "reports").exists()
+        assert exit_code("evaluate", "--checkpoint", checkpoint_of(run_dir),
+                         "--data", corpus_dir, "--out", out, "--metrics", "bleu,foo") == 2
+        assert "unknown metric(s) foo" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_evaluate_overwrite_removes_reports_it_did_not_write(self, tmp_path, corpus_dir,
                                                                   run_dir):
         out = tmp_path / "eval"
         argv = ["--checkpoint", checkpoint_of(run_dir), "--data", corpus_dir, "--out", out]
-        assert run("evaluate", *argv, "--metrics", "bleu,accuracy,hits", *ov(MICRO)) == 0
+        assert run("evaluate", *argv, "--metrics", "bleu,accuracy,hits") == 0
         (out / "notes.txt").write_text("kept\n")
         assert run("evaluate", *argv, "--metrics", "bleu", "--overwrite") == 0
         written = load_json(out / "manifest.json")["outputs"]
@@ -399,11 +408,11 @@ class TestExtractAndEvaluate:
 # whether the command writes a manifest under --out
 FAILURES = {
     "train": (lambda tmp, data: ["--data", tmp / "missing", "--out", tmp / "out",
-                                 *ov(MICRO + TRAIN)], True),
+                                 *ov(TRAIN)], True),
     "evaluate": (lambda tmp, data: ["--checkpoint", tmp / "missing", "--data", data,
                                     "--out", tmp / "out"], True),
     "sweep-k": (lambda tmp, data: ["--data", tmp / "missing", "--out", tmp / "out",
-                                   "--sweep_ks=1", *ov(MICRO + TRAIN)], True),
+                                   "--sweep_ks=1", *ov(TRAIN)], True),
     "translate": (lambda tmp, data: ["--checkpoint", tmp / "missing",
                                      "--input", data / "src.valid.txt",
                                      "--output", tmp / "out.txt"], False),
@@ -430,18 +439,16 @@ def test_failure_returns_1_names_command_and_records_it(command, tmp_path, corpu
 class TestSweepK:
     @pytest.fixture(scope="class")
     def fork_dir(self, tmp_path_factory, corpus_dir) -> Path:
-        """sweep-k at k = 3; the arms set their own modes, so the mode key
-        (here back-translation) is ignored, and the extract-edit arm still
-        matches an extract-edit train run."""
+        """sweep-k at k = 3 (the arms set their own modes)."""
         out = tmp_path_factory.mktemp("sweep") / "fork"
         assert run("sweep-k", "--data", corpus_dir, "--out", out, "--sweep_ks=3",
-                   *ov(MICRO + TRAIN), "--mode=back-translation") == 0
+                   *ov(TRAIN)) == 0
         return out
 
     def test_rows_sorted_single_and_multi(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep"
-        args = MICRO + TRAIN + ["main_steps=6", "checkpoint_interval=0",
-                                "valid_interval=0", "sweep_ks=3,1"]
+        args = TRAIN + ["main_steps=6", "checkpoint_interval=0",
+                        "valid_interval=0", "sweep_ks=3,1"]
         assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
         assert rows[0] == "arm,k,seed,bleu,token_accuracy"
@@ -453,8 +460,8 @@ class TestSweepK:
 
     def test_single_k_single_row(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep1"
-        args = MICRO + TRAIN + ["main_steps=4", "checkpoint_interval=0",
-                                "valid_interval=0", "sweep_ks=2"]
+        args = TRAIN + ["main_steps=4", "checkpoint_interval=0",
+                        "valid_interval=0", "sweep_ks=2"]
         assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args)) == 0
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 4
@@ -463,25 +470,25 @@ class TestSweepK:
     def test_k_beyond_corpus_fails_before_pretraining(self, tmp_path, corpus_dir, capsys):
         out = tmp_path / "sweep"
         capsys.readouterr()
-        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(TRAIN),
                    "--sweep_ks=1,500") == 1
         assert "k must be in [1, 150]" in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
     def test_repeated_k_fails_before_pretraining(self, tmp_path, corpus_dir, capsys):
+        """A repeated k is a parse error: exit 2, nothing written."""
         out = tmp_path / "sweep"
         capsys.readouterr()
-        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(MICRO + TRAIN),
-                   "--sweep_ks=3,1,3") == 1
-        assert "repeats k=3" in capsys.readouterr().err
-        assert load_json(out / "manifest.json")["success"] is False
-        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert exit_code("sweep-k", "--data", corpus_dir, "--out", out, *ov(TRAIN),
+                         "--sweep_ks=3,1,3") == 2
+        assert "--sweep_ks" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overwrite_removes_an_earlier_runs_arms(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep"
-        args = MICRO + TRAIN + ["pretrain_steps=2", "main_steps=2", "checkpoint_interval=0",
-                                "valid_interval=0"]
+        args = TRAIN + ["pretrain_steps=2", "main_steps=2", "checkpoint_interval=0",
+                        "valid_interval=0"]
         assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args),
                    "--sweep_ks=1,3") == 0
         assert (out / "metrics_k3.csv").exists()
@@ -519,7 +526,7 @@ class TestSweepK:
         pretraining boundary)."""
         out = tmp_path / mode
         assert run("train", "--data", corpus_dir, "--out", out, f"--mode={mode}",
-                   *ov(MICRO + TRAIN)) == 0
+                   *ov(TRAIN)) == 0
         assert (fork_dir / metrics_name).read_bytes() == (out / "metrics.csv").read_bytes()
 
 
@@ -542,14 +549,13 @@ class TestCommandLine:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 4\nlambda = 0.25\n", encoding="utf-8")
         out = tmp_path / "run"
-        args = MICRO + TRAIN + ["pretrain_steps=0", "main_steps=0", "checkpoint_interval=0"]
+        args = TRAIN + ["pretrain_steps=0", "main_steps=0", "checkpoint_interval=0"]
         assert run("train", "--data", corpus_dir, "--out", out, "--config", cfg, *ov(args),
-                   "--k=5", "--substitution_seed=none") == 0
-        got = load_config(out / "config.txt")
+                   "--k=5") == 0
+        got = load_config("train", out / "config.txt")  # config.txt is a train config
         assert got["k"] == 5  # the command line beats the file (and TRAIN's k=3)
         assert got["lambda"] == 0.25  # the file beats the default
-        assert got["omega_com"] == CONFIG_KEYS["omega_com"][1]
-        assert got["substitution_seed"] is None
+        assert got["omega_com"] == COMMAND_KEYS["train"]["omega_com"][1]
         assert load_json(out / "manifest.json")["config"] == got
 
     @pytest.mark.parametrize("arg", ["--k=three", "--mystery=1", "--pretrain=5"])
@@ -565,14 +571,66 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("command", ["gen-corpus", "train", "evaluate", "sweep-k"])
     def test_help_lists_every_key_with_its_description(self, command, capsys, monkeypatch):
+        """--help lists each key the command takes, with its description and
+        default, and no key of another command."""
         monkeypatch.setenv("COLUMNS", "1000")  # no description wrapped mid-word
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exit_:
-            run(command, "--help")
-        assert exit_.value.code == 0
+        assert exit_code(command, "--help") == 0
         text = " ".join(capsys.readouterr().out.split())
-        for key, (_, default, doc) in CONFIG_KEYS.items():
-            assert f"--{key} {key.upper()} {doc} (default: {default})" in text, key
+        keys = COMMAND_KEYS[command]
+        for key, (_, default, doc) in keys.items():
+            assert f"--{key} {key.upper()} {doc} (default: {format_value(default)})" in text, key
+        foreign = {key for table in COMMAND_KEYS.values() for key in table} - set(keys)
+        for key in foreign:
+            assert not re.search(rf"--{key}\b", text), key
+
+    @pytest.mark.parametrize("command,setting", [
+        # a key of another command
+        ("gen-corpus", "lr=1e-3"), ("gen-corpus", "hits_ks=1"), ("train", "vocab_size=30"),
+        ("train", "sweep_ks=1"), ("evaluate", "hidden_size=3"), ("evaluate", "k=1"),
+        ("sweep-k", "mode=back-translation"), ("sweep-k", "substitution_seed=none"),
+        # a bad value of a list key
+        ("sweep-k", "sweep_ks=a"), ("sweep-k", "sweep_ks=0,3"), ("sweep-k", "sweep_ks=1,1"),
+        ("sweep-k", "sweep_ks="), ("evaluate", "hits_ks=2.5"), ("evaluate", "hits_ks=3,3"),
+        ("evaluate", "hits_noise_ratios=x"), ("evaluate", "hits_noise_ratios=0.5,1"),
+        ("evaluate", "hits_noise_ratios=nan")])
+    @pytest.mark.parametrize("where", ["option", "config"])
+    def test_foreign_key_or_bad_list_value_exits_2_before_any_output(
+            self, command, setting, where, tmp_path, capsys):
+        """A key the command does not take, or a bad list value, is an
+        error as an option or as a --config line, and leaves no run
+        directory."""
+        out = tmp_path / "run"
+        argv = {"gen-corpus": [], "train": ["--data", tmp_path],
+                "evaluate": ["--checkpoint", tmp_path, "--data", tmp_path],
+                "sweep-k": ["--data", tmp_path]}[command]
+        if where == "config":
+            (tmp_path / "run.cfg").write_text(setting.replace("=", " = ") + "\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        else:
+            argv += [f"--{setting}"]
+        capsys.readouterr()
+        assert exit_code(command, "--out", out, *argv) == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_commands_own_keys_and_seed(self, tmp_path, corpus_dir,
+                                                             run_dir):
+        """gen-corpus records its spec's seed (--seed=1 in MICRO), train its
+        training seed, evaluate none; each records only the keys it takes."""
+        corpus = load_json(corpus_dir / "manifest.json")
+        assert corpus["seed"] == 1
+        assert load_json(corpus_dir / "corpus_manifest.json")["spec"]["seed"] == 1
+        assert list(corpus["config"]) == sorted(COMMAND_KEYS["gen-corpus"])
+        train = load_json(run_dir / "manifest.json")
+        assert train["seed"] == 0
+        assert list(train["config"]) == sorted(COMMAND_KEYS["train"])
+        out = tmp_path / "eval"
+        assert run("evaluate", "--checkpoint", checkpoint_of(run_dir), "--data", corpus_dir,
+                   "--out", out, "--metrics", "", "--hits_ks=2,1") == 0
+        evaluation = load_json(out / "manifest.json")
+        assert evaluation["seed"] is None
+        assert evaluation["config"] == {"hits_ks": [2, 1], "hits_noise_ratios": [0.0, 0.5, 0.9]}
 
     @pytest.mark.parametrize("command", ["translate", "extract"])
     @pytest.mark.parametrize("arg", ["--k=1", "--config=run.cfg"])

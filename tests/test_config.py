@@ -8,80 +8,90 @@ import pytest
 
 from extractedit.cipher import CipherSpec
 from extractedit.config import (
-    CONFIG_KEYS,
+    COMMAND_KEYS,
     ConfigError,
     dataclass_from,
-    default_config,
     format_config,
     load_config,
 )
 from extractedit.training import TrainConfig
 
-PLUMBING = ["sweep_ks", "hits_noise_ratios", "hits_ks"]
-
 
 def test_defaults_cover_every_key():
-    cfg = default_config()
-    assert set(cfg) == set(CONFIG_KEYS)
+    for command, keys in COMMAND_KEYS.items():
+        assert list(load_config(command)) == list(keys), command
+    cfg = load_config("train")
     assert cfg["k"] == 10
     assert cfg["lambda"] == 0.5
     assert cfg["omega_lm"] == 1.0 and cfg["omega_com"] == 1.0
     assert cfg["batch_size"] == 32
+    assert load_config("sweep-k")["sweep_ks"] == (1, 3, 5, 8, 10)
+    assert load_config("evaluate") == {"hits_noise_ratios": (0.0, 0.5, 0.9),
+                                       "hits_ks": (1, 3, 5, 8, 10, 15, 20)}
 
 
 def test_file_roundtrip(tmp_path):
-    cfg = default_config()
-    cfg["k"] = 5
-    cfg["mode"] = "back-translation"
-    path = tmp_path / "run.cfg"
-    path.write_text(format_config(cfg), encoding="utf-8")
-    back = load_config(path)
-    assert back == cfg
+    for command, changes in [
+        ("gen-corpus", {"seed": 7, "substitution_seed": None, "zipf_exponent": 1.5}),
+        ("train", {"k": 5, "mode": "back-translation", "lambda": 0.25}),
+        ("evaluate", {"hits_noise_ratios": (0.25,), "hits_ks": (3, 1)}),
+        ("sweep-k", {"sweep_ks": (10, 2), "seed": 4}),
+    ]:
+        cfg = {**load_config(command), **changes}
+        path = tmp_path / f"{command}.cfg"
+        path.write_text(format_config(cfg), encoding="utf-8")
+        assert load_config(command, path) == cfg, command
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("# heading\n\nk = 3\n  # indented comment\n", encoding="utf-8")
-    assert load_config(path)["k"] == 3
+    assert load_config("train", path)["k"] == 3
 
 
 def test_unknown_key_rejected(tmp_path):
+    """A key is unknown to every command that does not take it."""
     path = tmp_path / "c.cfg"
-    path.write_text("mystery = 1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="mystery"):
-        load_config(path)
+    for command, line in [
+        ("train", "mystery = 1"), ("train", "vocab_size = 30"), ("train", "sweep_ks = 1"),
+        ("gen-corpus", "lr = 0.001"), ("evaluate", "k = 1"), ("sweep-k", "mode = extract-edit"),
+    ]:
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"{command} takes no key '{line.split()[0]}'"):
+            load_config(command, path)
 
 
 def test_structured_configs():
-    cfg = default_config()
-    cfg["window"] = 2
-    cfg["lambda"] = 0.7
-    spec = dataclass_from(CipherSpec, cfg)
+    spec = dataclass_from(CipherSpec, {**load_config("gen-corpus"), "window": 2})
     assert spec.window == 2 and spec.vocab_size == 100
-    tc = dataclass_from(TrainConfig, cfg)
+    tc = dataclass_from(TrainConfig, {**load_config("train"), "lambda": 0.7})
     assert tc.lam == 0.7 and tc.k == 10
     tc.validate()
 
 
 def test_keys_are_the_dataclass_fields():
-    """One key per CipherSpec field, then one per TrainConfig field (seed
-    and lam under their command-line names), then the plumbing keys; the
-    defaults build the dataclasses' own defaults."""
-    renamed = {(CipherSpec, "seed"): "data_seed", (TrainConfig, "lam"): "lambda"}
-    expected = [renamed.get((cls, f.name), f.name)
-                for cls in (CipherSpec, TrainConfig) for f in fields(cls)]
-    assert list(CONFIG_KEYS) == expected + PLUMBING
-    assert dataclass_from(CipherSpec, default_config()) == CipherSpec()
-    assert dataclass_from(TrainConfig, default_config()) == TrainConfig()
+    """gen-corpus takes one key per CipherSpec field and train one per
+    TrainConfig field (lam under its command-line name, lambda); sweep-k
+    takes train's keys but mode, plus sweep_ks; evaluate takes the two hits
+    settings. The defaults build the dataclasses' own defaults."""
+    train_keys = ["lambda" if f.name == "lam" else f.name for f in fields(TrainConfig)]
+    assert list(COMMAND_KEYS["gen-corpus"]) == [f.name for f in fields(CipherSpec)]
+    assert list(COMMAND_KEYS["train"]) == train_keys
+    assert list(COMMAND_KEYS["sweep-k"]) == [k for k in train_keys if k != "mode"] + [
+        "sweep_ks"]
+    assert list(COMMAND_KEYS["evaluate"]) == ["hits_noise_ratios", "hits_ks"]
+    assert {c: len(keys) for c, keys in COMMAND_KEYS.items()} == {
+        "gen-corpus": 14, "train": 22, "evaluate": 2, "sweep-k": 22}
+    assert dataclass_from(CipherSpec, load_config("gen-corpus")) == CipherSpec()
+    assert dataclass_from(TrainConfig, load_config("train")) == TrainConfig()
 
 
 def test_seed_keys_reach_their_own_dataclass():
-    cfg = default_config()
-    cfg["data_seed"], cfg["seed"] = 7, 3
-    assert dataclass_from(CipherSpec, cfg).seed == 7
-    assert dataclass_from(TrainConfig, cfg).seed == 3
+    assert dataclass_from(CipherSpec, {**load_config("gen-corpus"), "seed": 7}).seed == 7
+    assert dataclass_from(TrainConfig, {**load_config("train"), "seed": 3}).seed == 3
 
 
 def test_every_key_documented():
-    for key, (_, _, doc) in CONFIG_KEYS.items():
-        assert isinstance(doc, str) and doc, f"{key} lacks a description"
+    for command, keys in COMMAND_KEYS.items():
+        for key, (_, _, doc) in keys.items():
+            assert isinstance(doc, str) and doc, f"{command} {key} lacks a description"

@@ -104,8 +104,8 @@ def unpacked_encode(m: TranslationModel, sentences) -> tuple[Tensor, Tensor]:
         h = Tensor(np.zeros((b, m.config.hidden_size)))
         outs = []
         for t in range(t_max):
-            keep = Tensor(mask[:, t : t + 1].astype(np.float64))
-            h = keep * T.gru_step(xs[t], h, *layer.values()) + (1.0 - keep) * h
+            keep = mask[:, t : t + 1].astype(np.float64)
+            h = Tensor(keep) * T.gru_step(xs[t], h, *layer.values()) + Tensor(1.0 - keep) * h
             outs.append(h)
         xs = outs
     h_seq = T.stack(xs, axis=1)
