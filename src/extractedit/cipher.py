@@ -338,13 +338,17 @@ def full_vocab_dictionary(pair: CipherPair) -> np.ndarray:
 
 
 def read_gold_pairs(path, vocab: Vocabulary) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read a tab-separated gold test set back into id pairs."""
+    """Read a tab-separated gold test set back into id pairs; a token
+    outside ``vocab`` is an error, not UNK."""
     pairs = []
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise CipherSpecError(f"{path}: line {i} is not source<TAB>target")
-            src, tgt = parts
-            pairs.append((vocab.encode(src.split()), vocab.encode(tgt.split())))
+            for tok in " ".join(parts).split():
+                if tok not in vocab.token_to_id:
+                    raise CipherSpecError(
+                        f"{path}: line {i}: token {tok!r} is not in the vocabulary")
+            pairs.append(tuple(vocab.encode(part.split()) for part in parts))
     return pairs

@@ -38,7 +38,7 @@ from .engine import write_extraction_dump
 from .metrics import grade, hits_at_k
 from .model import SRC, TGT
 from .text import Vocabulary, load_corpus
-from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint
+from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint, read_state
 
 ENV_OUT_ROOT = "EXTRACTEDIT_RUNS"
 
@@ -242,7 +242,7 @@ def cmd_translate(args, cfg: dict) -> int:
 
 
 def cmd_extract(args, cfg: dict) -> int:
-    tc = TrainConfig(**load_json(Path(args.checkpoint) / STATE_FILE)["config"])
+    tc = TrainConfig(**read_state(args.checkpoint)["config"])
     trainer = _make_trainer(tc, _load_data(Path(args.data), tc.max_len))
     trainer.restore(args.checkpoint)
     results = trainer.extract_corpus(limit=args.limit)
@@ -253,25 +253,21 @@ def cmd_extract(args, cfg: dict) -> int:
 
 def cmd_evaluate(args, cfg: dict) -> int:
     with RunManifest(args, cfg, "evaluation") as manifest:
-        out = manifest.out_dir
-        reports = out / "reports"
-        reports.mkdir(exist_ok=True)
+        reports = manifest.out_dir / "reports"
         if args.metrics:
             model, evaluator, vocab, _ = load_checkpoint(args.checkpoint)
             data_dir = Path(args.data)
             gold = read_gold_pairs(data_dir / "gold.test.tsv", vocab)
-            text_lines = []
+            tables, text_lines = {}, []
             if "bleu" in args.metrics or "accuracy" in args.metrics:
                 rep, acc = grade(model, gold)
                 if "bleu" in args.metrics:
-                    _write_csv(reports / "bleu.csv", rep.rows())
-                    manifest.add_output(reports / "bleu.csv")
+                    tables["bleu.csv"] = rep.rows()
                     text_lines.append(
                         f"BLEU {rep.bleu:.2f} (p={['%.3f' % p for p in rep.precisions]}, "
                         f"BP={rep.brevity_penalty:.3f})")
                 if "accuracy" in args.metrics:
-                    _write_csv(reports / "accuracy.csv", [{"token_accuracy": acc}])
-                    manifest.add_output(reports / "accuracy.csv")
+                    tables["accuracy.csv"] = [{"token_accuracy": acc}]
                     text_lines.append(f"token accuracy {acc:.4f}")
             if "hits" in args.metrics:
                 pool = []
@@ -279,21 +275,23 @@ def cmd_evaluate(args, cfg: dict) -> int:
                     pool = load_corpus(data_dir / "distractors.txt", vocab,
                                        model.config.max_len)
                 ks = cfg["hits_ks"]
-                rows = []
-                for ratio in cfg["hits_noise_ratios"]:
-                    rep = hits_at_k(gold, pool, ratio, model, evaluator, ks=ks)
-                    rows.extend(rep.rows())
-                    text_lines.append(
-                        "hits@k at {:.0%} noise: ".format(ratio)
-                        + " ".join(f"{k}:{rep.hits[k]:.3f}" for k in ks))
-                _write_csv(reports / "hits.csv", rows)
-                manifest.add_output(reports / "hits.csv")
+                hits = hits_at_k(gold, pool, cfg["hits_noise_ratios"], model, evaluator, ks)
+                tables["hits.csv"] = [row for rep in hits for row in rep.rows()]
+                text_lines.extend(
+                    "hits@k at {:.0%} noise: ".format(rep.noise_ratio)
+                    + " ".join(f"{k}:{rep.hits[k]:.3f}" for k in ks) for rep in hits)
+            reports.mkdir(exist_ok=True)  # only a run that writes reports has the directory
+            for name, rows in tables.items():
+                _write_csv(reports / name, rows)
+                manifest.add_output(reports / name)
             (reports / "report.txt").write_text(
                 "".join(line + "\n" for line in text_lines), encoding="utf-8")
             manifest.add_output(reports / "report.txt")
             for line in text_lines:
                 print(line)
         manifest.remove_stale("reports/*")
+        if reports.is_dir() and not any(reports.iterdir()):
+            reports.rmdir()  # an earlier run's, emptied under --overwrite
     return 0
 
 

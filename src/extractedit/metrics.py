@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class HitsReport:
     noise_ratio: float
     n_queries: int
     n_candidates: int
-    hits: dict[int, float] = field(default_factory=dict)
+    hits: dict[int, float]  # rank cutoff -> share of queries whose gold target is within it
 
     def rows(self) -> list[dict]:
         return [
@@ -144,28 +144,33 @@ class HitsReport:
         ]
 
 
-def hits_at_k(gold_pairs, distractor_pool, noise_ratio: float,
-              model: TranslationModel, evaluator: EvaluationNetwork, ks) -> HitsReport:
-    """Rank gold targets among distractor-diluted candidates.
+def hits_at_k(gold_pairs, distractor_pool, noise_ratios,
+              model: TranslationModel, evaluator: EvaluationNetwork, ks) -> list[HitsReport]:
+    """Rank gold targets among distractor-diluted candidates, one report
+    per noise ratio.
 
-    The candidate set holds every gold target plus enough distractors for
-    them to make up ``noise_ratio`` of the set. Each gold source queries
-    the whole set, ranked by joint-space cosine similarity, and a query
-    hits at k when its own gold target ranks within the top k. Ties break
-    toward the lower pool index.
+    At each ratio the candidate set holds every gold target plus the first
+    distractors of the pool, enough for them to make up ``noise_ratio`` of
+    the set. Each gold source queries the whole set, ranked by joint-space
+    cosine similarity, and a query hits at k when its own gold target ranks
+    within the top k. Ties break toward the lower pool index. Every ratio
+    is checked before any sentence is embedded, and each sentence is
+    embedded once for all ratios.
     """
-    if not 0.0 <= noise_ratio < 1.0:
-        raise ValueError(f"noise_ratio must be in [0, 1), got {noise_ratio}")
     if not gold_pairs:
         raise ValueError("gold pair set is empty")
     n_gold = len(gold_pairs)
-    n_distract = int(round(n_gold * noise_ratio / (1.0 - noise_ratio)))
-    if n_distract > len(distractor_pool):
-        raise ValueError(
-            f"need {n_distract} distractors for noise ratio {noise_ratio}, "
-            f"pool has {len(distractor_pool)}"
-        )
-    candidates = [t for _, t in gold_pairs] + list(distractor_pool[:n_distract])
+    n_distract = []
+    for ratio in noise_ratios:
+        if not 0.0 <= ratio < 1.0:
+            raise ValueError(f"noise_ratio must be in [0, 1), got {ratio}")
+        n_distract.append(int(round(n_gold * ratio / (1.0 - ratio))))
+        if n_distract[-1] > len(distractor_pool):
+            raise ValueError(
+                f"need {n_distract[-1]} distractors for noise ratio {ratio}, "
+                f"pool has {len(distractor_pool)}"
+            )
+    candidates = [t for _, t in gold_pairs] + list(distractor_pool[:max(n_distract, default=0)])
 
     with T.no_grad():
         r_query = evaluator.forward(
@@ -173,18 +178,15 @@ def hits_at_k(gold_pairs, distractor_pool, noise_ratio: float,
         r_cand = evaluator.forward(Tensor(embed_sentences(candidates, model))).data
     r_query /= np.linalg.norm(r_query, axis=1, keepdims=True)
     r_cand /= np.linalg.norm(r_cand, axis=1, keepdims=True)
-    sims = r_query @ r_cand.T  # (Q, C) cosine in the joint space
 
-    # rank of each query's own gold target (stable ties by pool index)
-    gold_rank = np.empty(n_gold, dtype=np.int64)
-    for q in range(n_gold):
-        own = sims[q, q]
-        better = np.count_nonzero(sims[q] > own)
-        tied_before = np.count_nonzero(sims[q, :q] == own)
-        gold_rank[q] = better + tied_before
-
-    report = HitsReport(noise_ratio=noise_ratio, n_queries=n_gold,
-                        n_candidates=len(candidates))
-    for k in ks:
-        report.hits[int(k)] = float(np.mean(gold_rank < k))
-    return report
+    reports = []
+    for ratio, n in zip(noise_ratios, n_distract):
+        sims = r_query @ r_cand[: n_gold + n].T  # (Q, C) cosine in the joint space
+        own = np.diagonal(sims)[:, None]  # each query's score for its own gold target
+        # its rank: the candidates scoring higher, plus the ties earlier in the pool
+        earlier = np.arange(n_gold + n) < np.arange(n_gold)[:, None]
+        gold_rank = np.count_nonzero((sims > own) | ((sims == own) & earlier), axis=1)
+        reports.append(HitsReport(
+            noise_ratio=ratio, n_queries=n_gold, n_candidates=n_gold + n,
+            hits={int(k): float(np.mean(gold_rank < k)) for k in ks}))
+    return reports

@@ -44,7 +44,6 @@ __all__ = [
     "reshape",
     "concat",
     "stack",
-    "slice_axis",
     "take_rows",
     "gather",
     "log_softmax",
@@ -121,14 +120,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -385,20 +378,6 @@ def stack(tensors, axis: int = 0) -> Tensor:
         return tuple(np.moveaxis(og, axis, 0))
 
     return _record(out, tensors, bwd)
-
-
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    idx = [slice(None)] * x.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = Tensor(x.data[idx])
-
-    def bwd(og):
-        g = np.zeros_like(x.data)
-        g[idx] = og
-        return (g,)
-
-    return _record(out, (x,), bwd)
 
 
 def take_rows(table: Tensor, ids: np.ndarray) -> Tensor:

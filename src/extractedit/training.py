@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_json, load_tensors, save_json, save_tensors
+from .checkpoint import CheckpointError, load_json, load_tensors, save_json, save_tensors
 from .engine import (
     EmbeddingIndex,
     EvaluationNetwork,
@@ -57,6 +57,7 @@ __all__ = [
     "comparative_loss",
     "evaluator_loss",
     "load_checkpoint",
+    "read_state",
 ]
 
 MODES = ("extract-edit", "back-translation")
@@ -65,6 +66,7 @@ METRIC_COLUMNS = ("step", "mode", "loss_total", "loss_lm", "loss_com",
                   "loss_R", "D_s2t", "D_t2s", "skipped")
 
 STATE_FILE = "state.json"  # a checkpoint's config, vocabulary and run state
+STATE_FORMAT = 1  # the version of STATE_FILE's layout
 
 
 @dataclass(frozen=True)
@@ -137,42 +139,34 @@ def _corpus_digest(corpus: list[np.ndarray]) -> str:
 # loss builders shared by the trainer and the gradient-check tests
 
 
-def _ranking_logp(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
-                  lam: float) -> Tensor:
-    """Log ranking probabilities (B, k+1) of each source's candidates.
-
-    e_s (B, d) source embeddings, cand (B, k+1, d) candidate embeddings
-    with the k edited sentences first and the translation t* in the last
-    slot. Differentiable with respect to the evaluator and the embeddings.
-    """
-    return T.log(score_candidates_batch(e_s, cand, evaluator, lam))
-
-
 def comparative_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
                      lam: float) -> Tensor:
     """Comparative translation loss over a batch of sources.
 
-    Same inputs as ``_ranking_logp``. Returns the batch mean of -log of
-    t*'s ranking probability among the edited candidates plus itself;
-    gradients reach whatever produced the embeddings.
+    e_s (B, d) source embeddings, cand (B, k+1, d) candidate embeddings
+    with the k edited sentences first and the translation t* in the last
+    slot. Returns the batch mean of -log of t*'s ranking probability among
+    the edited candidates plus itself; gradients reach the evaluator and
+    whatever produced the embeddings.
     """
-    k = cand.data.shape[1] - 1
-    logp = _ranking_logp(e_s, cand, evaluator, lam)
-    return -T.tmean(T.gather(logp, np.full((e_s.data.shape[0], 1), k)))
+    b, k = e_s.data.shape[0], cand.data.shape[1] - 1
+    logp = T.log(score_candidates_batch(e_s, cand, evaluator, lam))
+    return -T.tmean(T.gather(logp, np.full((b, 1), k)))
 
 
 def evaluator_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
                    lam: float) -> Tensor:
     """Evaluation-network loss over a batch of sources.
 
-    Same inputs as ``_ranking_logp``. Returns the mean of -log of the
+    Same inputs as ``comparative_loss``. Returns the mean of -log of the
     ranking probability of each of the k edited candidates; t* stays in
     the denominator. The trainer passes detached embeddings (the encoder
     is frozen in this pass), so gradients reach the evaluation network
     alone.
     """
-    k = cand.data.shape[1] - 1
-    return -T.tmean(T.slice_axis(_ranking_logp(e_s, cand, evaluator, lam), 1, 0, k))
+    b, k = e_s.data.shape[0], cand.data.shape[1] - 1
+    logp = T.log(score_candidates_batch(e_s, cand, evaluator, lam))
+    return -T.tmean(T.gather(logp, np.broadcast_to(np.arange(k), (b, k))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +206,24 @@ def _load_params(directory: Path, model: TranslationModel,
         p.grad = None
 
 
+def read_state(directory) -> dict:
+    """A checkpoint directory's STATE_FILE, refused unless its ``format``
+    is the one this code writes."""
+    path = Path(directory) / STATE_FILE
+    meta = load_json(path)
+    if meta.get("format") != STATE_FORMAT:
+        raise CheckpointError(f"{path}: checkpoint format {meta.get('format')!r} is not "
+                              f"supported (expected {STATE_FORMAT})")
+    return meta
+
+
 def load_checkpoint(directory
                     ) -> tuple[TranslationModel, EvaluationNetwork, Vocabulary, TrainConfig]:
     """The model, evaluation network, vocabulary and TrainConfig saved in a
     checkpoint directory, for inference; ``Trainer.restore`` also restores
     the optimizers, indexes and RNG."""
     directory = Path(directory)
-    meta = load_json(directory / STATE_FILE)
+    meta = read_state(directory)
     config = TrainConfig(**meta["config"])
     vocab = Vocabulary(meta["vocab_content"])
     model, evaluator = _build_networks(config, vocab.size, np.random.default_rng(config.seed))
@@ -512,14 +517,14 @@ class Trainer:
 
     # -- model selection ------------------------------------------------------------
 
-    def model_selection_score(self, direction: str = "s2t") -> float:
-        """Mean log ranking probability of greedy translations on held-out
-        monolingual data, 64 sentences per batch; higher is better.
+    def model_selection_score(self, out_lang: int) -> float:
+        """Criterion D for translation into ``out_lang`` (TGT or SRC): the
+        mean log ranking probability of greedy translations of the other
+        language's held-out sentences, 64 per batch; higher is better.
         Order-invariant."""
-        in_lang, out_lang = (SRC, TGT) if direction == "s2t" else (TGT, SRC)
-        corpus = self.valid[in_lang]
+        corpus = self.valid[{TGT: SRC, SRC: TGT}[out_lang]]
         if corpus is None:
-            raise ValueError(f"no validation corpus for direction {direction}")
+            raise ValueError(f"no validation corpus to translate into language {out_lang}")
         self._ensure_indexes()
         cfg = self.config
         total = 0.0
@@ -527,13 +532,15 @@ class Trainer:
             batch = self._prepare_direction(corpus[start : start + 64], out_lang)
             with T.no_grad():
                 (e_s, cand), = self._encode_directions([batch], reuse_sources=True)
-                logp = _ranking_logp(e_s, cand, self.evaluator, cfg.lam)
+                logp = T.log(score_candidates_batch(e_s, cand, self.evaluator, cfg.lam))
             total += float(logp.data[:, cfg.k].sum())
         return total / max(len(corpus), 1)
 
     def validate(self) -> tuple[float, float]:
-        d_s2t = self.model_selection_score("s2t")
-        d_t2s = self.model_selection_score("t2s")
+        """Criterion D into the target, then into the source language,
+        recorded in the metrics row of the current step if it has one."""
+        d_s2t = self.model_selection_score(TGT)
+        d_t2s = self.model_selection_score(SRC)
         if self.state.metric_rows:
             last = self.state.metric_rows[-1]
             if last[0] == str(self.state.step):
@@ -666,7 +673,7 @@ class Trainer:
         if index_arrays:
             save_tensors(directory / "index.bin", index_arrays)
         save_json(directory / STATE_FILE, {
-            "format": 1,
+            "format": STATE_FORMAT,
             "step": self.state.step,
             "episode": self.state.episode,
             "rng": self.rng.bit_generator.state,
@@ -693,7 +700,7 @@ class Trainer:
         checkpoint that records no digests restores every snapshot.
         """
         directory = Path(directory)
-        meta = load_json(directory / STATE_FILE)
+        meta = read_state(directory)
         if require_same_config and meta["config"] != asdict(self.config):
             mismatch = {k for k in meta["config"]
                         if meta["config"][k] != asdict(self.config).get(k)}

@@ -21,10 +21,11 @@ from extractedit.cipher import (
     build_permutation,
     generate_cipher_pair,
     invert_cipher,
+    read_gold_pairs,
     token_inventory,
     write_cipher_pair,
 )
-from extractedit.text import load_corpus
+from extractedit.text import Vocabulary, load_corpus
 
 
 def small_spec(**kw) -> CipherSpec:
@@ -196,6 +197,20 @@ class TestWriting:
         write_cipher_pair(generate_cipher_pair(spec), tmp_path / "b")
         for name in ["src.train.txt", "tgt.train.txt", "gold.test.tsv", "oracle_dict.tsv"]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_gold_token_outside_the_vocabulary_rejected(self, tmp_path):
+        """A gold set read with another pair's smaller vocabulary is an
+        error naming the file, the line and the token, not a run of UNKs."""
+        write_cipher_pair(generate_cipher_pair(small_spec(vocab_size=60)), tmp_path)
+        path = tmp_path / "gold.test.tsv"
+        assert len(read_gold_pairs(path, Vocabulary(token_inventory(60)))) == 50
+        with pytest.raises(CipherSpecError, match=r"gold\.test\.tsv: line \d+: token '\w+' "
+                                                  r"is not in the vocabulary"):
+            read_gold_pairs(path, Vocabulary(token_inventory(30)))
+        known = token_inventory(30)
+        path.write_text(f"{known[0]} {known[1]}\t{known[2]}\n{known[3]}\t{known[4]} zz\n")
+        with pytest.raises(CipherSpecError, match="line 2: token 'zz'"):
+            read_gold_pairs(path, Vocabulary(known))
 
     def test_inventory_is_stable_and_unique(self):
         inv = token_inventory(150)

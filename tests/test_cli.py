@@ -403,6 +403,50 @@ class TestExtractAndEvaluate:
                    "--data", corpus_dir, "--out", out, "--metrics", "") == 0
         assert load_json(out / "manifest.json")["success"] is True
 
+    def test_evaluate_no_metrics_writes_no_reports_directory(self, tmp_path, corpus_dir,
+                                                             run_dir):
+        """Neither in a new run directory nor over an earlier run's reports."""
+        out = tmp_path / "eval0"
+        argv = ["--checkpoint", checkpoint_of(run_dir), "--data", corpus_dir, "--out", out]
+        for earlier in ([], ["--metrics", "bleu"]):
+            if earlier:
+                assert run("evaluate", *argv, *earlier, "--overwrite") == 0
+                assert (out / "reports" / "bleu.csv").exists()
+            assert run("evaluate", *argv, "--metrics", "", "--overwrite") == 0
+            assert load_json(out / "manifest.json")["outputs"] == []
+            assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+    def test_evaluate_refuses_a_corpus_the_checkpoint_cannot_read(self, tmp_path, run_dir,
+                                                                 capsys):
+        """Gold pairs of a wider vocabulary than the checkpoint's are an
+        error, as they are for extract, not a score over UNKs."""
+        wide = tmp_path / "wide"
+        assert run("gen-corpus", "--out", wide, *ov(MICRO), "--vocab_size=60") == 0
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert run("evaluate", "--checkpoint", checkpoint_of(run_dir), "--data", wide,
+                   "--out", out, "--metrics", "bleu,accuracy,hits") == 1
+        err = capsys.readouterr().err
+        assert re.search(r"gold\.test\.tsv: line \d+: token '\w+' is not in the vocabulary",
+                         err), err
+        manifest = load_json(out / "manifest.json")
+        assert manifest["success"] is False and manifest["outputs"] == []
+        assert not (out / "reports").exists()
+
+    def test_extract_refuses_a_later_state_format(self, tmp_path, corpus_dir, run_dir,
+                                                  capsys):
+        ckpt = tmp_path / "ck"
+        shutil.copytree(checkpoint_of(run_dir), ckpt)
+        state = load_json(ckpt / "state.json")
+        state["format"] = 2
+        (ckpt / "state.json").write_text(json.dumps(state))
+        dump = tmp_path / "d.tsv"
+        capsys.readouterr()
+        assert run("extract", "--checkpoint", ckpt, "--data", corpus_dir,
+                   "--out-file", dump) == 1
+        assert "checkpoint format 2 is not supported" in capsys.readouterr().err
+        assert not dump.exists()
+
 
 # each command given an input that does not exist; the last field says
 # whether the command writes a manifest under --out

@@ -7,9 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from extractedit.engine import EvaluationNetwork
-from extractedit.metrics import corpus_bleu, hits_at_k, token_accuracy
+from extractedit import metrics
+from extractedit import tensor as T
+from extractedit.engine import EvaluationNetwork, embed_sentences
+from extractedit.metrics import HitsReport, corpus_bleu, hits_at_k, token_accuracy
 from extractedit.model import ModelConfig, TranslationModel
+from extractedit.tensor import Tensor
 
 
 def toks(s: str) -> list[int]:
@@ -115,13 +118,70 @@ def tiny_setup(seed=0, d=16, vocab=40):
     return model, ev, rng
 
 
+def reference_hits(gold_pairs, distractor_pool, noise_ratio, model, evaluator, ks):
+    """One ratio at a time, every sentence embedded for it, and a loop over
+    the queries: the protocol ``hits_at_k`` must reproduce."""
+    n_gold = len(gold_pairs)
+    n_distract = int(round(n_gold * noise_ratio / (1.0 - noise_ratio)))
+    candidates = [t for _, t in gold_pairs] + list(distractor_pool[:n_distract])
+    with T.no_grad():
+        r_query = evaluator.forward(
+            Tensor(embed_sentences([s for s, _ in gold_pairs], model))).data
+        r_cand = evaluator.forward(Tensor(embed_sentences(candidates, model))).data
+    r_query /= np.linalg.norm(r_query, axis=1, keepdims=True)
+    r_cand /= np.linalg.norm(r_cand, axis=1, keepdims=True)
+    sims = r_query @ r_cand.T
+    gold_rank = np.empty(n_gold, dtype=np.int64)
+    for q in range(n_gold):
+        own = sims[q, q]
+        gold_rank[q] = (np.count_nonzero(sims[q] > own)
+                        + np.count_nonzero(sims[q, :q] == own))
+    return HitsReport(noise_ratio=noise_ratio, n_queries=n_gold,
+                      n_candidates=len(candidates),
+                      hits={int(k): float(np.mean(gold_rank < k)) for k in ks})
+
+
 class TestHitsAtK:
+    def test_matches_the_per_ratio_reference_with_ties(self):
+        """Every ratio's report equals the one-ratio-at-a-time reference
+        when repeated sentences tie in score. Each query is its own gold
+        target, so only a tie can outrank it: query 5 repeats query 2 and
+        loses to the earlier copy; the copies among the distractors come
+        later and cost nothing."""
+        model, ev, rng = tiny_setup(seed=7)
+        sents = [rng.integers(4, 40, size=rng.integers(2, 7)) for _ in range(30)]
+        gold = [(s, s) for s in sents[:20]]
+        gold[5] = gold[2]
+        pool = [gold[i % 8][1] for i in range(90)] + sents[20:] * 9
+        ratios, ks = (0.0, 0.5, 0.9), (1, 2, 3, 5, 10, 40)
+        reports = hits_at_k(gold, pool, ratios, model, ev, ks)
+        assert reports == [reference_hits(gold, pool, r, model, ev, ks) for r in ratios]
+        assert [r.n_candidates for r in reports] == [20, 40, 200]
+        assert [r.hits[1] for r in reports] == [0.95] * 3
+        assert [r.hits[2] for r in reports] == [1.0] * 3
+
+    def test_bad_ratio_fails_before_any_embedding(self, monkeypatch):
+        """Every ratio is checked first: a late ratio the pool cannot fill,
+        or one outside [0, 1), fails with no sentence embedded."""
+        model, ev, rng = tiny_setup(seed=8)
+        gold = [(rng.integers(4, 40, size=4), rng.integers(4, 40, size=4))
+                for _ in range(10)]
+        pool = [rng.integers(4, 40, size=4) for _ in range(10)]
+        calls = []
+        monkeypatch.setattr(metrics, "embed_sentences",
+                            lambda sents, m: calls.append(len(sents)))
+        with pytest.raises(ValueError, match="need 90 distractors for noise ratio 0.9"):
+            hits_at_k(gold, pool, (0.0, 0.5, 0.9), model, ev, ks=(1,))
+        with pytest.raises(ValueError, match="noise_ratio must be in"):
+            hits_at_k(gold, pool, (0.5, 1.0), model, ev, ks=(1,))
+        assert calls == []
+
     def test_self_retrieval_perfect_at_zero_noise(self):
         """Queries identical to their gold targets: Hits@1 = 100%."""
         model, ev, rng = tiny_setup()
         sents = [rng.integers(4, 40, size=rng.integers(2, 7)) for _ in range(30)]
         gold = [(s, s) for s in sents]  # query embedding == target embedding
-        report = hits_at_k(gold, [], 0.0, model, ev, ks=(1, 3))
+        report = hits_at_k(gold, [], (0.0,), model, ev, ks=(1, 3))[0]
         assert report.hits[1] == 1.0
 
     def test_monotone_in_k(self):
@@ -129,7 +189,7 @@ class TestHitsAtK:
         gold = [(rng.integers(4, 40, size=rng.integers(2, 7)),
                  rng.integers(4, 40, size=rng.integers(2, 7))) for _ in range(40)]
         pool = [rng.integers(4, 40, size=rng.integers(2, 7)) for _ in range(80)]
-        report = hits_at_k(gold, pool, 0.5, model, ev, ks=(1, 3, 5, 8, 10))
+        report = hits_at_k(gold, pool, (0.5,), model, ev, ks=(1, 3, 5, 8, 10))[0]
         rates = [report.hits[k] for k in (1, 3, 5, 8, 10)]
         assert all(a <= b for a, b in zip(rates, rates[1:]))
         assert all(0.0 <= r <= 1.0 for r in rates)
@@ -139,7 +199,7 @@ class TestHitsAtK:
         gold = [(rng.integers(4, 40, size=4), rng.integers(4, 40, size=4))
                 for _ in range(10)]
         pool = [rng.integers(4, 40, size=4) for _ in range(100)]
-        report = hits_at_k(gold, pool, 0.9, model, ev, ks=(1,))
+        report = hits_at_k(gold, pool, (0.9,), model, ev, ks=(1,))[0]
         assert report.n_candidates == 100  # 10 gold + 90 distractors
 
     def test_insufficient_distractors_rejected(self):
@@ -147,7 +207,7 @@ class TestHitsAtK:
         gold = [(rng.integers(4, 40, size=4), rng.integers(4, 40, size=4))
                 for _ in range(10)]
         with pytest.raises(ValueError, match="distractors"):
-            hits_at_k(gold, [], 0.5, model, ev, ks=(1,))
+            hits_at_k(gold, [], (0.5,), model, ev, ks=(1,))
 
     def test_untrained_encoder_sits_at_chance(self):
         """Chance-level oracle: with equal-length sentences an untrained
@@ -156,7 +216,7 @@ class TestHitsAtK:
         n = 120
         gold = [(rng.integers(4, 40, size=5), rng.integers(4, 40, size=5))
                 for _ in range(n)]
-        report = hits_at_k(gold, [], 0.0, model, ev, ks=(1,))
+        report = hits_at_k(gold, [], (0.0,), model, ev, ks=(1,))[0]
         p = 1.0 / n
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(report.hits[1] - p) <= 4 * sigma + 1e-9

@@ -330,7 +330,6 @@ class TestGradientSweep:
             "reshape": lambda: T.tsum(T.reshape(a, (d, 3)) * 0.5),
             "concat": lambda: T.tsum(T.concat([a, b], axis=1) * 0.7),
             "stack": lambda: T.tsum(T.stack([a, b], axis=0) * 0.7),
-            "slice": lambda: T.tsum(T.slice_axis(a, 1, 1, 4)),
             "log_softmax": lambda: T.tsum(T.log_softmax(a) * 0.3),
         }
         for name, fn in cases.items():

@@ -9,13 +9,14 @@ import pytest
 
 from extractedit import tensor as T
 from extractedit import training
-from extractedit.checkpoint import load_json, save_json
+from extractedit.checkpoint import CheckpointError, load_json, save_json
 from extractedit.cipher import CipherSpec, full_vocab_dictionary, generate_cipher_pair
 from extractedit.engine import (
     EvaluationNetwork,
     edit_batch,
     embed_sentences,
     extract_topk_batch,
+    score_candidates_batch,
 )
 from extractedit.model import SRC, TGT, TranslationModel
 from extractedit.optim import Adam
@@ -428,18 +429,18 @@ class TestModelSelection:
         tr = micro_trainer(pair, k=10)
         e = Tensor(np.ones((2, 16)))
         cand = Tensor(np.ones((2, 11, 16)))
-        d = float(training._ranking_logp(e, cand, tr.evaluator, 0.5).data[:, 10].mean())
+        d = float(T.log(score_candidates_batch(e, cand, tr.evaluator, 0.5)).data[:, 10].mean())
         assert d == pytest.approx(-math.log(11), abs=1e-9)
 
     def test_order_invariance(self, pair):
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
         for _ in range(3):
             tr.pretrain_step()
-        d1 = tr.model_selection_score("s2t")
+        d1 = tr.model_selection_score(TGT)
         shuffled = list(pair.src_valid)
         np.random.default_rng(0).shuffle(shuffled)
         tr.valid[SRC] = shuffled
-        d2 = tr.model_selection_score("s2t")
+        d2 = tr.model_selection_score(TGT)
         assert d1 == pytest.approx(d2, abs=1e-9)
 
     def test_equals_minus_comparative_loss(self, pair):
@@ -450,7 +451,7 @@ class TestModelSelection:
             tr.pretrain_step()
         sents = pair.src_valid
         assert len(sents) <= 64  # one validation batch
-        d = tr.model_selection_score("s2t")
+        d = tr.model_selection_score(TGT)
         batch = tr._prepare_direction(sents, TGT)
         with T.no_grad():
             (e_s, cand), = tr._encode_directions([batch])
@@ -477,7 +478,7 @@ class TestModelSelection:
             return inner(self, sentences)
 
         monkeypatch.setattr(TranslationModel, "encode_batch", recording)
-        d = tr.model_selection_score("s2t")
+        d = tr.model_selection_score(TGT)
         assert [len(c) for c in calls] == [30, 26]
         batch = tr._prepare_direction(sources, TGT)
         source_keys = {s.tobytes() for s in sources}
@@ -485,7 +486,7 @@ class TestModelSelection:
         assert [s.tobytes() for s in calls[1]] == [k for k in distinct if k not in source_keys]
         with T.no_grad():
             (e_s, cand), = tr._encode_directions([batch])
-            logp = training._ranking_logp(e_s, cand, tr.evaluator, tr.config.lam)
+            logp = T.log(score_candidates_batch(e_s, cand, tr.evaluator, tr.config.lam))
         assert d == float(logp.data[:, tr.config.k].sum()) / len(sources)
 
 
@@ -546,6 +547,22 @@ class TestDeterminismAndResume:
         other = micro_trainer(pair, pretrain_steps=2, main_steps=0)
         with pytest.raises(ValueError, match="config mismatch"):
             other.restore(ckpt)
+
+    def test_state_format_other_than_1_refused(self, pair, tmp_path):
+        """A checkpoint whose state.json records format 2 is refused by
+        ``load_checkpoint`` and ``restore`` alike, naming the format."""
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=0)
+        tr.pretrain_step()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        state = load_json(ckpt / training.STATE_FILE)
+        assert state["format"] == 1
+        state["format"] = 2
+        save_json(ckpt / training.STATE_FILE, state)
+        other = micro_trainer(pair, pretrain_steps=1, main_steps=0)
+        for read in (training.load_checkpoint, other.restore):
+            with pytest.raises(CheckpointError, match="checkpoint format 2 is not supported"):
+                read(ckpt)
+        assert other.state.step == 0
 
 
     @pytest.mark.parametrize("other", ["fewer sentences", "same size, reordered"])
@@ -896,9 +913,9 @@ def encode_every_slot(tr, directions):
     out = []
     for start, d in zip(starts, directions):
         b = len(d.sources)
-        e_s = T.slice_axis(pooled, 0, start, start + b)
-        e_edit = T.slice_axis(pooled, 0, start + b, start + b * (k + 1))
-        e_star = T.slice_axis(pooled, 0, start + b * (k + 1), start + b * (k + 2))
+        e_s = T.take_rows(pooled, np.arange(start, start + b))
+        e_edit = T.take_rows(pooled, np.arange(start + b, start + b * (k + 1)))
+        e_star = T.take_rows(pooled, np.arange(start + b * (k + 1), start + b * (k + 2)))
         cand = T.concat([T.reshape(e_edit, (b, k, d_h)), T.reshape(e_star, (b, 1, d_h))],
                         axis=1)
         out.append((e_s, cand))
