@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .text import Vocabulary
+from .text import RESERVED_TOKENS, Vocabulary
 
 __all__ = [
     "CipherSpecError",
@@ -34,6 +34,7 @@ __all__ = [
     "CipherPair",
     "token_inventory",
     "build_permutation",
+    "vocab_dictionary",
     "apply_cipher",
     "invert_cipher",
     "generate_cipher_pair",
@@ -105,6 +106,15 @@ def build_permutation(spec: CipherSpec) -> np.ndarray:
         return np.arange(spec.vocab_size, dtype=np.int64)
     rng = np.random.default_rng(spec.substitution_seed)
     return rng.permutation(spec.vocab_size).astype(np.int64)
+
+
+def vocab_dictionary(spec: CipherSpec) -> np.ndarray:
+    """The oracle dictionary over joint-vocabulary ids: reserved ids map to
+    themselves, content id i to its substitution image. Suitable for
+    position-wise word translation of id arrays."""
+    reserved = len(RESERVED_TOKENS)
+    return np.concatenate([np.arange(reserved, dtype=np.int64),
+                           build_permutation(spec) + reserved])
 
 
 @lru_cache(maxsize=1024)
@@ -326,26 +336,20 @@ def write_cipher_pair(pair: CipherPair, outdir) -> dict:
 
 
 def full_vocab_dictionary(pair: CipherPair) -> np.ndarray:
-    """Oracle dictionary lifted to full joint-vocabulary ids.
-
-    Reserved ids map to themselves; content id i maps to its substitution
-    image. Suitable for position-wise word translation of id arrays.
-    """
-    offset = pair.vocab.size - pair.spec.vocab_size
-    table = np.arange(pair.vocab.size, dtype=np.int64)
-    table[offset:] = pair.dictionary + offset
-    return table
+    """``vocab_dictionary`` of the pair's spec."""
+    return vocab_dictionary(pair.spec)
 
 
 def read_gold_pairs(path, vocab: Vocabulary) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read a tab-separated gold test set back into id pairs; a token
-    outside ``vocab`` is an error, not UNK."""
+    """Read a tab-separated gold test set back into id pairs; a side with
+    no token, or a token outside ``vocab``, is an error, not UNK."""
     pairs = []
     with open(path, encoding="utf-8") as f:
         for i, line in enumerate(f, start=1):
             parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise CipherSpecError(f"{path}: line {i} is not source<TAB>target")
+            if len(parts) != 2 or not all(part.split() for part in parts):
+                raise CipherSpecError(f"{path}: line {i} is not source<TAB>target, "
+                                      "each with a token")
             for tok in " ".join(parts).split():
                 if tok not in vocab.token_to_id:
                     raise CipherSpecError(

@@ -22,14 +22,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import load_json, save_json
 from .cipher import (
     CipherSpec,
     generate_cipher_pair,
     read_gold_pairs,
     token_inventory,
+    vocab_dictionary,
     write_cipher_pair,
 )
 from .config import (COMMAND_KEYS, ConfigError, dataclass_from, format_config,
@@ -123,19 +122,15 @@ class RunManifest:
 
 
 def _load_data(data_dir: Path, max_len: int):
-    """Load a corpus directory: vocabulary, corpora and oracle dictionary."""
+    """Load a corpus directory: vocabulary, corpora and oracle dictionary.
+    A gen-corpus directory's vocabulary and dictionary follow from the spec
+    in its manifest; other directories have no dictionary."""
     manifest_path = data_dir / "corpus_manifest.json"
     dictionary = None
     if manifest_path.exists():
-        meta = load_json(manifest_path)
-        vocab = Vocabulary(token_inventory(meta["spec"]["vocab_size"]))
-        dict_path = data_dir / meta["files"].get("oracle_dict", "oracle_dict.tsv")
-        if dict_path.exists():
-            dictionary = np.arange(vocab.size, dtype=np.int64)
-            with open(dict_path, encoding="utf-8") as f:
-                for line in f:
-                    a, b = line.split()
-                    dictionary[vocab.token_to_id[a]] = vocab.token_to_id[b]
+        spec = CipherSpec(**load_json(manifest_path)["spec"])
+        vocab = Vocabulary(token_inventory(spec.vocab_size))
+        dictionary = vocab_dictionary(spec)
     else:
         # arbitrary corpora: build one joint frequency vocabulary
         lines = []

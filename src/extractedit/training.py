@@ -274,12 +274,13 @@ class Trainer:
         self.vocab = vocab
         self.corpora = {SRC: src_train, TGT: tgt_train}
         self.valid = {SRC: src_valid, TGT: tgt_valid}
-        self.dictionary = oracle_dictionary
-        self.inv_dictionary = None
+        self.word_tables = {}  # into TGT the oracle dictionary, into SRC its inverse
         if oracle_dictionary is not None:
-            inv = np.empty_like(oracle_dictionary)
-            inv[oracle_dictionary] = np.arange(len(oracle_dictionary))
-            self.inv_dictionary = inv
+            inv = np.argsort(oracle_dictionary)
+            if not np.array_equal(oracle_dictionary[inv], np.arange(vocab.size)):
+                raise ValueError(f"the oracle dictionary is not a permutation of the "
+                                 f"{vocab.size} vocabulary ids")
+            self.word_tables = {TGT: oracle_dictionary, SRC: inv}
 
         self.rng = np.random.default_rng(config.seed)
         self.model, self.evaluator = _build_networks(config, vocab.size, self.rng)
@@ -308,7 +309,7 @@ class Trainer:
         return batches, [self._noised(b) for b in batches]
 
     def _word_translate(self, batch: list[np.ndarray], to_lang: int) -> list[np.ndarray]:
-        table = self.dictionary if to_lang == TGT else self.inv_dictionary
+        table = self.word_tables[to_lang]
         return [table[s] for s in batch]
 
     # -- language modeling / pretraining --------------------------------------
@@ -462,9 +463,6 @@ class Trainer:
                 evaluator_loss(e_s.detach(), cand.detach(), self.evaluator, cfg.lam)
                 for e_s, cand in embeds))})["total"]
             lm = self._lm_loss(batches, noised)
-            if cfg.omega_com == 0:  # the language-modeling-only arm; its loss_com reads 0
-                return {"total": lm * cfg.omega_lm, "lm": lm, "com": Tensor(0.0),
-                        "loss_r": loss_r}
             com = reduce(add, (comparative_loss(e_s, cand, self.evaluator, cfg.lam)
                                for e_s, cand in embeds))
             return {"total": lm * cfg.omega_lm + com * cfg.omega_com, "lm": lm, "com": com,
@@ -684,7 +682,6 @@ class Trainer:
             "vocab_content": self.vocab.id_to_token[4:],
             "index_episodes": index_meta,
             "index_corpus_sha256": index_corpora,
-            "has_dictionary": self.dictionary is not None,
         })
 
     def restore(self, directory, require_same_config: bool = True) -> None:

@@ -23,9 +23,10 @@ from extractedit.cipher import (
     invert_cipher,
     read_gold_pairs,
     token_inventory,
+    vocab_dictionary,
     write_cipher_pair,
 )
-from extractedit.text import Vocabulary, load_corpus
+from extractedit.text import RESERVED_TOKENS, Vocabulary, load_corpus
 
 
 def small_spec(**kw) -> CipherSpec:
@@ -191,6 +192,23 @@ class TestWriting:
         for i in range(len(corpus)):
             np.testing.assert_array_equal(corpus[i], pair.src_train[i])
 
+    @pytest.mark.parametrize("substitution_seed", [3, None])
+    def test_vocab_dictionary_is_the_written_dictionary(self, tmp_path, substitution_seed):
+        """The spec's dictionary over vocabulary ids maps each token of
+        oracle_dict.tsv to its listed image, and reserved ids to themselves;
+        word-by-word it translates every gold source at window 0."""
+        pair = generate_cipher_pair(small_spec(window=0, substitution_seed=substitution_seed))
+        write_cipher_pair(pair, tmp_path)
+        table = vocab_dictionary(pair.spec)
+        ids = pair.vocab.token_to_id
+        listed = [line.split("\t") for line in
+                  (tmp_path / "oracle_dict.tsv").read_text().splitlines()]
+        assert len(listed) == pair.spec.vocab_size
+        assert [table[ids[a]] for a, _ in listed] == [ids[b] for _, b in listed]
+        assert table[:len(RESERVED_TOKENS)].tolist() == list(range(len(RESERVED_TOKENS)))
+        for s, t in pair.gold:
+            np.testing.assert_array_equal(table[s], t)
+
     def test_same_seed_writes_identical_bytes(self, tmp_path):
         spec = small_spec()
         write_cipher_pair(generate_cipher_pair(spec), tmp_path / "a")
@@ -211,6 +229,15 @@ class TestWriting:
         path.write_text(f"{known[0]} {known[1]}\t{known[2]}\n{known[3]}\t{known[4]} zz\n")
         with pytest.raises(CipherSpecError, match="line 2: token 'zz'"):
             read_gold_pairs(path, Vocabulary(known))
+
+    @pytest.mark.parametrize("line", ["ba be\t", "\tba be", "ba \t  "])
+    def test_gold_side_without_a_token_rejected(self, tmp_path, line):
+        """A gold line with an empty side is an error naming the file and
+        the line, not a pair graded against an empty sentence."""
+        path = tmp_path / "gold.test.tsv"
+        path.write_text(f"ba\tbe\n{line}\n")
+        with pytest.raises(CipherSpecError, match=r"gold\.test\.tsv: line 2 is not "):
+            read_gold_pairs(path, Vocabulary(token_inventory(30)))
 
     def test_inventory_is_stable_and_unique(self):
         inv = token_inventory(150)

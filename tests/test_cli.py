@@ -215,17 +215,48 @@ class TestTrain:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize("damage", ["truncated", "deleted"])
+    def test_oracle_dictionary_comes_from_the_spec(self, tmp_path, corpus_dir, run_dir,
+                                                   damage):
+        """oracle_dict.tsv is written for people to read, never read back: a
+        gen-corpus directory whose copy is truncated or gone trains the same
+        bytes, because the dictionary follows from the manifest's spec."""
+        data = tmp_path / "data"
+        shutil.copytree(corpus_dir, data)
+        path = data / "oracle_dict.tsv"
+        if damage == "truncated":
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:10]))
+        else:
+            path.unlink()
+        out = tmp_path / "run"
+        assert run("train", "--data", data, "--out", out, *ov(TRAIN)) == 0
+        assert (out / "metrics.csv").read_bytes() == (run_dir / "metrics.csv").read_bytes()
+
     def test_plain_corpus_directory(self, tmp_path, corpus_dir, capsys):
         """Corpora without a corpus manifest get a frequency vocabulary and
-        no oracle dictionary: random init trains, oracle init is refused."""
+        no oracle dictionary: random init trains, and its checkpoint extracts
+        and is graded on gold pairs made of training tokens; oracle init is
+        refused."""
         plain = tmp_path / "plain"
         plain.mkdir()
         for name in ("src.train.txt", "tgt.train.txt", "src.valid.txt", "tgt.valid.txt"):
             shutil.copy(corpus_dir / name, plain / name)
+        src, tgt = ((plain / f"{side}.train.txt").read_text().splitlines()[:5]
+                    for side in ("src", "tgt"))
+        (plain / "gold.test.tsv").write_text("".join(f"{s}\t{t}\n" for s, t in zip(src, tgt)))
         out = tmp_path / "random"
         assert run("train", "--data", plain, "--out", out, "--init_mode=random",
                    *ov(TRAIN)) == 0
         assert (out / "metrics.csv").exists()
+        dump = tmp_path / "extractions.tsv"
+        assert run("extract", "--checkpoint", checkpoint_of(out), "--data", plain,
+                   "--out-file", dump, "--limit", 4) == 0
+        assert len(dump.read_text().splitlines()) == 4
+        graded = tmp_path / "eval"
+        assert run("evaluate", "--checkpoint", checkpoint_of(out), "--data", plain,
+                   "--out", graded, "--metrics", "bleu,accuracy") == 0
+        assert (graded / "reports" / "bleu.csv").exists()
+        assert (graded / "reports" / "accuracy.csv").exists()
 
         out = tmp_path / "oracle"
         capsys.readouterr()

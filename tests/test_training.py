@@ -106,6 +106,20 @@ class TestConfig:
             Trainer(cfg, pair.vocab, pair.src_train, pair.tgt_train[:4])
         micro_trainer(pair, mode=mode, k=150)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda t: np.concatenate([t[:5], t[6:7], t[6:]]),
+        lambda t: t[:-3],
+        lambda t: np.concatenate([t[:-1], [t.size]]),
+    ], ids=["two-to-one", "truncated", "out-of-range"])
+    def test_oracle_dictionary_must_be_a_permutation(self, pair, corrupt):
+        """A table that is not a permutation of the vocabulary ids has no
+        inverse to translate into the source language: refused at
+        construction, by name."""
+        table = corrupt(full_vocab_dictionary(pair))
+        with pytest.raises(ValueError, match="oracle dictionary is not a permutation"):
+            Trainer(TrainConfig(), pair.vocab, pair.src_train, pair.tgt_train,
+                    oracle_dictionary=table)
+
 
 class TestPretraining:
     def test_initial_loss_near_log_vocab(self, pair):
@@ -313,6 +327,22 @@ class TestAdversarialStep:
         for k, p in a.model.named_parameters().items():
             np.testing.assert_array_equal(p.data, b.model.named_parameters()[k].data,
                                           err_msg=k)
+
+    def test_zero_comparative_weight_logs_the_comparative_loss(self, pair, tmp_path):
+        """The LM-only arm logs the comparative loss it does not optimize:
+        from one restored state, an omega_com=0 step and an omega_com=1 step
+        log the same loss_com."""
+        start = micro_trainer(pair, pretrain_steps=3, main_steps=1)
+        start.run(until=3)
+        ckpt = start.save_checkpoint(tmp_path / "ck")
+        logged = []
+        for omega_com in (0.0, 1.0):
+            tr = micro_trainer(pair, pretrain_steps=3, main_steps=1, omega_com=omega_com)
+            tr.restore(ckpt, require_same_config=False)
+            tr.adversarial_step()
+            logged.append(tr.state.metric_rows[-1][4])
+        assert logged[0] == logged[1]
+        assert float(logged[0]) > 0
 
     def test_update_isolation_bitwise(self, pair, monkeypatch):
         """R's update leaves enc/dec bytes untouched; the enc/dec update
