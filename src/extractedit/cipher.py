@@ -13,7 +13,10 @@ The order of random draws is part of the data format: a spec names its
 corpora only through the exact stream of ``np.random.default_rng(seed)``
 draws that ``_SentenceSampler`` consumes, so any change to which draws are
 made, or in what order, silently yields a different corpus for every seed.
-The golden-hash and oracle-sampler tests in ``tests/test_cipher.py`` pin it.
+Generation reads the bit generator's raw 64-bit words in blocks and makes
+from them the values numpy's ``Generator.random`` and ``Generator.integers``
+calls would return, without paying for a call per token. The golden-hash
+and reference-sampler tests in ``tests/test_cipher.py`` pin it.
 """
 
 from __future__ import annotations
@@ -159,42 +162,115 @@ def _sampler_tables(spec: CipherSpec, rng: np.random.Generator):
     return cdf.tolist(), rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3)).tolist()
 
 
+_LOW = (1 << 32) - 1  # the low 32-bit half of a raw word
+_BLOCK = 1024  # raw words fetched per refill of the sampler's buffer
+
+
 class _SentenceSampler:
     """Zipfian unigram sampler with per-token preferred successors.
 
-    Each sentence consumes, in order: ``integers(len_min, len_max + 1)``
-    for its length, one ``random()`` for its first token, then per further
-    token one ``random()`` for the bigram coin followed by either
-    ``integers(3)`` (successor pick) or one ``random()`` (unigram draw).
-
-    A unigram draw is ``bisect_right(cdf, random())`` over the CDF that
+    Each sentence consumes, in order, the draws of these ``Generator``
+    calls: ``integers(len_min, len_max + 1)`` for its length, one
+    ``random()`` for its first token, then per further token one
+    ``random()`` for the bigram coin followed by either ``integers(3)``
+    (successor pick) or one ``random()`` (unigram draw). A unigram draw is
+    ``bisect_right(cdf, random())`` over the CDF that
     ``Generator.choice(V, p=unigram)`` builds (``cumsum``, then divided by
     its last entry): the same single double and the same index as
-    ``choice``, without re-validating ``p`` and rebuilding the CDF per
-    token. The ``integers`` calls must stay where they are with the same
-    arguments: the bit generator serves 32-bit draws from a cached half of
-    a 64-bit word, so their position relative to ``random()`` is part of
-    the stream.
+    ``choice``.
+
+    ``draw`` makes those draws itself, from the bit generator's raw 64-bit
+    words fetched in blocks, exactly as numpy makes them from the same
+    words:
+
+    - ``random()`` takes one word and is its top 53 bits times ``2**-53``;
+    - ``integers(lo, hi)`` takes one 32-bit half: the low half of a fresh
+      word, whose high half is cached for the next ``integers`` call, also
+      across any ``random()`` calls between the two. The cache starts as
+      the bit generator's own (``has_uint32``, ``uinteger``) once the
+      successor table is drawn;
+    - a half ``x`` maps to ``(x * n) >> 32`` for ``n = hi - lo``, taking
+      another half while the product's low 32 bits are below
+      ``2**32 % n`` (Lemire's multiply-and-reject, as numpy loops it);
+      ``n == 1`` takes no half.
+
+    So the position of each ``integers`` call relative to the ``random()``
+    calls is part of the stream.
     """
 
     def __init__(self, spec: CipherSpec, rng: np.random.Generator):
         self.cdf, self.successors = _sampler_tables(spec, rng)
         self.spec = spec
+        self.raw = rng.bit_generator.random_raw
+        state = rng.bit_generator.state
+        self.half = state["uinteger"] if state["has_uint32"] else None
+        self.words: list[int] = []
+        self.pos = 0
+        # words a sentence takes at most without a rejection: one per
+        # token, a second per further token, and a half for its length
+        self.reserve = 2 * spec.len_max
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def draw(self, count: int) -> list[np.ndarray]:
+        """The next ``count`` sentences of the stream."""
         spec = self.spec
         cdf, successors, bigram_weight = self.cdf, self.successors, spec.bigram_weight
-        random, integers = rng.random, rng.integers
-        n = int(integers(spec.len_min, spec.len_max + 1))
-        tok = bisect_right(cdf, random())
-        out = [tok]
-        for _ in range(1, n):
-            if random() < bigram_weight:
-                tok = successors[tok][integers(3)]
+        len_min, len_range = spec.len_min, spec.len_max - spec.len_min + 1
+        reserve, words, pos, half = self.reserve, self.words, self.pos, self.half
+        sentences = []
+        for _ in range(count):
+            if len(words) - pos < reserve:
+                words, pos = words[pos:] + self.raw(_BLOCK).tolist(), 0
+            n = len_min
+            if len_range > 1:
+                if half is None:
+                    x, half = words[pos] & _LOW, words[pos] >> 32
+                    pos += 1
+                else:
+                    x, half = half, None
+                m = x * len_range
+                if m & _LOW < len_range:
+                    words, pos, half, m = self._reject(words, pos, half, len_range, m)
+                n += m >> 32
+            tok = bisect_right(cdf, (words[pos] >> 11) * 2.0**-53)
+            pos += 1
+            out = [tok]
+            for _ in range(1, n):
+                coin = (words[pos] >> 11) * 2.0**-53
+                pos += 1
+                if coin < bigram_weight:
+                    if half is None:
+                        x, half = words[pos] & _LOW, words[pos] >> 32
+                        pos += 1
+                    else:
+                        x, half = half, None
+                    m = x * 3
+                    if m & _LOW < 3:
+                        words, pos, half, m = self._reject(words, pos, half, 3, m)
+                    tok = successors[tok][m >> 32]
+                else:
+                    tok = bisect_right(cdf, (words[pos] >> 11) * 2.0**-53)
+                    pos += 1
+                out.append(tok)
+            sentences.append(np.array(out, dtype=np.int64))
+        self.words, self.pos, self.half = words, pos, half
+        return sentences
+
+    def _reject(self, words: list[int], pos: int, half: int | None, n: int, m: int):
+        """Lemire's rejection loop: take halves while ``m``'s low half is
+        below ``2**32 % n``. A fresh word comes from a refilled buffer
+        rather than past its end, leaving the rest of the sentence its
+        reserve."""
+        threshold = (1 << 32) % n
+        while m & _LOW < threshold:
+            if half is None:
+                if len(words) - pos <= self.reserve:
+                    words, pos = words[pos:] + self.raw(_BLOCK).tolist(), 0
+                x, half = words[pos] & _LOW, words[pos] >> 32
+                pos += 1
             else:
-                tok = bisect_right(cdf, random())
-            out.append(tok)
-        return np.array(out, dtype=np.int64)
+                x, half = half, None
+            m = x * n
+        return words, pos, half, m
 
 
 def _distinct_sentences(spec: CipherSpec, cap: int) -> int:
@@ -250,8 +326,7 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
     inventory = token_inventory(spec.vocab_size)
     vocab = Vocabulary(inventory)
 
-    def draw(n: int) -> list[np.ndarray]:
-        return [sampler.sample(rng) for _ in range(n)]
+    draw = sampler.draw
 
     src_train = draw(spec.n_train)
     tgt_train_src = draw(spec.n_train)
@@ -265,7 +340,7 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
 
     gold_src: dict[tuple[int, ...], np.ndarray] = {}  # first draw of each sentence
     for _ in range(100 * spec.n_test):
-        s = sampler.sample(rng)
+        (s,) = draw(1)
         gold_src.setdefault(tuple(s.tolist()), s)
         if len(gold_src) == spec.n_test:
             break

@@ -36,15 +36,16 @@ class Adam:
 
     def step(self) -> None:
         """One bias-corrected update of every parameter and its moments, in
-        place."""
-        self.step_count += 1
-        t = self.step_count
+        place. A non-finite gradient raises before anything changes."""
+        t = self.step_count + 1
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise TrainingDivergenceError(f"non-finite gradient for {name}", t)
+        self.step_count = t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.data)
-            elif not np.all(np.isfinite(g)):
-                raise TrainingDivergenceError(f"non-finite gradient for {name}", t)
             m, v = self.m[name], self.v[name]
             m *= BETA1
             m += (1.0 - BETA1) * g

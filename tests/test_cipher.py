@@ -247,8 +247,10 @@ class TestWriting:
 
 class ChoiceSampler:
     """The sentence sampler as first written: one ``rng.choice(V, p=unigram)``
-    per unigram token and one ``np.empty`` array per sentence. The random
-    stream it consumes defines the corpora a spec names."""
+    per unigram token, one ``rng.random()`` per bigram coin, one
+    ``rng.integers`` per length and successor pick, and one ``np.empty``
+    array per sentence. The random stream it consumes defines the corpora a
+    spec names."""
 
     def __init__(self, spec: CipherSpec, rng: np.random.Generator):
         ranks = np.arange(1, spec.vocab_size + 1, dtype=np.float64)
@@ -256,18 +258,22 @@ class ChoiceSampler:
         self.unigram = weights / weights.sum()
         self.successors = rng.integers(0, spec.vocab_size, size=(spec.vocab_size, 3))
         self.spec = spec
+        self.rng = rng
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        spec = self.spec
-        n = int(rng.integers(spec.len_min, spec.len_max + 1))
-        out = np.empty(n, dtype=np.int64)
-        out[0] = rng.choice(spec.vocab_size, p=self.unigram)
-        for i in range(1, n):
-            if rng.random() < spec.bigram_weight:
-                out[i] = self.successors[out[i - 1], rng.integers(3)]
-            else:
-                out[i] = rng.choice(spec.vocab_size, p=self.unigram)
-        return out
+    def draw(self, count: int) -> list[np.ndarray]:
+        spec, rng = self.spec, self.rng
+        sentences = []
+        for _ in range(count):
+            n = int(rng.integers(spec.len_min, spec.len_max + 1))
+            out = np.empty(n, dtype=np.int64)
+            out[0] = rng.choice(spec.vocab_size, p=self.unigram)
+            for i in range(1, n):
+                if rng.random() < spec.bigram_weight:
+                    out[i] = self.successors[out[i - 1], rng.integers(3)]
+                else:
+                    out[i] = rng.choice(spec.vocab_size, p=self.unigram)
+            sentences.append(out)
+        return sentences
 
 
 def loop_block_reverse(ids: np.ndarray, window: int) -> np.ndarray:
@@ -339,6 +345,67 @@ class TestStreamContract:
         want = contents(generate_cipher_pair(spec))
         assert got == want
 
+    def test_matches_the_choice_sampler_across_refills(self, monkeypatch):
+        """An odd vocabulary draws an odd number of halves for the successor
+        table, so the sentences start from a cached half, and 2000 training
+        pairs take the sampler through many refills of its word buffer."""
+        spec = CipherSpec(vocab_size=101, seed=5, n_train=2000, n_valid=50, n_test=100,
+                          n_distractor=40, parallel_fraction=0.1)
+        blocks = []
+
+        class Watched(cipher._SentenceSampler):
+            def __init__(self, spec, rng):
+                super().__init__(spec, rng)
+                assert self.half is not None
+                raw = self.raw
+                self.raw = lambda n: blocks.append(n) or raw(n)
+
+        monkeypatch.setattr(cipher, "_SentenceSampler", Watched)
+        got = contents(generate_cipher_pair(spec))
+        assert len(blocks) > 20
+        monkeypatch.setattr(cipher, "_SentenceSampler", ChoiceSampler)
+        want = contents(generate_cipher_pair(spec))
+        assert got == want
+
+    @pytest.mark.parametrize("word,zero_at,refilled", [(1, 1016, True), (1, 1022, True),
+                                                       (2, 1018, False)])
+    def test_rejected_halves_match_the_choice_sampler(self, word, zero_at, refilled):
+        """A raw word of 0 gives two halves that Lemire's method rejects for
+        ``integers(3)`` (2**32 % 3 == 1), which no seed reaches in practice.
+        PCG64 outputs 0 from a 128-bit state whose two 64-bit halves are
+        both ``word``; stepping its LCG back puts that output at raw word
+        ``zero_at`` after the successor table. Near the end of the first
+        1024-word block, the rejection loop must refill the buffer rather
+        than read past it."""
+        spec = small_spec(len_min=2, len_max=4)
+        mult, mod = 0x2360ED051FC65DA44385DF649FCCF645, 1 << 128
+        state = np.random.default_rng(spec.seed).bit_generator.state
+        s = (word << 64) | word
+        for _ in range(zero_at + 1):
+            s = (s - state["state"]["inc"]) * pow(mult, -1, mod) % mod
+        state["state"]["state"], state["has_uint32"] = s, 0
+        probe = np.random.default_rng()
+        probe.bit_generator.state = state
+        assert probe.bit_generator.random_raw(zero_at + 1)[-1] == 0
+
+        refills = []
+
+        class Watched(cipher._SentenceSampler):
+            def _reject(self, words, pos, half, n, m):
+                out = super()._reject(words, pos, half, n, m)
+                refills.append(out[0] is not words)
+                return out
+
+        samplers = []
+        for kind in (Watched, ChoiceSampler):
+            rng = np.random.default_rng(spec.seed)
+            samplers.append(kind(spec, rng))
+            rng.bit_generator.state = state
+        samplers[0].half = None
+        got, want = (sampler.draw(250) for sampler in samplers)
+        assert refills == [refilled]
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
     def test_block_reverse_matches_the_loop(self, rng):
         for n in range(0, 14):
             ids = rng.integers(0, 50, size=n)
@@ -384,9 +451,22 @@ class TestStreamContract:
             "corpus_manifest.json":
                 "e684e3828b975f6f62027ae10e1e956f8bcbe878a89255c8189f526f389b5f73",
         }),
+        # the corpora behind every recorded extract-dump benchmark number,
+        # computed when the sampler drew through ``Generator`` calls
+        (dict(vocab_size=100, window=1, seed=1, n_train=8000), {
+            "gold.test.tsv": "be45785505ef76db50a5b3a8908f14ffd8beeb80e58d170c245454cb9499444e",
+            "oracle_dict.tsv": "a6ade89f889ce88138a791c41979934885ca61bcdc6578407efe27b0087898e7",
+            "src.train.txt": "b3b02a186d12c09d55174b03e091999e11ce278a0bf95f70fa046309895bd278",
+            "src.valid.txt": "b4dd7da2ecf97a1134550dec53b24eb473407f92d3c7cbdd696811ce70070ec9",
+            "tgt.train.txt": "1b91163bf2071177107b6e33676acc4940840f79cf15346641a42028cd854c90",
+            "tgt.valid.txt": "1751eedc2dee29cd358d5394ce259535bdfe0909e26384462821917da665a0e1",
+            "corpus_manifest.json":
+                "88845e8547f5d20e9a635aa0ca3c883c79c385311e2eb1509c7682843cd168c3",
+        }),
     ]
 
-    @pytest.mark.parametrize("kw,digests", GOLDEN, ids=["default", "cli-micro", "fixed-len"])
+    @pytest.mark.parametrize("kw,digests", GOLDEN,
+                             ids=["default", "cli-micro", "fixed-len", "extract-dump"])
     def test_written_files_match_golden_hashes(self, kw, digests, tmp_path):
         files = write_cipher_pair(generate_cipher_pair(CipherSpec(**kw)), tmp_path)["files"]
         written = sorted(files.values()) + ["corpus_manifest.json"]

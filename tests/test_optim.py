@@ -85,6 +85,27 @@ def test_non_finite_gradient_raises_with_step_index():
     assert exc.value.step == 2
 
 
+def test_non_finite_gradient_changes_nothing():
+    """The second parameter's NaN gradient raises before the first
+    parameter, its moments or the step count move."""
+    p = Tensor([1.0, -1.0], requires_grad=True)
+    q = Tensor([2.0], requires_grad=True)
+    opt = Adam({"p": p, "q": q}, lr=0.1)
+    p.grad, q.grad = np.array([0.5, -0.5]), np.array([1.0])
+    opt.step()
+    before = {k: a.copy() for k, a in opt.state_arrays().items()}
+    params = {"p": p.data.copy(), "q": q.data.copy()}
+    p.grad, q.grad = np.array([0.25, 0.25]), np.array([np.nan])
+    with pytest.raises(TrainingDivergenceError, match="q") as exc:
+        opt.step()
+    assert exc.value.step == 2
+    assert opt.step_count == 1
+    for name, a in opt.state_arrays().items():
+        np.testing.assert_array_equal(a, before[name])
+    np.testing.assert_array_equal(p.data, params["p"])
+    np.testing.assert_array_equal(q.data, params["q"])
+
+
 def test_moment_shapes_match_parameters():
     p = Tensor(np.zeros((3, 4)), requires_grad=True)
     q = Tensor(np.zeros(7), requires_grad=True)
