@@ -209,6 +209,7 @@ class _SentenceSampler:
         # words a sentence takes at most without a rejection: one per
         # token, a second per further token, and a half for its length
         self.reserve = 2 * spec.len_max
+        self.block = max(_BLOCK, self.reserve)  # a refill always restores the reserve
 
     def draw(self, count: int) -> list[np.ndarray]:
         """The next ``count`` sentences of the stream."""
@@ -219,18 +220,11 @@ class _SentenceSampler:
         sentences = []
         for _ in range(count):
             if len(words) - pos < reserve:
-                words, pos = words[pos:] + self.raw(_BLOCK).tolist(), 0
+                words, pos = words[pos:] + self.raw(self.block).tolist(), 0
             n = len_min
             if len_range > 1:
-                if half is None:
-                    x, half = words[pos] & _LOW, words[pos] >> 32
-                    pos += 1
-                else:
-                    x, half = half, None
-                m = x * len_range
-                if m & _LOW < len_range:
-                    words, pos, half, m = self._reject(words, pos, half, len_range, m)
-                n += m >> 32
+                words, pos, half, k = self._integers(words, pos, half, len_range)
+                n += k
             tok = bisect_right(cdf, (words[pos] >> 11) * 2.0**-53)
             pos += 1
             out = [tok]
@@ -244,9 +238,11 @@ class _SentenceSampler:
                     else:
                         x, half = half, None
                     m = x * 3
-                    if m & _LOW < 3:
-                        words, pos, half, m = self._reject(words, pos, half, 3, m)
-                    tok = successors[tok][m >> 32]
+                    if m & _LOW < (1 << 32) % 3:  # rejected: draw integers(3) afresh
+                        words, pos, half, k = self._integers(words, pos, half, 3)
+                        tok = successors[tok][k]
+                    else:
+                        tok = successors[tok][m >> 32]
                 else:
                     tok = bisect_right(cdf, (words[pos] >> 11) * 2.0**-53)
                     pos += 1
@@ -255,22 +251,24 @@ class _SentenceSampler:
         self.words, self.pos, self.half = words, pos, half
         return sentences
 
-    def _reject(self, words: list[int], pos: int, half: int | None, n: int, m: int):
-        """Lemire's rejection loop: take halves while ``m``'s low half is
-        below ``2**32 % n``. A fresh word comes from a refilled buffer
-        rather than past its end, leaving the rest of the sentence its
-        reserve."""
+    def _integers(self, words: list[int], pos: int, half: int | None, n: int):
+        """One ``integers(n)`` draw: take halves until Lemire's method
+        accepts one, returning the buffer, position and cached half after
+        it, and the value. A fresh word comes from a refilled buffer when
+        fewer than the reserve are left, so the rest of the sentence keeps
+        its words."""
         threshold = (1 << 32) % n
-        while m & _LOW < threshold:
+        while True:
             if half is None:
-                if len(words) - pos <= self.reserve:
-                    words, pos = words[pos:] + self.raw(_BLOCK).tolist(), 0
+                if len(words) - pos < self.reserve:
+                    words, pos = words[pos:] + self.raw(self.block).tolist(), 0
                 x, half = words[pos] & _LOW, words[pos] >> 32
                 pos += 1
             else:
                 x, half = half, None
             m = x * n
-        return words, pos, half, m
+            if m & _LOW >= threshold:
+                return words, pos, half, m >> 32
 
 
 def _distinct_sentences(spec: CipherSpec, cap: int) -> int:
@@ -326,21 +324,19 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
     inventory = token_inventory(spec.vocab_size)
     vocab = Vocabulary(inventory)
 
-    draw = sampler.draw
-
-    src_train = draw(spec.n_train)
-    tgt_train_src = draw(spec.n_train)
+    src_train = sampler.draw(spec.n_train)
+    tgt_train_src = sampler.draw(spec.n_train)
     n_par = int(round(spec.parallel_fraction * spec.n_train))
     for i in range(n_par):
         tgt_train_src[i] = src_train[i].copy()
     tgt_train = [apply_cipher(s, perm, spec.window) for s in tgt_train_src]
 
-    src_valid = draw(spec.n_valid)
-    tgt_valid = [apply_cipher(s, perm, spec.window) for s in draw(spec.n_valid)]
+    src_valid = sampler.draw(spec.n_valid)
+    tgt_valid = [apply_cipher(s, perm, spec.window) for s in sampler.draw(spec.n_valid)]
 
     gold_src: dict[tuple[int, ...], np.ndarray] = {}  # first draw of each sentence
     for _ in range(100 * spec.n_test):
-        (s,) = draw(1)
+        (s,) = sampler.draw(1)
         gold_src.setdefault(tuple(s.tolist()), s)
         if len(gold_src) == spec.n_test:
             break
@@ -349,7 +345,7 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
                               f"in {100 * spec.n_test} draws; lower n_test")
     gold = [(s, apply_cipher(s, perm, spec.window)) for s in gold_src.values()]
 
-    distractors = [apply_cipher(s, perm, spec.window) for s in draw(spec.n_distractor)]
+    distractors = [apply_cipher(s, perm, spec.window) for s in sampler.draw(spec.n_distractor)]
 
     # content-token ids in the joint vocabulary start after the reserved block
     offset = vocab.size - spec.vocab_size

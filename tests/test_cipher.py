@@ -367,6 +367,14 @@ class TestStreamContract:
         want = contents(generate_cipher_pair(spec))
         assert got == want
 
+    @pytest.mark.parametrize("len_min,len_max,bigram", [(600, 600, 0.0), (550, 650, 0.5)])
+    def test_matches_the_choice_sampler_past_a_block(self, len_min, len_max, bigram):
+        """A sentence may take more words than one 1024-word block holds."""
+        spec = small_spec(vocab_size=31, len_min=len_min, len_max=len_max, bigram_weight=bigram)
+        got, want = (kind(spec, np.random.default_rng(spec.seed)).draw(6)
+                     for kind in (cipher._SentenceSampler, ChoiceSampler))
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
     @pytest.mark.parametrize("word,zero_at,refilled", [(1, 1016, True), (1, 1022, True),
                                                        (2, 1018, False)])
     def test_rejected_halves_match_the_choice_sampler(self, word, zero_at, refilled):
@@ -391,9 +399,12 @@ class TestStreamContract:
         refills = []
 
         class Watched(cipher._SentenceSampler):
-            def _reject(self, words, pos, half, n, m):
-                out = super()._reject(words, pos, half, n, m)
-                refills.append(out[0] is not words)
+            def _integers(self, words, pos, half, n):
+                out = super()._integers(words, pos, half, n)
+                refilled = out[0] is not words
+                taken = out[1] - (0 if refilled else pos)  # fresh words
+                if 2 * taken + (half is not None) - (out[2] is not None) > 1:  # a rejection
+                    refills.append(refilled)
                 return out
 
         samplers = []
