@@ -238,7 +238,7 @@ class _SentenceSampler:
                     else:
                         x, half = half, None
                     m = x * 3
-                    if m & _LOW < (1 << 32) % 3:  # rejected: draw integers(3) afresh
+                    if m & _LOW < (1 << 32) % 3:  # rejected: the loop goes on as a fresh draw
                         words, pos, half, k = self._integers(words, pos, half, 3)
                         tok = successors[tok][k]
                     else:
