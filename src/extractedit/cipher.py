@@ -195,7 +195,8 @@ class _SentenceSampler:
       ``n == 1`` takes no half.
 
     So the position of each ``integers`` call relative to the ``random()``
-    calls is part of the stream.
+    calls is part of the stream. The draws pick content tokens, and the
+    sentences hold their joint-vocabulary ids (after the reserved ids).
     """
 
     def __init__(self, spec: CipherSpec, rng: np.random.Generator):
@@ -217,6 +218,7 @@ class _SentenceSampler:
         cdf, successors, bigram_weight = self.cdf, self.successors, spec.bigram_weight
         len_min, len_range = spec.len_min, spec.len_max - spec.len_min + 1
         reserve, words, pos, half = self.reserve, self.words, self.pos, self.half
+        offset = len(RESERVED_TOKENS)
         sentences = []
         for _ in range(count):
             if len(words) - pos < reserve:
@@ -227,7 +229,7 @@ class _SentenceSampler:
                 n += k
             tok = bisect_right(cdf, (words[pos] >> 11) * 2.0**-53)
             pos += 1
-            out = [tok]
+            out = [tok + offset]
             for _ in range(1, n):
                 coin = (words[pos] >> 11) * 2.0**-53
                 pos += 1
@@ -246,7 +248,7 @@ class _SentenceSampler:
                 else:
                     tok = bisect_right(cdf, (words[pos] >> 11) * 2.0**-53)
                     pos += 1
-                out.append(tok)
+                out.append(tok + offset)
             sentences.append(np.array(out, dtype=np.int64))
         self.words, self.pos, self.half = words, pos, half
         return sentences
@@ -320,9 +322,7 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     sampler = _SentenceSampler(spec, rng)
-    perm = build_permutation(spec)
-    inventory = token_inventory(spec.vocab_size)
-    vocab = Vocabulary(inventory)
+    perm = vocab_dictionary(spec)  # over joint-vocabulary ids, as the sampler emits
 
     src_train = sampler.draw(spec.n_train)
     tgt_train_src = sampler.draw(spec.n_train)
@@ -347,18 +347,16 @@ def generate_cipher_pair(spec: CipherSpec) -> CipherPair:
 
     distractors = [apply_cipher(s, perm, spec.window) for s in sampler.draw(spec.n_distractor)]
 
-    # content-token ids in the joint vocabulary start after the reserved block
-    offset = vocab.size - spec.vocab_size
     return CipherPair(
         spec=spec,
-        vocab=vocab,
-        src_train=[s + offset for s in src_train],
-        tgt_train=[s + offset for s in tgt_train],
-        src_valid=[s + offset for s in src_valid],
-        tgt_valid=[s + offset for s in tgt_valid],
-        gold=[(s + offset, t + offset) for s, t in gold],
-        distractors=[d + offset for d in distractors],
-        dictionary=perm,
+        vocab=Vocabulary(token_inventory(spec.vocab_size)),
+        src_train=src_train,
+        tgt_train=tgt_train,
+        src_valid=src_valid,
+        tgt_valid=tgt_valid,
+        gold=gold,
+        distractors=distractors,
+        dictionary=build_permutation(spec),
     )
 
 

@@ -16,10 +16,13 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from .checkpoint import load_json, save_json
@@ -290,42 +293,76 @@ def cmd_evaluate(args, cfg: dict) -> int:
     return 0
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on (all of them where the
+    system cannot say, as on macOS)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _sweep_row(arm: str, k, trainer: Trainer, gold) -> dict:
+    """A sweep.csv row: the arm's BLEU and token accuracy on the gold set."""
+    bleu, acc = grade(trainer.model, gold)
+    return {"arm": arm, "k": k, "seed": trainer.config.seed, "bleu": bleu.bleu,
+            "token_accuracy": acc}
+
+
+def _run_arm(tc: TrainConfig, data_dir: Path, pre_dir: Path) -> tuple[str, dict]:
+    """One sweep-k arm, as a worker process runs it: a Trainer forked from
+    the pretrained checkpoint ``pre_dir``, run, then graded. Returns the
+    arm's metrics.csv text and its sweep.csv row."""
+    trainer = _make_trainer(tc, _load_data(data_dir, tc.max_len))
+    trainer.restore(pre_dir, require_same_config=False)
+    trainer.run()
+    gold = read_gold_pairs(data_dir / "gold.test.tsv", trainer.vocab)
+    return trainer.metrics_csv(), _sweep_row(tc.mode, tc.k, trainer, gold)
+
+
 def cmd_sweep_k(args, cfg: dict) -> int:
     """Pretrain once, fork every arm from that start, and grade each row on
     the gold set: pretrain-only, extract-edit at each k of ``sweep_ks``,
     then back-translation. Each arm sets its own mode, so sweep-k takes no
-    ``mode`` key."""
+    ``mode`` key.
+
+    The arms run side by side in worker processes, at most one per CPU,
+    each with one BLAS thread (the package sets it as a worker imports
+    it). Workers return their results, and this process writes them and
+    prints the rows in arm order, so the outputs do not depend on the
+    number of workers."""
     with RunManifest(args, cfg, f"{args.command}-seed{cfg['seed']}") as manifest:
         out = manifest.out_dir
-        ks = sorted(cfg["sweep_ks"])
         data_dir = Path(args.data)
 
         tc = dataclass_from(TrainConfig, {**cfg, "mode": "extract-edit"})
+        arms = [(replace(tc, k=k), f"metrics_k{k}.csv") for k in sorted(cfg["sweep_ks"])]
+        arms.append((replace(tc, mode="back-translation"), "metrics_back-translation.csv"))
         # every arm is built, and so checked, before the shared pretraining
         data = _load_data(data_dir, tc.max_len)
         pre_trainer = _make_trainer(replace(tc, main_steps=0), data)
-        arms = [(_make_trainer(replace(tc, k=k), data), k, f"metrics_k{k}.csv") for k in ks]
-        arms.append((_make_trainer(replace(tc, mode="back-translation"), data), tc.k,
-                     "metrics_back-translation.csv"))
+        for arm_tc, _ in arms:
+            _make_trainer(arm_tc, data)
         gold = read_gold_pairs(data_dir / "gold.test.tsv", pre_trainer.vocab)
         pre_trainer.run()
         pre_dir = pre_trainer.save_checkpoint(out / "pretrained")
 
-        def graded_row(arm: str, k, trainer: Trainer) -> dict:
-            bleu, acc = grade(trainer.model, gold)
-            row = {"arm": arm, "k": k, "seed": cfg["seed"], "bleu": bleu.bleu,
-                   "token_accuracy": acc}
-            print(f"{arm}{f' k={k}' if k else ''}: BLEU {row['bleu']:.2f}, "
-                  f"token accuracy {row['token_accuracy']:.4f}")
-            return row
+        rows = []
 
-        rows = [graded_row("pretrain-only", "", pre_trainer)]
-        for trainer, k, metrics_name in arms:
-            trainer.restore(pre_dir, require_same_config=False)
-            trainer.run()
-            rows.append(graded_row(trainer.config.mode, k, trainer))
-            (out / metrics_name).write_text(trainer.metrics_csv(), encoding="utf-8")
-            manifest.add_output(out / metrics_name)
+        def report(row: dict) -> None:
+            rows.append(row)
+            k = f" k={row['k']}" if row["k"] else ""
+            print(f"{row['arm']}{k}: BLEU {row['bleu']:.2f}, "
+                  f"token accuracy {row['token_accuracy']:.4f}")
+
+        report(_sweep_row("pretrain-only", "", pre_trainer, gold))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(len(arms), _cpu_count()), mp_context=spawn) as pool:
+            results = pool.map(_run_arm, [arm_tc for arm_tc, _ in arms],
+                               repeat(data_dir), repeat(pre_dir))
+            for (_, metrics_name), (metrics, row) in zip(arms, results):
+                report(row)
+                (out / metrics_name).write_text(metrics, encoding="utf-8")
+                manifest.add_output(out / metrics_name)
         _write_csv(out / "sweep.csv", rows)
         manifest.add_output(out / "sweep.csv")
         manifest.remove_stale("metrics_*.csv")

@@ -12,11 +12,15 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the published Adam constants
 
 
 class TrainingDivergenceError(RuntimeError):
-    """Non-finite gradient or loss; carries the optimizer step index."""
+    """Non-finite gradient or loss; carries the optimizer step index. Its
+    arguments are its ``args``, so it pickles, as a sweep-k worker sends it."""
 
     def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
+        super().__init__(message, step)
         self.step = step
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (step {self.step})"
 
 
 class Adam:

@@ -16,8 +16,8 @@ for pure-Python dispatch to stay off the critical path.
 ``attend`` and ``masked_max`` check that their output is finite (NaN/Inf
 raises ``NonFiniteError``); the other ops do not.
 
-The module sets no thread policy: BLAS runs with whatever thread count
-the environment gives numpy when it is first imported.
+The module sets no thread policy; the package sets one BLAS thread per
+process unless the caller chose a count (see ``extractedit``'s docstring).
 """
 
 from __future__ import annotations

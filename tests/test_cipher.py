@@ -249,8 +249,8 @@ class ChoiceSampler:
     """The sentence sampler as first written: one ``rng.choice(V, p=unigram)``
     per unigram token, one ``rng.random()`` per bigram coin, one
     ``rng.integers`` per length and successor pick, and one ``np.empty``
-    array per sentence. The random stream it consumes defines the corpora a
-    spec names."""
+    array per sentence, shifted past the reserved ids to joint-vocabulary
+    ids. The random stream it consumes defines the corpora a spec names."""
 
     def __init__(self, spec: CipherSpec, rng: np.random.Generator):
         ranks = np.arange(1, spec.vocab_size + 1, dtype=np.float64)
@@ -272,7 +272,7 @@ class ChoiceSampler:
                     out[i] = self.successors[out[i - 1], rng.integers(3)]
                 else:
                     out[i] = rng.choice(spec.vocab_size, p=self.unigram)
-            sentences.append(out)
+            sentences.append(out + len(RESERVED_TOKENS))
         return sentences
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import re
 import shlex
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extractedit import cli
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
 from extractedit.cli import _load_data, _make_trainer, build_parser, main
 from extractedit.config import COMMAND_KEYS, format_value, load_config
@@ -588,6 +590,36 @@ class TestSweepK:
             (acc,) = csv.DictReader(f)
         assert float(bleu["bleu"]) == float(row["bleu"])
         assert float(acc["token_accuracy"]) == float(row["token_accuracy"])
+
+    def test_one_worker_and_two_write_the_same_bytes(self, tmp_path, corpus_dir,
+                                                      monkeypatch):
+        """Two arms on one worker process, in turn, and on two side by side:
+        every output file has the same bytes, the manifest apart from its
+        times and build."""
+        args = TRAIN + ["pretrain_steps=6", "main_steps=6", "valid_interval=3",
+                        "checkpoint_interval=0", "sweep_ks=1"]
+        pools, digests = [], []
+        executor = cli.ProcessPoolExecutor
+
+        def pool(workers, **kw):
+            pools.append(workers)
+            return executor(workers, **kw)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: workers)
+            out = tmp_path / f"workers{workers}"
+            assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(args)) == 0
+            manifest = load_json(out / "manifest.json")
+            for key in ("started", "finished", "build"):
+                del manifest[key]
+            files = {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+            files["manifest.json"] = manifest
+            digests.append(files)
+        assert pools == [1, 2]
+        assert len(digests[0]) > 5 and "metrics_back-translation.csv" in digests[0]
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("mode,metrics_name", [
         ("extract-edit", "metrics_k3.csv"),

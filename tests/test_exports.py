@@ -1,5 +1,6 @@
 """Every name a module exports resolves, so a star import never breaks;
-importing the package leaves the process environment alone."""
+importing the package leaves the process environment alone, and gives a
+process that had not loaded numpy one BLAS thread."""
 
 from __future__ import annotations
 
@@ -42,3 +43,41 @@ def test_import_leaves_environment_unchanged():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _openblas_loaded() -> bool:
+    with open("/proc/self/maps", encoding="utf-8") as f:
+        return "openblas" in f.read().lower()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2
+                    or not _openblas_loaded(),
+                    reason="counts OpenBLAS threads in /proc on a machine with 2+ CPUs")
+class TestBlasThreads:
+    """Importing extractedit before numpy gives the process one BLAS thread,
+    unless the caller set a count or numpy was loaded first."""
+
+    @staticmethod
+    def threads(first: str, **env_vars: str) -> int:
+        """The threads of a fresh process that runs ``first``, then a
+        512x512 matmul."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(extractedit.__file__).resolve().parents[1])
+        env.update(env_vars)
+        code = (f"{first}; import os, numpy as np; a = np.ones((512, 512)); a @ a; "
+                "print(len(os.listdir('/proc/self/task')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def test_one_thread_by_default(self):
+        assert self.threads("import extractedit") == 1
+
+    def test_a_count_the_caller_set_is_kept(self):
+        assert self.threads("import extractedit", OPENBLAS_NUM_THREADS="2") == 2
+
+    def test_numpy_loaded_first_keeps_its_threads(self):
+        assert (self.threads("import numpy; import extractedit")
+                == self.threads("import numpy"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,13 @@ def test_non_finite_gradient_raises_with_step_index():
     with pytest.raises(TrainingDivergenceError) as exc:
         opt.step()
     assert exc.value.step == 2
+
+
+def test_divergence_error_survives_pickling():
+    """A sweep-k worker sends its error to the parent process pickled."""
+    err = pickle.loads(pickle.dumps(TrainingDivergenceError("non-finite gradient for q", 7)))
+    assert isinstance(err, TrainingDivergenceError)
+    assert (str(err), err.step) == ("non-finite gradient for q (step 7)", 7)
 
 
 def test_non_finite_gradient_changes_nothing():
