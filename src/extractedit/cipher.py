@@ -74,9 +74,11 @@ class CipherSpec:
 
     def validate(self) -> None:
         for key, least in (("vocab_size", 10), ("n_train", 100), ("n_valid", 1),
-                           ("n_test", 1), ("n_distractor", 0), ("window", 0)):
+                           ("n_test", 1), ("n_distractor", 0), ("window", 0), ("seed", 0)):
             if getattr(self, key) < least:
                 raise CipherSpecError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if self.substitution_seed is not None and self.substitution_seed < 0:
+            raise CipherSpecError(f"substitution_seed must be >= 0, got {self.substitution_seed}")
         if self.reorder_rule != "block-reverse":
             raise CipherSpecError(f"unknown reorder_rule {self.reorder_rule!r}")
         if not 1 <= self.len_min <= self.len_max:
@@ -420,6 +422,9 @@ def read_gold_pairs(path, vocab: Vocabulary) -> list[tuple[np.ndarray, np.ndarra
                 raise CipherSpecError(f"{path}: line {i} is not source<TAB>target, "
                                       "each with a token")
             for tok in " ".join(parts).split():
+                if tok in RESERVED_TOKENS:
+                    raise CipherSpecError(f"{path}: line {i}: token {tok!r} is reserved, "
+                                          "not text")
                 if tok not in vocab.token_to_id:
                     raise CipherSpecError(
                         f"{path}: line {i}: token {tok!r} is not in the vocabulary")

@@ -39,7 +39,7 @@ from .config import (COMMAND_KEYS, ConfigError, dataclass_from, format_config,
 from .engine import write_extraction_dump
 from .metrics import grade, hits_at_k
 from .model import SRC, TGT
-from .text import Vocabulary, load_corpus
+from .text import RESERVED_TOKENS, Vocabulary, load_corpus
 from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint, read_state
 
 ENV_OUT_ROOT = "EXTRACTEDIT_RUNS"
@@ -227,6 +227,8 @@ def cmd_translate(args, cfg: dict) -> int:
         if not line.split():
             raise CliError(f"{in_path}: line {i}: empty sentence")
         for tok in line.split():
+            if tok in RESERVED_TOKENS:
+                raise CliError(f"{in_path}: line {i}: token {tok!r} is reserved, not text")
             if tok not in vocab.token_to_id:
                 raise CliError(
                     f"{in_path}: line {i}: token {tok!r} is not in the "

@@ -68,8 +68,8 @@ def load_corpus(path, vocab: Vocabulary, max_len: int) -> list[np.ndarray]:
     """Load a one-sentence-per-line UTF-8 file with whitespace tokens.
 
     Tokens outside ``vocab`` map to UNK, and sentences longer than
-    ``max_len`` are truncated. Empty files and empty lines are ingestion
-    errors.
+    ``max_len`` are truncated. Empty files, empty lines and reserved
+    tokens are ingestion errors.
     """
     path = Path(path)
     try:
@@ -88,6 +88,9 @@ def load_corpus(path, vocab: Vocabulary, max_len: int) -> list[np.ndarray]:
     for i, line in enumerate(lines, start=1):
         if not line.split():
             raise CorpusError(f"{path}: empty sentence at line {i}")
+        for tok in line.split():
+            if tok in RESERVED_TOKENS:
+                raise CorpusError(f"{path}: line {i}: token {tok!r} is reserved, not text")
 
     return [vocab.encode(line.split()[:max_len]) for line in lines]
 

@@ -46,7 +46,7 @@ from .engine import (
 from .model import SRC, TGT, ModelConfig, TranslationModel
 from .optim import Adam, TrainingDivergenceError
 from .tensor import Tape, Tensor
-from .text import Vocabulary, apply_noise
+from .text import RESERVED_TOKENS, Vocabulary, apply_noise
 
 __all__ = [
     "MODES",
@@ -118,7 +118,7 @@ class TrainConfig:
                     "max_len"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("lr", "lr_evaluator", "valid_interval", "checkpoint_interval",
+        for key in ("seed", "lr", "lr_evaluator", "valid_interval", "checkpoint_interval",
                     "shuffle_window"):
             if getattr(self, key) < 0:  # interval 0 turns validation/checkpoints off
                 raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
@@ -239,10 +239,9 @@ class _DirectionBatch:
     """Everything one direction of an alternation step shares between the
     evaluator update and the generator update."""
 
-    sources: list[np.ndarray]
     t_star: list[np.ndarray]
     edited: list[np.ndarray]  # B*k sentences, row-major
-    e_src: np.ndarray  # (B, d) forward-only embeddings of the sources
+    e_src: Tensor  # (B, d) pooled source encodes, recorded when made under a tape
 
 
 @dataclass
@@ -353,14 +352,15 @@ class Trainer:
     # -- extract-edit ----------------------------------------------------------
 
     def _prepare_direction(self, sources: list[np.ndarray], out_lang: int) -> _DirectionBatch:
-        """Non-differentiable half of a step: translate, extract, edit."""
-        with T.no_grad():
-            h_enc, pooled, mask = self.model.encode_batch(sources)
+        """Encode the sources once, on the active tape if there is one, then
+        translate, extract and edit from that encode's values; only the
+        encode is differentiable."""
+        h_enc, pooled, mask = self.model.encode_batch(sources)
         t_star, _ = self.model.decode_greedy_batch(pooled, h_enc, mask, out_lang)
         # the first decode step bans EOS, so every translation has a token
         assert all(len(s) for s in t_star), "empty greedy translation"
         _, _, edited = self._extract_edit(pooled.data, out_lang)
-        return _DirectionBatch(sources=sources, t_star=t_star, edited=edited, e_src=pooled.data)
+        return _DirectionBatch(t_star=t_star, edited=edited, e_src=pooled)
 
     def _extract_edit(self, e_src: np.ndarray, out_lang: int
                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
@@ -386,79 +386,64 @@ class Trainer:
         edited = edit_batch(np.repeat(e_src, k, axis=0), e_extracted, self.model, out_lang)
         return idxs, dists, edited
 
-    def _encode_directions(self, directions: list[_DirectionBatch],
-                           reuse_sources: bool = False) -> list[tuple[Tensor, Tensor]]:
+    def _encode_directions(self, directions: list[_DirectionBatch]
+                           ) -> list[tuple[Tensor, Tensor]]:
         """(source embeddings (B,d), candidates (B,k+1,d)) per direction.
 
-        Each distinct sentence of all directions is encoded once, in one
-        batch, in order of first occurrence (sources, then edits, then
-        translations, direction by direction), and every slot gathers its
-        row; the translation occupies the last candidate slot.
-        Differentiable when called under a tape; both updates of a step
-        share this encode (the evaluator update detaches it, the generator
-        update backprops it).
+        The sources are each direction's ``e_src``. Each distinct candidate
+        of all directions is encoded once, in one batch, in order of first
+        occurrence (edits, then translations, direction by direction), and
+        every slot gathers its row; the translation occupies the last
+        candidate slot. Differentiable when called under a tape; both
+        updates of a step share this encode (the evaluator update detaches
+        it, the generator update backprops it).
 
         The embeddings are those of encoding every slot, bit for bit,
         because a sentence encodes the same in any batch. With no repeated
-        sentence the batch is that full list, so the gradients are the same
-        bits too. A repeated sentence's slot gradients are summed by the
-        gather's backward before the encoder backward, which then runs at
-        the distinct height: equal in exact arithmetic, the gradients differ
-        only by the reassociation of float64 sums.
-
-        With ``reuse_sources`` the sources take the rows of ``e_src`` and
-        are not encoded again: the same values, with no gradient, for
-        callers that need none.
+        candidate the batch is that full list, so the gradients are the
+        same bits too. A repeated candidate's slot gradients are summed by
+        the gather's backward before the encoder backward, which then runs
+        at the distinct height: equal in exact arithmetic, the gradients
+        differ only by the reassociation of float64 sums.
         """
         row_of: dict[bytes, int] = {}
-        known: list[np.ndarray] = []  # reused rows, placed before the encoded ones
-        if reuse_sources:
-            for d in directions:
-                for s, e in zip(d.sources, d.e_src):
-                    if s.tobytes() not in row_of:
-                        row_of[s.tobytes()] = len(known)
-                        known.append(e)
         sents: list[np.ndarray] = []
         slots = []
         for d in directions:
             rows = []
-            for s in (*d.sources, *d.edited, *d.t_star):
+            for s in (*d.edited, *d.t_star):
                 key = s.tobytes()
                 if key not in row_of:
-                    row_of[key] = len(known) + len(sents)
+                    row_of[key] = len(sents)
                     sents.append(s)
                 rows.append(row_of[key])
-            b = len(d.sources)
+            b = len(d.t_star)
             rows = np.array(rows)
-            slots.append((rows[:b], np.column_stack([rows[b:-b].reshape(b, -1), rows[-b:]])))
-        if not known:
-            _, pooled, _ = self.model.encode_batch(sents)
-        else:
-            encoded = [self.model.encode_batch(sents)[1].data] if sents else []
-            pooled = Tensor(np.concatenate([np.stack(known), *encoded]))
-        return [(T.take_rows(pooled, src), T.take_rows(pooled, cand)) for src, cand in slots]
+            slots.append(np.column_stack([rows[:-b].reshape(b, -1), rows[-b:]]))
+        _, pooled, _ = self.model.encode_batch(sents)
+        return [(d.e_src, T.take_rows(pooled, cand)) for d, cand in zip(directions, slots)]
 
     def adversarial_step(self) -> None:
         """One 1:1 alternation, both directions handled symmetrically.
 
         The evaluator update ranks the edited candidates above the
         translation on detached embeddings (the encoder is frozen in it).
-        It nests inside the encoder/decoder update, after the candidate
-        encode both share: that update backpropagates language modeling
-        plus the comparative ranking loss through the encoder, while the
-        evaluator takes part in the forward pass only (frozen in this
-        pass), and the decoder gets gradient from the language-modeling
-        term alone since every decode in the candidate pipeline is
-        non-differentiable.
+        It nests inside the encoder/decoder update, after the source and
+        candidate encodes both share. That update records each source's
+        one encode, which also feeds its translation, extraction and edits,
+        and backpropagates language modeling plus the comparative ranking
+        loss through the encoder, while the evaluator takes part in the
+        forward pass only (frozen in this pass), and the decoder gets
+        gradient from the language-modeling term alone since every decode
+        in the candidate pipeline is non-differentiable.
         """
         cfg = self.config
         self._ensure_indexes()
         batches, noised = self._draw_lm_batches()
-        directions = [self._prepare_direction(batches[SRC], TGT),
-                      self._prepare_direction(batches[TGT], SRC)]
 
         def losses():
-            embeds = self._encode_directions(directions)
+            embeds = self._encode_directions([self._prepare_direction(batches[SRC], TGT),
+                                              self._prepare_direction(batches[TGT], SRC)])
             loss_r = self._update(self.opt_eval, lambda: {"total": reduce(add, (
                 evaluator_loss(e_s.detach(), cand.detach(), self.evaluator, cfg.lam)
                 for e_s, cand in embeds))})["total"]
@@ -490,23 +475,20 @@ class Trainer:
     # -- extraction dumps ----------------------------------------------------------
 
     def extract_corpus(self, limit: int | None = None) -> list[ExtractionResult]:
-        """Top-k extractions plus edits for every source sentence (or a prefix)."""
+        """Top-k extractions plus edits for every source sentence (or a
+        prefix), whose embeddings come from one ``embed_sentences`` call;
+        extraction and editing take ``batch_size`` sources at a time."""
         if limit is not None and limit < 0:
             raise ValueError(f"limit must be >= 0, got {limit}")
         self._ensure_indexes((TGT,))  # only the target side is searched
         cfg = self.config
-        corpus = self.corpora[SRC]
-        n = len(corpus) if limit is None else min(limit, len(corpus))
+        e_src = embed_sentences(self.corpora[SRC][:limit], self.model)
         out: list[ExtractionResult] = []
-        for start in range(0, n, cfg.batch_size):
-            rows = list(range(start, min(start + cfg.batch_size, n)))
-            sents = [corpus[i] for i in rows]
-            with T.no_grad():
-                _, pooled, _ = self.model.encode_batch(sents)
-            idxs, dists, edited = self._extract_edit(pooled.data, TGT)
-            for bi, src_i in enumerate(rows):
+        for start in range(0, len(e_src), cfg.batch_size):
+            idxs, dists, edited = self._extract_edit(e_src[start : start + cfg.batch_size], TGT)
+            for bi in range(len(idxs)):
                 out.append(ExtractionResult(
-                    source_index=src_i,
+                    source_index=start + bi,
                     indices=idxs[bi],
                     distances=dists[bi],
                     edited=edited[bi * cfg.k : (bi + 1) * cfg.k],
@@ -527,9 +509,9 @@ class Trainer:
         cfg = self.config
         total = 0.0
         for start in range(0, len(corpus), 64):
-            batch = self._prepare_direction(corpus[start : start + 64], out_lang)
             with T.no_grad():
-                (e_s, cand), = self._encode_directions([batch], reuse_sources=True)
+                batch = self._prepare_direction(corpus[start : start + 64], out_lang)
+                (e_s, cand), = self._encode_directions([batch])
                 logp = T.log(score_candidates_batch(e_s, cand, self.evaluator, cfg.lam))
             total += float(logp.data[:, cfg.k].sum())
         return total / max(len(corpus), 1)
@@ -679,7 +661,7 @@ class Trainer:
             "opt_eval_steps": self.opt_eval.step_count,
             "metric_rows": self.state.metric_rows,
             "config": asdict(self.config),
-            "vocab_content": self.vocab.id_to_token[4:],
+            "vocab_content": self.vocab.id_to_token[len(RESERVED_TOKENS):],
             "index_episodes": index_meta,
             "index_corpus_sha256": index_corpora,
         })
@@ -702,7 +684,7 @@ class Trainer:
             mismatch = {k for k in meta["config"]
                         if meta["config"][k] != asdict(self.config).get(k)}
             raise ValueError(f"checkpoint config mismatch on keys: {sorted(mismatch)}")
-        if meta["vocab_content"] != self.vocab.id_to_token[4:]:
+        if meta["vocab_content"] != self.vocab.id_to_token[len(RESERVED_TOKENS):]:
             raise ValueError("checkpoint vocabulary does not match the loaded corpora")
         _load_params(directory, self.model, self.evaluator)
         optim = load_tensors(directory / "optim.bin")

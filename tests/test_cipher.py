@@ -230,6 +230,18 @@ class TestWriting:
         with pytest.raises(CipherSpecError, match="line 2: token 'zz'"):
             read_gold_pairs(path, Vocabulary(known))
 
+    @pytest.mark.parametrize("token", RESERVED_TOKENS)
+    def test_gold_reserved_token_rejected(self, tmp_path, token):
+        """Every vocabulary holds the reserved tokens, but a gold sentence
+        holds text only: one is an error naming the file, the line and the
+        token."""
+        known = token_inventory(30)
+        path = tmp_path / "gold.test.tsv"
+        path.write_text(f"{known[0]}\t{known[1]}\n{known[2]}\t{known[3]} {token}\n")
+        with pytest.raises(CipherSpecError, match=rf"gold\.test\.tsv: line 2: token '{token}' "
+                                                  r"is reserved, not text"):
+            read_gold_pairs(path, Vocabulary(known))
+
     @pytest.mark.parametrize("line", ["ba be\t", "\tba be", "ba \t  "])
     def test_gold_side_without_a_token_rejected(self, tmp_path, line):
         """A gold line with an empty side is an error naming the file and

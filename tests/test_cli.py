@@ -109,7 +109,8 @@ class TestGenCorpus:
 
     @pytest.mark.parametrize("setting", [
         "n_valid=0", "n_valid=-1", "n_test=-5", "n_distractor=-1", "bigram_weight=nan",
-        "bigram_weight=1.5", "zipf_exponent=nan", "zipf_exponent=inf"])
+        "bigram_weight=1.5", "zipf_exponent=nan", "zipf_exponent=inf", "seed=-1",
+        "substitution_seed=-3"])
     def test_degenerate_spec_fails_before_writing(self, tmp_path, capsys, setting):
         """Specs that would write empty splits or break the sampler are
         refused by name, and only the failure manifest is written."""
@@ -194,7 +195,7 @@ class TestTrain:
         assert load_json(out / "manifest.json")["success"] is False
         assert not (out / "checkpoints").exists()
 
-    @pytest.mark.parametrize("setting", ["p_drop=1.0", "shuffle_window=-1"])
+    @pytest.mark.parametrize("setting", ["p_drop=1.0", "shuffle_window=-1", "seed=-2"])
     def test_bad_noise_setting_fails_before_training(self, tmp_path, corpus_dir, capsys,
                                                      setting):
         out = tmp_path / "noise"
@@ -354,6 +355,19 @@ class TestTranslate:
         assert run("translate", "--checkpoint", checkpoint_of(run_dir),
                    "--input", src, "--output", dst) == 1
         assert "line 2: empty sentence" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_reserved_token_is_refused_by_name(self, tmp_path, corpus_dir, run_dir, capsys):
+        """The checkpoint's vocabulary holds the reserved tokens, but a
+        sentence holds text only."""
+        lines = (corpus_dir / "src.valid.txt").read_text(encoding="utf-8").splitlines()
+        src = tmp_path / "in.txt"
+        src.write_text(f"{lines[0]}\n<pad> <eos> <bos>\n", encoding="utf-8")
+        dst = tmp_path / "out.txt"
+        capsys.readouterr()
+        assert run("translate", "--checkpoint", checkpoint_of(run_dir),
+                   "--input", src, "--output", dst) == 1
+        assert "in.txt: line 2: token '<pad>' is reserved, not text" in capsys.readouterr().err
         assert not dst.exists()
 
     def test_vocabulary_mismatch_is_explicit_error(self, tmp_path, run_dir):

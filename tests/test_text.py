@@ -12,6 +12,7 @@ from extractedit.text import (
     EOS,
     PAD,
     UNK,
+    RESERVED_TOKENS,
     CorpusError,
     Vocabulary,
     apply_noise,
@@ -60,6 +61,15 @@ class TestLoadCorpus:
         p.write_text("a b\n\nc\n", encoding="utf-8")
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(p, Vocabulary([]), max_len=20)
+
+    @pytest.mark.parametrize("token", RESERVED_TOKENS)
+    def test_reserved_token_error_names_line_and_token(self, tmp_path, token):
+        """A sentence holds no framing id: a reserved token is refused by
+        name, even past max_len, rather than read as its id."""
+        p = tmp_path / "c.txt"
+        p.write_text(f"a b\nb c a {token}\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"c.txt: line 2: token '{token}' is reserved"):
+            load_corpus(p, Vocabulary(["a", "b", "c"]), max_len=2)
 
     def test_malformed_utf8_error_names_line(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -89,7 +89,7 @@ class TestConfig:
             TrainConfig(**{key: bad}).validate()
 
     @pytest.mark.parametrize("key", ["lr", "lr_evaluator", "valid_interval",
-                                     "checkpoint_interval"])
+                                     "checkpoint_interval", "seed"])
     def test_rates_and_intervals_must_be_non_negative(self, key):
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: -1}).validate()
@@ -158,9 +158,10 @@ class TestPretraining:
 
 
 def direction(tr, sources, t_star, edited) -> training._DirectionBatch:
-    """One direction of a step, with the sources' forward-only rows."""
-    return training._DirectionBatch(sources=sources, t_star=t_star, edited=edited,
-                                    e_src=embed_sentences(sources, tr.model))
+    """One direction of a step, its sources encoded in their own batch as the
+    trainer does; recorded when called under a tape."""
+    return training._DirectionBatch(t_star=t_star, edited=edited,
+                                    e_src=tr.model.encode_batch(sources)[1])
 
 
 def embed(tr, sources, t_star, edited):
@@ -489,17 +490,17 @@ class TestModelSelection:
         assert abs(d + loss.item()) <= 1e-12
 
     def test_sources_encoded_once(self, pair, monkeypatch):
-        """The candidate encode reuses the source rows _prepare_direction
-        computed: on 30 sources, with an index built since the last update,
-        the encodes are the sources, then only the edits and translations
-        that are not sources; D keeps the bits of encoding the sources
-        again."""
+        """The ranking reuses the source rows _prepare_direction computed:
+        on 30 sources, with an index built since the last update, the
+        encodes are the sources, then each distinct edit and translation;
+        D keeps the bits of encoding the sources again."""
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
         for _ in range(3):
             tr.pretrain_step()
         tr._ensure_indexes()
         sources = pair.src_valid
         assert len(sources) == 30
+        batch = tr._prepare_direction(sources, TGT)
         calls = []
         inner = TranslationModel.encode_batch
 
@@ -509,11 +510,10 @@ class TestModelSelection:
 
         monkeypatch.setattr(TranslationModel, "encode_batch", recording)
         d = tr.model_selection_score(TGT)
-        assert [len(c) for c in calls] == [30, 26]
-        batch = tr._prepare_direction(sources, TGT)
-        source_keys = {s.tobytes() for s in sources}
         distinct = dict.fromkeys(s.tobytes() for s in (*batch.edited, *batch.t_star))
-        assert [s.tobytes() for s in calls[1]] == [k for k in distinct if k not in source_keys]
+        assert [len(c) for c in calls] == [30, len(distinct)]
+        assert [s.tobytes() for s in calls[0]] == [s.tobytes() for s in sources]
+        assert [s.tobytes() for s in calls[1]] == list(distinct)
         with T.no_grad():
             (e_s, cand), = tr._encode_directions([batch])
             logp = T.log(score_candidates_batch(e_s, cand, tr.evaluator, tr.config.lam))
@@ -811,6 +811,50 @@ class TestEncodeOnce:
         tr.extract_corpus(limit=20)
         assert sum(rows) == len(tr.corpora[TGT]) + 20
 
+    def test_extract_embeds_its_sources_in_one_call(self, pair, monkeypatch):
+        """extract_corpus embeds its sources with one embed_sentences call,
+        then extracts and edits batch_size of them at a time."""
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
+        tr.run()
+        embedded = []
+        monkeypatch.setattr(training, "embed_sentences",
+                            lambda sents, model: embedded.append(sents)
+                            or embed_sentences(sents, model))
+        extracted = spy_extracted_idx(monkeypatch)
+        tr.extract_corpus(limit=20)
+        assert len(embedded) == 1
+        assert [s.tobytes() for s in embedded[0]] == [s.tobytes() for s in tr.corpora[SRC][:20]]
+        assert [len(i) for i in extracted] == [8, 8, 4]
+
+    def test_step_encodes_each_source_once(self, pair, monkeypatch):
+        """One alternation step encodes each of its 2 x batch_size sources
+        once: besides language modeling's noised batches, its encodes are
+        each direction's sources, then the distinct extracted sentences a
+        stale index makes it encode again, and last each distinct candidate
+        of both directions."""
+        tr = micro_trainer(pair, pretrain_steps=3, main_steps=5)
+        tr.run(until=4)  # the indexes now predate the generator's last update
+        drawn, directions, calls = [], [], []
+        draw, prepare = Trainer._draw_lm_batches, Trainer._prepare_direction
+        encode = TranslationModel.encode_batch
+        monkeypatch.setattr(Trainer, "_draw_lm_batches",
+                            lambda self: drawn.append(draw(self)) or drawn[-1])
+        monkeypatch.setattr(Trainer, "_prepare_direction",
+                            lambda self, *a: directions.append(prepare(self, *a))
+                            or directions[-1])
+        monkeypatch.setattr(TranslationModel, "encode_batch",
+                            lambda self, sents: calls.append(sents) or encode(self, sents))
+        extracted = spy_extracted_idx(monkeypatch)
+        tr.adversarial_step()
+        (batches, noised), = drawn
+        encoded = [c for c in calls if not any(c is n for n in noised)]
+        assert len(encoded) == len(calls) - 2
+        cands = {s.tobytes() for d in directions for s in (*d.edited, *d.t_star)}
+        reencoded = [len(np.unique(i)) for i in extracted]
+        b = tr.config.batch_size
+        assert [len(c) for c in encoded] == [b, reencoded[0], b, reencoded[1], len(cands)]
+        assert encoded[0] is batches[SRC] and encoded[2] is batches[TGT]
+
     def test_prepare_direction_encodes_each_sentence_once(self, pair, monkeypatch):
         """The sources, then, once the generator has moved past the index,
         each distinct extracted sentence."""
@@ -843,7 +887,7 @@ class TestEncodeOnce:
         d = tr._prepare_direction(sources, TGT)
         (d_idxs,) = extracted
         assert len(np.unique(d_idxs)) < d_idxs.size
-        assert len(d.sources) == len(sources)
+        np.testing.assert_array_equal(d.e_src.data, pooled.data)
         assert len(d.t_star) == len(t_star)
         for x, y in zip(d.t_star, t_star):
             np.testing.assert_array_equal(x, y)
@@ -930,36 +974,38 @@ class TestEncodeOnce:
 
 
 def encode_every_slot(tr, directions):
-    """(e_s, cand) per direction with every slot encoded: all sentences of
-    all directions in one batch, sliced apart. The oracle that encoding each
-    distinct sentence once must match."""
+    """(e_s, cand) per direction with every candidate slot encoded: all edits
+    and translations of all directions in one batch, sliced apart, beside
+    each direction's own source encode. The oracle that encoding each
+    distinct candidate once must match."""
     k = tr.config.k
     sents, starts = [], []
     for d in directions:
         starts.append(len(sents))
-        sents += [*d.sources, *d.edited, *d.t_star]
+        sents += [*d.edited, *d.t_star]
     _, pooled, _ = tr.model.encode_batch(sents)
     d_h = pooled.data.shape[1]
     out = []
     for start, d in zip(starts, directions):
-        b = len(d.sources)
-        e_s = T.take_rows(pooled, np.arange(start, start + b))
-        e_edit = T.take_rows(pooled, np.arange(start + b, start + b * (k + 1)))
-        e_star = T.take_rows(pooled, np.arange(start + b * (k + 1), start + b * (k + 2)))
+        b = len(d.t_star)
+        e_edit = T.take_rows(pooled, np.arange(start, start + b * k))
+        e_star = T.take_rows(pooled, np.arange(start + b * k, start + b * (k + 1)))
         cand = T.concat([T.reshape(e_edit, (b, k, d_h)), T.reshape(e_star, (b, 1, d_h))],
                         axis=1)
-        out.append((e_s, cand))
+        out.append((d.e_src, cand))
     return out
 
 
-def ranking_grads(tr, encode, directions):
+def ranking_grads(tr, encode, specs):
     """Embeddings, the summed comparative loss, and the gradient of every
-    parameter of both networks when the candidates come from ``encode``."""
+    parameter of both networks when each direction's sources are encoded
+    on the tape (``direction``'s keyword arguments in ``specs``) and its
+    candidates come from ``encode``."""
     params = {**tr.model.named_parameters(), **tr.evaluator.named_parameters()}
     for p in params.values():
         p.grad = None
     with Tape() as tape:
-        embeds = encode(directions)
+        embeds = encode([direction(tr, **spec) for spec in specs])
         loss = None
         for e_s, cand in embeds:
             term = comparative_loss(e_s, cand, tr.evaluator, tr.config.lam)
@@ -970,7 +1016,7 @@ def ranking_grads(tr, encode, directions):
 
 
 class TestEncodeDirections:
-    """The candidate encode takes each distinct sentence once and gathers
+    """The candidate encode takes each distinct candidate once and gathers
     the slots back: the values of encoding every slot, the same gradient
     bits when nothing repeats, and the same gradients up to float64
     reassociation when something does."""
@@ -990,30 +1036,31 @@ class TestEncodeDirections:
                 pool.append(s)
         return pool[:n]
 
-    def directions(self, tr, pair, repeats: bool):
-        """Two directions of 4 sources at k = 3: 40 slots holding 40
-        distinct sentences, or 12 with repeats within and across slots,
-        sources and directions."""
+    def specs(self, pair, repeats: bool):
+        """Two directions of 4 sources at k = 3, as ``direction``'s keyword
+        arguments, and their number of distinct candidates: 40 slots holding
+        40 distinct sentences (32 candidates), or 12 (8 candidates) with
+        repeats within and across slots, sources and directions."""
         p = self.distinct_pool(pair, 40)
         if not repeats:
-            return [direction(tr, sources=p[i : i + 4], edited=p[i + 4 : i + 16],
-                              t_star=p[i + 16 : i + 20])
-                    for i in (0, 20)], 40
+            return [dict(sources=p[i : i + 4], edited=p[i + 4 : i + 16],
+                         t_star=p[i + 16 : i + 20])
+                    for i in (0, 20)], 32
         return [
-            direction(tr, sources=[p[0], p[1], p[0], p[2]], t_star=[p[3], p[4], p[3], p[5]],
-                      edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3),
-            direction(tr, sources=[p[3], p[8], p[9], p[8]], t_star=[p[0], p[6], p[10], p[10]],
-                      edited=[p[11], p[11], p[0]] * 4),
-        ], 12
+            dict(sources=[p[0], p[1], p[0], p[2]], t_star=[p[3], p[4], p[3], p[5]],
+                 edited=[p[6]] * 6 + [p[3], p[7], p[6]] + [p[6]] * 3),
+            dict(sources=[p[3], p[8], p[9], p[8]], t_star=[p[0], p[6], p[10], p[10]],
+                 edited=[p[11], p[11], p[0]] * 4),
+        ], 8
 
     @pytest.mark.parametrize("repeats", [False, True])
     def test_matches_encoding_every_slot(self, pair, tr, repeats):
         """Embeddings and loss bit-identical; every gradient too when
         nothing repeats, else within 1e-12 of its largest entry."""
-        directions, _ = self.directions(tr, pair, repeats)
-        embeds, loss, grads = ranking_grads(tr, tr._encode_directions, directions)
+        specs, _ = self.specs(pair, repeats)
+        embeds, loss, grads = ranking_grads(tr, tr._encode_directions, specs)
         embeds_ref, loss_ref, grads_ref = ranking_grads(
-            tr, lambda ds: encode_every_slot(tr, ds), directions)
+            tr, lambda ds: encode_every_slot(tr, ds), specs)
         for (e, c), (e_ref, c_ref) in zip(embeds, embeds_ref):
             np.testing.assert_array_equal(e, e_ref)
             np.testing.assert_array_equal(c, c_ref)
@@ -1029,7 +1076,8 @@ class TestEncodeDirections:
 
     @pytest.mark.parametrize("repeats", [False, True])
     def test_each_distinct_sentence_encoded_once(self, pair, tr, monkeypatch, repeats):
-        directions, n_distinct = self.directions(tr, pair, repeats)
+        specs, n_distinct = self.specs(pair, repeats)
+        directions = [direction(tr, **spec) for spec in specs]
         rows = count_encoded_rows(monkeypatch)
         tr._encode_directions(directions)
         assert rows == [n_distinct]
@@ -1039,7 +1087,7 @@ class TestEncodeDirections:
         tr._ensure_indexes()
         directions = [tr._prepare_direction(tr._sample_batch(SRC), TGT),
                       tr._prepare_direction(tr._sample_batch(TGT), SRC)]
-        slots = [s for d in directions for s in (*d.sources, *d.edited, *d.t_star)]
+        slots = [s for d in directions for s in (*d.edited, *d.t_star)]
         n_distinct = len({s.tobytes() for s in slots})
         assert n_distinct < len(slots)
         rows = count_encoded_rows(monkeypatch)
