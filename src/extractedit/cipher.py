@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .text import RESERVED_TOKENS, Vocabulary
+from .text import RESERVED_TOKENS, CorpusError, Vocabulary, read_lines
 
 __all__ = [
     "CipherSpecError",
@@ -412,21 +412,16 @@ def full_vocab_dictionary(pair: CipherPair) -> np.ndarray:
 
 
 def read_gold_pairs(path, vocab: Vocabulary) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Read a tab-separated gold test set back into id pairs; a side with
-    no token, or a token outside ``vocab``, is an error, not UNK."""
+    """Read a tab-separated gold test set back into id pairs. The file is
+    read by ``read_lines`` against ``vocab`` (a token outside it is an
+    error, not UNK); an empty file, or a line without a token on each side
+    of one tab, is a CorpusError too."""
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for i, line in enumerate(f, start=1):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or not all(part.split() for part in parts):
-                raise CipherSpecError(f"{path}: line {i} is not source<TAB>target, "
-                                      "each with a token")
-            for tok in " ".join(parts).split():
-                if tok in RESERVED_TOKENS:
-                    raise CipherSpecError(f"{path}: line {i}: token {tok!r} is reserved, "
-                                          "not text")
-                if tok not in vocab.token_to_id:
-                    raise CipherSpecError(
-                        f"{path}: line {i}: token {tok!r} is not in the vocabulary")
-            pairs.append(tuple(vocab.encode(part.split()) for part in parts))
+    for i, line in enumerate(read_lines(path, vocab), start=1):
+        parts = line.split("\t")
+        if len(parts) != 2 or not all(part.split() for part in parts):
+            raise CorpusError(f"{path}: line {i} is not source<TAB>target, each with a token")
+        pairs.append(tuple(vocab.encode(part.split()) for part in parts))
+    if not pairs:
+        raise CorpusError(f"{path}: empty gold set")
     return pairs

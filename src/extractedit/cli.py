@@ -39,7 +39,7 @@ from .config import (COMMAND_KEYS, ConfigError, dataclass_from, format_config,
 from .engine import write_extraction_dump
 from .metrics import grade, hits_at_k
 from .model import SRC, TGT
-from .text import RESERVED_TOKENS, Vocabulary, load_corpus
+from .text import Vocabulary, load_corpus, read_lines
 from .training import STATE_FILE, TrainConfig, Trainer, load_checkpoint, read_state
 
 ENV_OUT_ROOT = "EXTRACTEDIT_RUNS"
@@ -136,10 +136,8 @@ def _load_data(data_dir: Path, max_len: int):
         dictionary = vocab_dictionary(spec)
     else:
         # arbitrary corpora: build one joint frequency vocabulary
-        lines = []
-        for name in ("src.train.txt", "tgt.train.txt"):
-            lines.extend((data_dir / name).read_text(encoding="utf-8").splitlines())
-        vocab = Vocabulary.from_lines(lines)
+        vocab = Vocabulary.from_lines(read_lines(data_dir / "src.train.txt")
+                                      + read_lines(data_dir / "tgt.train.txt"))
 
     corpora = {}
     for name in ("src.train", "tgt.train", "src.valid", "tgt.valid"):
@@ -221,19 +219,8 @@ def cmd_train(args, cfg: dict) -> int:
 def cmd_translate(args, cfg: dict) -> int:
     model, _, vocab, _ = load_checkpoint(args.checkpoint)
     out_lang = TGT if args.direction == "s2t" else SRC
-    in_path = Path(args.input)
-    lines = in_path.read_text(encoding="utf-8").splitlines()
-    for i, line in enumerate(lines, start=1):
-        if not line.split():
-            raise CliError(f"{in_path}: line {i}: empty sentence")
-        for tok in line.split():
-            if tok in RESERVED_TOKENS:
-                raise CliError(f"{in_path}: line {i}: token {tok!r} is reserved, not text")
-            if tok not in vocab.token_to_id:
-                raise CliError(
-                    f"{in_path}: line {i}: token {tok!r} is not in the "
-                    f"checkpoint vocabulary")
-    sentences = [vocab.encode(line.split()[: model.config.max_len]) for line in lines]
+    sentences = [vocab.encode(line.split()[: model.config.max_len])
+                 for line in read_lines(args.input, vocab)]
     out_lines = [" ".join(vocab.decode(ids)) for ids in model.translate(sentences, out_lang)]
     Path(args.output).write_text(
         "".join(line + "\n" for line in out_lines), encoding="utf-8")

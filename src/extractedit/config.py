@@ -122,9 +122,13 @@ def load_config(command: str, path=None) -> dict:
         return cfg
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        text = raw.decode("utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise ConfigError(f"{path}: line {line_no}: malformed UTF-8") from e
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):

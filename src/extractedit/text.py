@@ -1,4 +1,5 @@
-"""Tokenization, vocabulary, corpus loading, and the drop/shuffle noise model.
+"""Tokenization, vocabulary, the one checked reader of text files, corpus
+loading, and the drop/shuffle noise model.
 
 Sentences are 1-D ``np.int64`` arrays of content token ids (no BOS/EOS/PAD
 inside); the model layer adds framing tokens where needed.
@@ -19,6 +20,7 @@ __all__ = [
     "RESERVED_TOKENS",
     "CorpusError",
     "Vocabulary",
+    "read_lines",
     "load_corpus",
     "apply_noise",
 ]
@@ -28,7 +30,8 @@ RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
 
 class CorpusError(ValueError):
-    """Unreadable, empty, or malformed corpus input; message carries line numbers."""
+    """Unreadable, empty, or malformed text input; a fault in a file names the
+    file, and the line where there is one."""
 
 
 class Vocabulary:
@@ -64,34 +67,42 @@ class Vocabulary:
         return [self.id_to_token[int(i)] for i in ids]
 
 
-def load_corpus(path, vocab: Vocabulary, max_len: int) -> list[np.ndarray]:
-    """Load a one-sentence-per-line UTF-8 file with whitespace tokens.
+def read_lines(path, vocab: Vocabulary | None = None) -> list[str]:
+    """The lines of a UTF-8 file of whitespace-tokenized sentences.
 
-    Tokens outside ``vocab`` map to UNK, and sentences longer than
-    ``max_len`` are truncated. Empty files, empty lines and reserved
-    tokens are ingestion errors.
+    Every fault is a CorpusError naming the path, and the line where there
+    is one: an unreadable file, malformed UTF-8, a line with no token, a
+    reserved token, and, when ``vocab`` is given, a token outside it.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
     except OSError as e:
-        raise CorpusError(f"cannot read corpus file {path}: {e}") from e
+        raise CorpusError(f"cannot read {path}: {e}") from e
     try:
-        text = raw.decode("utf-8")
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError as e:
-        line_no = raw[: e.start].count(b"\n") + 1
-        raise CorpusError(f"{path}: malformed UTF-8 at line {line_no}") from e
-
-    lines = text.splitlines()
-    if not lines:
-        raise CorpusError(f"{path}: empty corpus")
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise CorpusError(f"{path}: line {line_no}: malformed UTF-8") from e
     for i, line in enumerate(lines, start=1):
-        if not line.split():
-            raise CorpusError(f"{path}: empty sentence at line {i}")
-        for tok in line.split():
+        tokens = line.split()
+        if not tokens:
+            raise CorpusError(f"{path}: line {i}: empty sentence")
+        for tok in tokens:
             if tok in RESERVED_TOKENS:
                 raise CorpusError(f"{path}: line {i}: token {tok!r} is reserved, not text")
+            if vocab is not None and tok not in vocab.token_to_id:
+                raise CorpusError(f"{path}: line {i}: token {tok!r} is not in the vocabulary")
+    return lines
 
+
+def load_corpus(path, vocab: Vocabulary, max_len: int) -> list[np.ndarray]:
+    """Load a ``read_lines`` file as a corpus: tokens outside ``vocab`` map
+    to UNK, sentences longer than ``max_len`` are truncated, and an empty
+    file is an error."""
+    lines = read_lines(path)
+    if not lines:
+        raise CorpusError(f"{path}: empty corpus")
     return [vocab.encode(line.split()[:max_len]) for line in lines]
 
 

@@ -26,7 +26,7 @@ from extractedit.cipher import (
     vocab_dictionary,
     write_cipher_pair,
 )
-from extractedit.text import RESERVED_TOKENS, Vocabulary, load_corpus
+from extractedit.text import RESERVED_TOKENS, CorpusError, Vocabulary, load_corpus
 
 
 def small_spec(**kw) -> CipherSpec:
@@ -222,12 +222,12 @@ class TestWriting:
         write_cipher_pair(generate_cipher_pair(small_spec(vocab_size=60)), tmp_path)
         path = tmp_path / "gold.test.tsv"
         assert len(read_gold_pairs(path, Vocabulary(token_inventory(60)))) == 50
-        with pytest.raises(CipherSpecError, match=r"gold\.test\.tsv: line \d+: token '\w+' "
-                                                  r"is not in the vocabulary"):
+        with pytest.raises(CorpusError, match=r"gold\.test\.tsv: line \d+: token '\w+' "
+                                              r"is not in the vocabulary"):
             read_gold_pairs(path, Vocabulary(token_inventory(30)))
         known = token_inventory(30)
         path.write_text(f"{known[0]} {known[1]}\t{known[2]}\n{known[3]}\t{known[4]} zz\n")
-        with pytest.raises(CipherSpecError, match="line 2: token 'zz'"):
+        with pytest.raises(CorpusError, match="line 2: token 'zz'"):
             read_gold_pairs(path, Vocabulary(known))
 
     @pytest.mark.parametrize("token", RESERVED_TOKENS)
@@ -238,8 +238,8 @@ class TestWriting:
         known = token_inventory(30)
         path = tmp_path / "gold.test.tsv"
         path.write_text(f"{known[0]}\t{known[1]}\n{known[2]}\t{known[3]} {token}\n")
-        with pytest.raises(CipherSpecError, match=rf"gold\.test\.tsv: line 2: token '{token}' "
-                                                  r"is reserved, not text"):
+        with pytest.raises(CorpusError, match=rf"gold\.test\.tsv: line 2: token '{token}' "
+                                              r"is reserved, not text"):
             read_gold_pairs(path, Vocabulary(known))
 
     @pytest.mark.parametrize("line", ["ba be\t", "\tba be", "ba \t  "])
@@ -248,7 +248,7 @@ class TestWriting:
         the line, not a pair graded against an empty sentence."""
         path = tmp_path / "gold.test.tsv"
         path.write_text(f"ba\tbe\n{line}\n")
-        with pytest.raises(CipherSpecError, match=r"gold\.test\.tsv: line 2 is not "):
+        with pytest.raises(CorpusError, match=r"gold\.test\.tsv: line 2 is not "):
             read_gold_pairs(path, Vocabulary(token_inventory(30)))
 
     def test_inventory_is_stable_and_unique(self):

@@ -527,6 +527,72 @@ def test_failure_returns_1_names_command_and_records_it(command, tmp_path, corpu
         assert not manifest.exists()
 
 
+# each text input, as the file read and the command that reads it from a
+# copy of the micro corpus; the copy read for "plain src.train.txt" has no
+# corpus manifest, so its vocabulary is built from its training corpora
+TEXT_INPUTS = {
+    "plain src.train.txt": ("src.train.txt", lambda data, ck, out: [
+        "train", "--data", data, "--out", out, *ov(TRAIN)]),
+    "tgt.valid.txt": ("tgt.valid.txt", lambda data, ck, out: [
+        "train", "--data", data, "--out", out, *ov(TRAIN)]),
+    "gold.test.tsv": ("gold.test.tsv", lambda data, ck, out: [
+        "evaluate", "--checkpoint", ck, "--data", data, "--out", out]),
+    "distractors.txt": ("distractors.txt", lambda data, ck, out: [
+        "evaluate", "--checkpoint", ck, "--data", data, "--out", out, "--metrics", "hits"]),
+    "translate --input": ("src.valid.txt", lambda data, ck, out: [
+        "translate", "--checkpoint", ck, "--input", data / "src.valid.txt", "--output", out]),
+}
+
+TEXT_FAULTS = {
+    "malformed UTF-8": lambda line: b"\xff" + line,
+    "reserved token": lambda line: line + b" <unk>",
+    "no token": lambda line: b" \t",
+}
+
+
+@pytest.mark.parametrize("fault", list(TEXT_FAULTS))
+@pytest.mark.parametrize("text_input", list(TEXT_INPUTS))
+def test_text_fault_names_file_and_line(text_input, fault, tmp_path, corpus_dir, run_dir,
+                                        capsys):
+    """A fault in line 2 of any text input exits 1 naming the file and the
+    line, and writes nothing but a failure manifest."""
+    name, argv = TEXT_INPUTS[text_input]
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    if text_input.startswith("plain"):
+        (data / "corpus_manifest.json").unlink()
+    lines = (data / name).read_bytes().split(b"\n")
+    lines[1] = TEXT_FAULTS[fault](lines[1])
+    (data / name).write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    args = argv(data, checkpoint_of(run_dir), out)
+    capsys.readouterr()
+    assert run(*args) == 1
+    assert f"{name}: line 2: " in capsys.readouterr().err
+    if args[0] == "translate":
+        assert not out.exists()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert load_json(out / "manifest.json")["success"] is False
+
+
+@pytest.mark.parametrize("command", ["sweep-k", "evaluate"])
+def test_empty_gold_set_fails_naming_it_before_any_work(command, tmp_path, corpus_dir,
+                                                       run_dir, capsys):
+    """An empty gold set is refused by name before any work: sweep-k writes no
+    pretrained/ checkpoint for a gold set it cannot grade."""
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    (data / "gold.test.tsv").write_text("")
+    out = tmp_path / "out"
+    argv = {"sweep-k": ["--sweep_ks=1", *ov(TRAIN)],
+            "evaluate": ["--checkpoint", checkpoint_of(run_dir)]}[command]
+    capsys.readouterr()
+    assert run(command, "--data", data, "--out", out, *argv) == 1
+    assert "gold.test.tsv: empty gold set" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 class TestSweepK:
     @pytest.fixture(scope="class")
     def fork_dir(self, tmp_path_factory, corpus_dir) -> Path:
@@ -688,6 +754,16 @@ class TestCommandLine:
             run("train", "--data", corpus_dir, "--out", out, arg)
         assert exit_.value.code == 2
         assert arg.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_utf8_config_exits_2_naming_its_line(self, tmp_path, corpus_dir,
+                                                          capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"k = 3\n\xff = 1\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("train", "--data", corpus_dir, "--out", out, "--config", cfg) == 2
+        assert "run.cfg: line 2: malformed UTF-8" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-corpus", "train", "evaluate", "sweep-k"])
