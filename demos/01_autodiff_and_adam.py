@@ -5,8 +5,9 @@ Run with: python demos/01_autodiff_and_adam.py
 
 import numpy as np
 
-from extractedit import Adam, Tape, Tensor
 from extractedit import tensor as T
+from extractedit.optim import Adam
+from extractedit.tensor import Tape, Tensor
 
 # --- forward math records onto an explicit tape ---------------------------
 

@@ -5,8 +5,7 @@ Run with: python demos/02_cipher_corpus.py
 
 import numpy as np
 
-from extractedit import CipherSpec, generate_cipher_pair
-from extractedit.cipher import invert_cipher
+from extractedit.cipher import CipherSpec, generate_cipher_pair, invert_cipher
 
 spec = CipherSpec(vocab_size=40, seed=11, substitution_seed=5, window=1,
                   n_train=300, n_valid=40, n_test=50, len_min=3, len_max=8)

@@ -9,8 +9,7 @@ Run with: python demos/03_extract_edit_walkthrough.py  (about a minute)
 
 import numpy as np
 
-from extractedit import CipherSpec, generate_cipher_pair
-from extractedit.cipher import full_vocab_dictionary
+from extractedit.cipher import CipherSpec, full_vocab_dictionary, generate_cipher_pair
 from extractedit.engine import (
     build_index,
     edit_batch,

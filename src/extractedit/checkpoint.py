@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 
@@ -58,10 +57,13 @@ def load_tensors(path) -> dict[str, np.ndarray]:
     sep = raw.find(b"\n\n")
     if sep < 0:
         raise CheckpointError(f"{path}: missing manifest terminator")
-    header_lines = raw[:sep].decode("utf-8").split("\n")
+    try:
+        header_lines = raw[:sep].decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: manifest is not UTF-8") from None
     binary = raw[sep + 2 :]
     head = header_lines[0].split()
-    if len(head) != 3 or head[0] != "tensors":
+    if len(head) != 3 or head[0] != "tensors" or not (head[1] + head[2]).isdecimal():
         raise CheckpointError(f"{path}: bad manifest header {header_lines[0]!r}")
     version, count = int(head[1]), int(head[2])
     if version != FORMAT_VERSION:
@@ -106,5 +108,10 @@ def save_json(path, payload: dict) -> None:
 
 
 def load_json(path) -> dict:
-    with open(Path(path), encoding="utf-8") as f:
-        return json.load(f)
+    """A JSON file's payload; malformed UTF-8 or JSON is a CheckpointError
+    naming the path."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:  # json.JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: malformed JSON: {e}") from e

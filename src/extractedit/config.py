@@ -11,9 +11,9 @@ option and a ``load_config`` file line parse a value with the same parser.
 from __future__ import annotations
 
 from dataclasses import fields
-from pathlib import Path
 
 from .cipher import CipherSpec
+from .text import decode_lines
 from .training import TrainConfig
 
 __all__ = ["ConfigError", "COMMAND_KEYS", "load_config", "dataclass_from",
@@ -120,16 +120,7 @@ def load_config(command: str, path=None) -> dict:
     cfg = {key: default for key, (_, default, _) in keys.items()}
     if path is None:
         return cfg
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-        text = raw.decode("utf-8")
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        line_no = raw.count(b"\n", 0, e.start) + 1
-        raise ConfigError(f"{path}: line {line_no}: malformed UTF-8") from e
-    for i, line in enumerate(text.splitlines(), start=1):
+    for i, line in enumerate(decode_lines(path, ConfigError), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -28,7 +28,7 @@ import numpy as np
 from . import tensor as T
 from .model import TranslationModel, _glorot
 from .tensor import DegenerateInputError, Tensor
-from .text import Vocabulary
+from .text import Vocabulary, decode_lines
 
 __all__ = [
     "EvaluationNetwork",
@@ -224,12 +224,11 @@ def write_extraction_dump(path, results: list[ExtractionResult],
 
 def read_extraction_dump(path, vocab: Vocabulary) -> list[ExtractionResult]:
     results = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            parts = line.rstrip("\n").split("\t")
-            src_idx = int(parts[0])
-            indices = np.array([int(x) for x in parts[1].split()], dtype=np.int64)
-            distances = np.array([float(x) for x in parts[2].split()])
-            edited = [vocab.encode(p.split()) for p in parts[3:]]
-            results.append(ExtractionResult(src_idx, indices, distances, edited))
+    for line in decode_lines(path):
+        parts = line.split("\t")
+        src_idx = int(parts[0])
+        indices = np.array([int(x) for x in parts[1].split()], dtype=np.int64)
+        distances = np.array([float(x) for x in parts[2].split()])
+        edited = [vocab.encode(p.split()) for p in parts[3:]]
+        results.append(ExtractionResult(src_idx, indices, distances, edited))
     return results

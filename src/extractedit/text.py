@@ -20,6 +20,7 @@ __all__ = [
     "RESERVED_TOKENS",
     "CorpusError",
     "Vocabulary",
+    "decode_lines",
     "read_lines",
     "load_corpus",
     "apply_noise",
@@ -67,23 +68,32 @@ class Vocabulary:
         return [self.id_to_token[int(i)] for i in ids]
 
 
+def decode_lines(path, error=CorpusError) -> list[str]:
+    """The lines of a UTF-8 file. A line ends at ``\\n`` and nowhere else, so
+    a CRLF file's ``\\r`` stays in its line, where ``str.split`` takes it for
+    whitespace. An unreadable file or malformed UTF-8 raises ``error``
+    naming the path, and the line of the malformed byte."""
+    path = Path(path)
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise error(f"cannot read {path}: {e}") from e
+    try:
+        lines = raw.decode("utf-8").split("\n")
+    except UnicodeDecodeError as e:
+        line_no = raw.count(b"\n", 0, e.start) + 1
+        raise error(f"{path}: line {line_no}: malformed UTF-8") from e
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 def read_lines(path, vocab: Vocabulary | None = None) -> list[str]:
-    """The lines of a UTF-8 file of whitespace-tokenized sentences.
+    """The ``decode_lines`` of a file of whitespace-tokenized sentences.
 
     Every fault is a CorpusError naming the path, and the line where there
     is one: an unreadable file, malformed UTF-8, a line with no token, a
     reserved token, and, when ``vocab`` is given, a token outside it.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as e:
-        raise CorpusError(f"cannot read {path}: {e}") from e
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as e:
-        line_no = raw.count(b"\n", 0, e.start) + 1
-        raise CorpusError(f"{path}: line {line_no}: malformed UTF-8") from e
+    lines = decode_lines(path)
     for i, line in enumerate(lines, start=1):
         tokens = line.split()
         if not tokens:

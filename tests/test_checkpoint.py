@@ -8,6 +8,7 @@ import pytest
 from extractedit.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
+    load_json,
     load_tensors,
     save_tensors,
 )
@@ -57,6 +58,27 @@ def test_bad_header_rejected(tmp_path):
     p.write_bytes(b"not a manifest\n\nxxxx")
     with pytest.raises(CheckpointError):
         load_tensors(p)
+
+
+@pytest.mark.parametrize("header,fault", [
+    (b"\xfftensors 1 0", "manifest is not UTF-8"),
+    (b"tensors x 1", "bad manifest header 'tensors x 1'"),
+    (b"tensors 1 y", "bad manifest header 'tensors 1 y'"),
+], ids=["not UTF-8", "version", "count"])
+def test_malformed_header_names_the_file(tmp_path, header, fault):
+    p = tmp_path / "bad.bin"
+    p.write_bytes(header + b"\n\n")
+    with pytest.raises(CheckpointError, match=f"bad.bin: {fault}"):
+        load_tensors(p)
+
+
+@pytest.mark.parametrize("content", [b'{"a": 1', b'{"a": "\xff"}'],
+                         ids=["truncated", "not UTF-8"])
+def test_malformed_json_names_the_file(tmp_path, content):
+    p = tmp_path / "state.json"
+    p.write_bytes(content)
+    with pytest.raises(CheckpointError, match="state.json: malformed JSON"):
+        load_json(p)
 
 
 def test_tab_in_name_rejected(tmp_path):

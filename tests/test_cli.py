@@ -576,6 +576,33 @@ def test_text_fault_names_file_and_line(text_input, fault, tmp_path, corpus_dir,
         assert load_json(out / "manifest.json")["success"] is False
 
 
+# a damaged file, the command that reads it, and the damage
+DAMAGED_FILES = {
+    "state.json": ("extract", lambda b: b[:len(b) // 2]),
+    "corpus_manifest.json": ("train", lambda b: b[:9]),
+    "params.bin": ("translate", lambda b: b"tensors x 1" + b[b.index(b"\n"):]),
+}
+
+
+@pytest.mark.parametrize("name", list(DAMAGED_FILES))
+def test_damaged_file_is_named(name, tmp_path, corpus_dir, run_dir, capsys):
+    """A truncated JSON file, or a tensor file whose header holds no format
+    version, exits 1 naming the file."""
+    command, damage = DAMAGED_FILES[name]
+    data, ckpt = tmp_path / "data", tmp_path / "ck"
+    shutil.copytree(corpus_dir, data)
+    shutil.copytree(checkpoint_of(run_dir), ckpt)
+    path = (data if name == "corpus_manifest.json" else ckpt) / name
+    path.write_bytes(damage(path.read_bytes()))
+    argv = {"extract": ["--checkpoint", ckpt, "--data", data, "--out-file", tmp_path / "d"],
+            "train": ["--data", data, "--out", tmp_path / "out", *ov(TRAIN)],
+            "translate": ["--checkpoint", ckpt, "--input", data / "src.valid.txt",
+                          "--output", tmp_path / "t.txt"]}[command]
+    capsys.readouterr()
+    assert run(command, *argv) == 1
+    assert f"{command} failed: {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["sweep-k", "evaluate"])
 def test_empty_gold_set_fails_naming_it_before_any_work(command, tmp_path, corpus_dir,
                                                        run_dir, capsys):

@@ -61,6 +61,17 @@ def test_unknown_key_rejected(tmp_path):
             load_config(command, path)
 
 
+@pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                  "\u2028", "\u2029", "\r"], ids=lambda c: f"U+{ord(c):04X}")
+def test_a_line_ends_at_newline_only(tmp_path, char):
+    """A fault is reported on the line an editor shows: the characters other
+    than ``\\n`` at which ``str.splitlines`` breaks end no line."""
+    path = tmp_path / "c.cfg"
+    path.write_bytes(f"k = 3{char} \nlr = x\n".encode("utf-8"))
+    with pytest.raises(ConfigError, match=r"c\.cfg: line 2: bad value for lr"):
+        load_config("train", path)
+
+
 def test_structured_configs():
     spec = dataclass_from(CipherSpec, {**load_config("gen-corpus"), "window": 2})
     assert spec.window == 2 and spec.vocab_size == 100

@@ -45,6 +45,19 @@ def test_import_leaves_environment_unchanged():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_loads_no_module():
+    """``import extractedit`` only sets the BLAS policy: names are imported
+    from their modules, and each module loads on its first import."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(extractedit.__file__).resolve().parents[1]))
+    code = ("import sys, extractedit; "
+            "print([m for m in sys.modules if m.startswith('extractedit.')])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _openblas_loaded() -> bool:
     with open("/proc/self/maps", encoding="utf-8") as f:
         return "openblas" in f.read().lower()

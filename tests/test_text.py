@@ -17,7 +17,11 @@ from extractedit.text import (
     Vocabulary,
     apply_noise,
     load_corpus,
+    read_lines,
 )
+
+# the characters other than "\n" at which str.splitlines ends a line
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
 
 
 class TestVocabulary:
@@ -76,6 +80,28 @@ class TestLoadCorpus:
         p.write_bytes(b"ok line\n\xff\xfe broken\n")
         with pytest.raises(CorpusError, match="line 2"):
             load_corpus(p, Vocabulary([]), max_len=20)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS, ids=lambda c: f"U+{ord(c):04X}")
+    def test_a_line_ends_at_newline_only(self, tmp_path, char):
+        """Only ``\\n`` ends a line, so a fault is reported on the line an
+        editor shows: other line-break characters, a lone ``\\r`` included,
+        separate tokens within their line."""
+        p = tmp_path / "c.txt"
+        p.write_bytes(f"a{char}b\n".encode("utf-8"))
+        assert [line.split() for line in read_lines(p)] == [["a", "b"]]
+        p.write_bytes(f"a{char}b\nc <eos>\n".encode("utf-8"))
+        with pytest.raises(CorpusError, match="c.txt: line 2: token '<eos>' is reserved"):
+            read_lines(p)
+
+    def test_crlf_file_reads_as_its_lf_twin(self, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"a b\nb c a\nc\n")
+        crlf.write_bytes(b"a b\r\nb c a\r\nc\r\n")
+        vocab = Vocabulary(["a", "b", "c"])
+        want, got = (load_corpus(p, vocab, max_len=20) for p in (lf, crlf))
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
     def test_indexing_stable_across_reloads(self, tmp_path, rng):
         """1000-line file: sentence i identical across two loads."""
