@@ -21,9 +21,6 @@ import math
 
 import numpy as np
 
-__all__ = ["FORMAT_VERSION", "CheckpointError", "save_tensors", "load_tensors",
-           "save_json", "load_json"]
-
 FORMAT_VERSION = 1
 
 
@@ -108,10 +105,13 @@ def save_json(path, payload: dict) -> None:
 
 
 def load_json(path) -> dict:
-    """A JSON file's payload; malformed UTF-8 or JSON is a CheckpointError
-    naming the path."""
+    """A JSON file's object; malformed UTF-8 or JSON, or a payload that is
+    not an object, is a CheckpointError naming the path."""
     try:
         with open(path, encoding="utf-8") as f:
-            return json.load(f)
+            payload = json.load(f)
     except ValueError as e:  # json.JSONDecodeError and UnicodeDecodeError
         raise CheckpointError(f"{path}: malformed JSON: {e}") from e
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: not a JSON object")
+    return payload

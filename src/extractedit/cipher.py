@@ -31,20 +31,6 @@ import numpy as np
 
 from .text import RESERVED_TOKENS, CorpusError, Vocabulary, read_lines
 
-__all__ = [
-    "CipherSpecError",
-    "CipherSpec",
-    "CipherPair",
-    "token_inventory",
-    "build_permutation",
-    "vocab_dictionary",
-    "apply_cipher",
-    "invert_cipher",
-    "generate_cipher_pair",
-    "write_cipher_pair",
-    "read_gold_pairs",
-]
-
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 

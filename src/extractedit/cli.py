@@ -131,7 +131,10 @@ def _load_data(data_dir: Path, max_len: int):
     manifest_path = data_dir / "corpus_manifest.json"
     dictionary = None
     if manifest_path.exists():
-        spec = CipherSpec(**load_json(manifest_path)["spec"])
+        try:
+            spec = CipherSpec(**load_json(manifest_path)["spec"])
+        except (KeyError, TypeError) as e:
+            raise CliError(f"{manifest_path}: bad cipher spec: {e!r}") from e
         vocab = Vocabulary(token_inventory(spec.vocab_size))
         dictionary = vocab_dictionary(spec)
     else:
@@ -229,7 +232,7 @@ def cmd_translate(args, cfg: dict) -> int:
 
 
 def cmd_extract(args, cfg: dict) -> int:
-    tc = TrainConfig(**read_state(args.checkpoint)["config"])
+    _, tc, _ = read_state(args.checkpoint)
     trainer = _make_trainer(tc, _load_data(Path(args.data), tc.max_len))
     trainer.restore(args.checkpoint)
     results = trainer.extract_corpus(limit=args.limit)

@@ -16,9 +16,6 @@ from .cipher import CipherSpec
 from .text import decode_lines
 from .training import TrainConfig
 
-__all__ = ["ConfigError", "COMMAND_KEYS", "load_config", "dataclass_from",
-           "format_config", "format_value"]
-
 
 class ConfigError(ValueError):
     """Unknown key, bad value, or unreadable config file."""

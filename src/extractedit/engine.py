@@ -26,22 +26,9 @@ from functools import cached_property
 import numpy as np
 
 from . import tensor as T
-from .model import TranslationModel, _glorot
+from .model import TranslationModel, glorot
 from .tensor import DegenerateInputError, Tensor
 from .text import Vocabulary, decode_lines
-
-__all__ = [
-    "EvaluationNetwork",
-    "EmbeddingIndex",
-    "ExtractionResult",
-    "build_index",
-    "embed_sentences",
-    "extract_topk_batch",
-    "edit_batch",
-    "score_candidates_batch",
-    "write_extraction_dump",
-    "read_extraction_dump",
-]
 
 _INDEX_CHUNK = 256  # rows per encode in embed_sentences; bounds its per-token states
 _SCREEN_SLACK = 1e-9  # kNN screen margin, relative to (max ||r|| + ||q||)^2
@@ -51,11 +38,11 @@ class EvaluationNetwork:
     """Shared MLP projecting sentence embeddings into the joint ranking space."""
 
     def __init__(self, d_in: int, rng: np.random.Generator, hidden: int, d_out: int):
-        self.w1 = _glorot(rng, (d_in, hidden))
+        self.w1 = glorot(rng, (d_in, hidden))
         self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = _glorot(rng, (hidden, hidden))
+        self.w2 = glorot(rng, (hidden, hidden))
         self.b2 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w3 = _glorot(rng, (hidden, d_out))
+        self.w3 = glorot(rng, (hidden, d_out))
         self.b3 = Tensor(np.zeros(d_out), requires_grad=True)
 
     def forward(self, e: Tensor) -> Tensor:

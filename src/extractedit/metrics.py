@@ -14,8 +14,6 @@ from .engine import EvaluationNetwork, embed_sentences
 from .model import TGT, TranslationModel
 from .tensor import Tensor
 
-__all__ = ["BleuReport", "HitsReport", "corpus_bleu", "token_accuracy", "grade", "hits_at_k"]
-
 
 @dataclass
 class BleuReport:

@@ -18,8 +18,6 @@ from . import tensor as T
 from .tensor import DegenerateInputError, Tensor
 from .text import BOS, EOS, PAD
 
-__all__ = ["SRC", "TGT", "ModelConfig", "TranslationModel", "pad_batch"]
-
 SRC, TGT = 0, 1
 
 
@@ -44,7 +42,7 @@ def pad_batch(sentences) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ids, lengths, mask
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
     """A trainable weight of ``shape``, Glorot-uniform; the one weight initializer."""
     limit = np.sqrt(6.0 / sum(shape))
     return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
@@ -54,9 +52,9 @@ def _gru_layer(rng: np.random.Generator, d_in: int, d_h: int) -> dict[str, Tenso
     """One gated-recurrence layer: ``tensor.gru_step``'s weights, in its
     argument order; gate layout [reset | update | candidate]."""
     return {
-        "w_ih": _glorot(rng, (d_in, 3 * d_h)),
+        "w_ih": glorot(rng, (d_in, 3 * d_h)),
         "b_ih": Tensor(np.zeros(3 * d_h), requires_grad=True),
-        "w_hh": _glorot(rng, (d_h, 3 * d_h)),
+        "w_hh": glorot(rng, (d_h, 3 * d_h)),
         "b_hh": Tensor(np.zeros(3 * d_h), requires_grad=True),
     }
 
@@ -71,9 +69,9 @@ class TranslationModel:
         self.embedding = Tensor(rng.uniform(-0.1, 0.1, size=(v, d)), requires_grad=True)
         self.enc_layers = [_gru_layer(rng, d, d) for _ in range(config.layers)]
         self.dec_layers = [_gru_layer(rng, d, d) for _ in range(config.layers)]
-        self.w_att = _glorot(rng, (2 * d, d))
+        self.w_att = glorot(rng, (2 * d, d))
         self.b_att = Tensor(np.zeros(d), requires_grad=True)
-        self.w_out = _glorot(rng, (d, v))
+        self.w_out = glorot(rng, (d, v))
         self.b_out = Tensor(np.zeros(v), requires_grad=True)
         self.lang_emb = Tensor(rng.uniform(-0.1, 0.1, size=(2, d)), requires_grad=True)
 

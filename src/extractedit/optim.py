@@ -6,8 +6,6 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Adam", "TrainingDivergenceError"]
-
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the published Adam constants
 
 

@@ -26,34 +26,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "DimensionError",
-    "DegenerateInputError",
-    "NonFiniteError",
-    "no_grad",
-    "add",
-    "mul",
-    "neg",
-    "matmul",
-    "tsum",
-    "tmean",
-    "log",
-    "tanh",
-    "reshape",
-    "concat",
-    "stack",
-    "take_rows",
-    "gather",
-    "log_softmax",
-    "scaled_softmax",
-    "cosine",
-    "gru_step",
-    "attend",
-    "masked_max",
-]
-
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""

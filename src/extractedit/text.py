@@ -12,20 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "PAD",
-    "BOS",
-    "EOS",
-    "UNK",
-    "RESERVED_TOKENS",
-    "CorpusError",
-    "Vocabulary",
-    "decode_lines",
-    "read_lines",
-    "load_corpus",
-    "apply_noise",
-]
-
 PAD, BOS, EOS, UNK = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 

@@ -48,18 +48,6 @@ from .optim import Adam, TrainingDivergenceError
 from .tensor import Tape, Tensor
 from .text import RESERVED_TOKENS, Vocabulary, apply_noise
 
-__all__ = [
-    "MODES",
-    "TrainConfig",
-    "Trainer",
-    "METRIC_COLUMNS",
-    "STATE_FILE",
-    "comparative_loss",
-    "evaluator_loss",
-    "load_checkpoint",
-    "read_state",
-]
-
 MODES = ("extract-edit", "back-translation")
 
 METRIC_COLUMNS = ("step", "mode", "loss_total", "loss_lm", "loss_com",
@@ -206,15 +194,23 @@ def _load_params(directory: Path, model: TranslationModel,
         p.grad = None
 
 
-def read_state(directory) -> dict:
-    """A checkpoint directory's STATE_FILE, refused unless its ``format``
-    is the one this code writes."""
+def read_state(directory) -> tuple[dict, TrainConfig, Vocabulary]:
+    """A checkpoint directory's STATE_FILE, with the TrainConfig and
+    Vocabulary it records. A file that is not an object in the ``format``
+    this code writes, or whose config or vocabulary does not build, is a
+    CheckpointError naming the path."""
     path = Path(directory) / STATE_FILE
     meta = load_json(path)
     if meta.get("format") != STATE_FORMAT:
         raise CheckpointError(f"{path}: checkpoint format {meta.get('format')!r} is not "
                               f"supported (expected {STATE_FORMAT})")
-    return meta
+    try:
+        config = TrainConfig(**meta["config"])
+        config.validate()
+        vocab = Vocabulary(meta["vocab_content"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad config or vocabulary: {e!r}") from e
+    return meta, config, vocab
 
 
 def load_checkpoint(directory
@@ -223,9 +219,7 @@ def load_checkpoint(directory
     checkpoint directory, for inference; ``Trainer.restore`` also restores
     the optimizers, indexes and RNG."""
     directory = Path(directory)
-    meta = read_state(directory)
-    config = TrainConfig(**meta["config"])
-    vocab = Vocabulary(meta["vocab_content"])
+    _, config, vocab = read_state(directory)
     model, evaluator = _build_networks(config, vocab.size, np.random.default_rng(config.seed))
     _load_params(directory, model, evaluator)
     return model, evaluator, vocab, config
@@ -679,12 +673,12 @@ class Trainer:
         checkpoint that records no digests restores every snapshot.
         """
         directory = Path(directory)
-        meta = read_state(directory)
-        if require_same_config and meta["config"] != asdict(self.config):
-            mismatch = {k for k in meta["config"]
-                        if meta["config"][k] != asdict(self.config).get(k)}
+        meta, config, vocab = read_state(directory)
+        if require_same_config and config != self.config:
+            saved, live = asdict(config), asdict(self.config)
+            mismatch = {k for k in saved if saved[k] != live[k]}
             raise ValueError(f"checkpoint config mismatch on keys: {sorted(mismatch)}")
-        if meta["vocab_content"] != self.vocab.id_to_token[len(RESERVED_TOKENS):]:
+        if vocab.id_to_token != self.vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match the loaded corpora")
         _load_params(directory, self.model, self.evaluator)
         optim = load_tensors(directory / "optim.bin")

@@ -296,17 +296,21 @@ class TestTranslate:
         assert out1.read_bytes() == out2.read_bytes()
         assert len(out1.read_text().splitlines()) == 24
 
-    def test_loads_the_weights_restore_loads(self, tmp_path, corpus_dir, run_dir):
+    @pytest.mark.parametrize("direction, input_name, lang, out_lang",
+                             [("s2t", "src.valid.txt", SRC, TGT),
+                              ("t2s", "tgt.valid.txt", TGT, SRC)])
+    def test_loads_the_weights_restore_loads(self, direction, input_name, lang, out_lang,
+                                             tmp_path, corpus_dir, run_dir):
         """translate decodes exactly as a Trainer restored from the same
-        checkpoint does."""
+        checkpoint does, in either direction."""
         ck = checkpoint_of(run_dir)
         dst = tmp_path / "out.txt"
-        assert run("translate", "--checkpoint", ck,
-                   "--input", corpus_dir / "src.valid.txt", "--output", dst) == 0
+        assert run("translate", "--checkpoint", ck, "--direction", direction,
+                   "--input", corpus_dir / input_name, "--output", dst) == 0
         tc = TrainConfig(**load_json(ck / "state.json")["config"])
         trainer = _make_trainer(tc, _load_data(corpus_dir, tc.max_len))
         trainer.restore(ck)
-        decoded, _ = trainer.model.translate_batch(trainer.valid[SRC], TGT)
+        decoded, _ = trainer.model.translate_batch(trainer.valid[lang], out_lang)
         assert len(decoded) == 24
         assert dst.read_text().splitlines() == [" ".join(trainer.vocab.decode(ids))
                                                 for ids in decoded]
@@ -576,19 +580,39 @@ def test_text_fault_names_file_and_line(text_input, fault, tmp_path, corpus_dir,
         assert load_json(out / "manifest.json")["success"] is False
 
 
+def rewrite_json(edit):
+    """Damage that applies ``edit`` to a JSON file's object in place."""
+    def damage(b: bytes) -> bytes:
+        payload = json.loads(b)
+        edit(payload)
+        return json.dumps(payload).encode()
+    return damage
+
+
 # a damaged file, the command that reads it, and the damage
-DAMAGED_FILES = {
-    "state.json": ("extract", lambda b: b[:len(b) // 2]),
-    "corpus_manifest.json": ("train", lambda b: b[:9]),
-    "params.bin": ("translate", lambda b: b"tensors x 1" + b[b.index(b"\n"):]),
-}
+DAMAGED_FILES = [
+    pytest.param("state.json", "extract", lambda b: b[:len(b) // 2], id="state.json"),
+    pytest.param("corpus_manifest.json", "train", lambda b: b[:9], id="corpus_manifest.json"),
+    pytest.param("params.bin", "translate", lambda b: b"tensors x 1" + b[b.index(b"\n"):],
+                 id="params.bin"),
+    pytest.param("state.json", "extract", lambda b: b"[]", id="state.json-list-extract"),
+    pytest.param("state.json", "translate", lambda b: b"[]", id="state.json-list-translate"),
+    pytest.param("state.json", "evaluate", rewrite_json(lambda s: s.pop("vocab_content")),
+                 id="state.json-no-vocab"),
+    pytest.param("state.json", "extract", rewrite_json(lambda s: s["config"].update(foo=1)),
+                 id="state.json-config-key"),
+    pytest.param("corpus_manifest.json", "train", lambda b: b"{}",
+                 id="corpus_manifest.json-no-spec"),
+    pytest.param("corpus_manifest.json", "train",
+                 rewrite_json(lambda m: m["spec"].update(foo=1)),
+                 id="corpus_manifest.json-spec-key"),
+]
 
 
-@pytest.mark.parametrize("name", list(DAMAGED_FILES))
-def test_damaged_file_is_named(name, tmp_path, corpus_dir, run_dir, capsys):
-    """A truncated JSON file, or a tensor file whose header holds no format
-    version, exits 1 naming the file."""
-    command, damage = DAMAGED_FILES[name]
+@pytest.mark.parametrize("name, command, damage", DAMAGED_FILES)
+def test_damaged_file_is_named(name, command, damage, tmp_path, corpus_dir, run_dir, capsys):
+    """A truncated JSON file, a JSON file of the wrong shape, or a tensor
+    file whose header holds no format version, exits 1 naming the file."""
     data, ckpt = tmp_path / "data", tmp_path / "ck"
     shutil.copytree(corpus_dir, data)
     shutil.copytree(checkpoint_of(run_dir), ckpt)
@@ -597,7 +621,9 @@ def test_damaged_file_is_named(name, tmp_path, corpus_dir, run_dir, capsys):
     argv = {"extract": ["--checkpoint", ckpt, "--data", data, "--out-file", tmp_path / "d"],
             "train": ["--data", data, "--out", tmp_path / "out", *ov(TRAIN)],
             "translate": ["--checkpoint", ckpt, "--input", data / "src.valid.txt",
-                          "--output", tmp_path / "t.txt"]}[command]
+                          "--output", tmp_path / "t.txt"],
+            "evaluate": ["--checkpoint", ckpt, "--data", data, "--out", tmp_path / "out"]
+            }[command]
     capsys.readouterr()
     assert run(command, *argv) == 1
     assert f"{command} failed: {path}: " in capsys.readouterr().err
