@@ -1,8 +1,10 @@
-"""Importing the package leaves the process environment alone, loads no
+"""A module's public names are those without a leading underscore;
+importing the package leaves the process environment alone, loads no
 module, and gives a process that had not loaded numpy one BLAS thread."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +13,29 @@ from pathlib import Path
 import pytest
 
 import extractedit
+
+SOURCES = sorted(Path(extractedit.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_underscore_is_the_one_privacy_marker(path):
+    """No module keeps an ``__all__`` list, and none reaches another
+    package module's underscore name, by import or by attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assigned = {t.id for node in ast.walk(tree) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(t, ast.Name)}
+    assert "__all__" not in assigned
+    internal = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.level or (node.module or "").startswith("extractedit"))]
+    private = [a.name for node in internal for a in node.names if a.name.startswith("_")]
+    assert not private, f"{path.name} imports private names {private}"
+    modules = {a.asname or a.name for node in internal for a in node.names
+               if not node.module}
+    reached = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    assert not reached, f"{path.name} reads private names {reached}"
 
 
 def test_import_leaves_environment_unchanged():
