@@ -8,10 +8,10 @@ manifest. Tensors are raw little-endian float64, row-major, stored back
 to back in manifest order; the payload holds nothing else, and a manifest
 that does not tile it exactly is rejected on load.
 
-A checkpoint directory holds ``params.bin`` (model + evaluator weights),
-``optim.bin`` (Adam moments), ``index.bin`` (embedding-index snapshots),
-and ``state.json`` (counters, RNG state, config echo, vocabulary, metric
-history) so a run can resume bit-exactly.
+A checkpoint directory holds ``params.bin`` and ``optim.bin`` (the arrays
+of ``training._checkpoint_arrays``: weights, Adam moments), ``index.bin``
+(embedding-index snapshots), and ``state.json`` (counters, RNG state,
+config echo, vocabulary, metric history) so a run can resume bit-exactly.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ def save_tensors(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Named arrays, read-only float64 views of the file's payload, uncopied."""
     with open(path, "rb") as f:
         raw = f.read()
     sep = raw.find(b"\n\n")
@@ -92,7 +93,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
                 f"{path}: tensor {name!r}: payload ends at byte {len(binary)}, "
                 f"tensor needs {end}")
         arr = np.frombuffer(binary, dtype="<f8", count=n, offset=offset)
-        out[name] = arr.reshape(shape).astype(np.float64)
+        out[name] = arr.reshape(shape).astype(np.float64, copy=False)
     if end != len(binary):
         raise CheckpointError(
             f"{path}: {len(binary) - end} trailing bytes after the last tensor")

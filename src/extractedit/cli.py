@@ -131,9 +131,11 @@ def _load_data(data_dir: Path, max_len: int):
     manifest_path = data_dir / "corpus_manifest.json"
     dictionary = None
     if manifest_path.exists():
+        manifest = load_json(manifest_path)  # names the file if it is not a JSON object
         try:
-            spec = CipherSpec(**load_json(manifest_path)["spec"])
-        except (KeyError, TypeError) as e:
+            spec = CipherSpec(**manifest["spec"])
+            spec.validate()
+        except (KeyError, TypeError, ValueError) as e:
             raise CliError(f"{manifest_path}: bad cipher spec: {e!r}") from e
         vocab = Vocabulary(token_inventory(spec.vocab_size))
         dictionary = vocab_dictionary(spec)

@@ -62,15 +62,7 @@ class Adam:
             p.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment tensors under stable names, for checkpointing."""
-        out: dict[str, np.ndarray] = {}
-        for k in self.params:
-            out[f"m.{k}"] = self.m[k]
-            out[f"v.{k}"] = self.v[k]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step_count: int) -> None:
-        for k in self.params:
-            self.m[k] = arrays[f"m.{k}"].copy()
-            self.v[k] = arrays[f"v.{k}"].copy()
-        self.step_count = step_count
+        """The live moment arrays, ``m.<name>`` then ``v.<name>`` per parameter,
+        for a checkpoint to save and to restore in place."""
+        return {f"{t}.{k}": moments[k] for k in self.params
+                for t, moments in (("m", self.m), ("v", self.v))}

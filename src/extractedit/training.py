@@ -175,23 +175,33 @@ def _build_networks(config: TrainConfig, vocab_size: int, rng: np.random.Generat
     return model, evaluator
 
 
-def _load_params(directory: Path, model: TranslationModel,
-                 evaluator: EvaluationNetwork) -> None:
-    """Overwrite both networks' parameters with a checkpoint's; the file must
-    hold exactly the networks' tensors, each with the live parameter's shape."""
-    params = load_tensors(directory / "params.bin")
-    expected = {**model.named_parameters(), **evaluator.named_parameters()}
-    missing = sorted(expected.keys() - params.keys())
-    extra = sorted(params.keys() - expected.keys())
-    if missing or extra:
-        raise ValueError(f"{directory / 'params.bin'} does not match the networks: "
-                         f"missing tensors {missing}, extra tensors {extra}")
-    for k, p in expected.items():
-        if params[k].shape != p.data.shape:
-            raise ValueError(f"checkpoint shape mismatch for {k}: "
-                             f"{params[k].shape} vs {p.data.shape}")
-        p.data = params[k].copy()
-        p.grad = None
+def _checkpoint_arrays(model: TranslationModel, evaluator: EvaluationNetwork,
+                       opt_gen: Adam | None = None, opt_eval: Adam | None = None
+                       ) -> dict[str, dict[str, np.ndarray]]:
+    """The live arrays of a checkpoint's tensor files, by file, in file order:
+    ``params.bin`` holds both networks' parameters, ``optim.bin`` the ``gen.``
+    then the ``eval.`` optimizer's moments, as ``Adam.state_arrays`` names them."""
+    return {
+        "params.bin": {k: p.data for net in (model, evaluator)
+                       for k, p in net.named_parameters().items()},
+        "optim.bin": {f"{tag}.{k}": a for tag, opt in (("gen", opt_gen), ("eval", opt_eval))
+                      if opt is not None for k, a in opt.state_arrays().items()},
+    }
+
+
+def _read_into(path: Path, live: dict[str, np.ndarray]) -> None:
+    """Copy the tensor file at ``path`` into the ``live`` arrays, in place. A
+    file without exactly their names and shapes is a CheckpointError naming
+    it and every missing, extra and misshapen tensor, before any array changes."""
+    saved = load_tensors(path)
+    missing, extra = sorted(live.keys() - saved.keys()), sorted(saved.keys() - live.keys())
+    shapes = [f"{k} {saved[k].shape} vs {a.shape}" for k, a in live.items()
+              if k in saved and saved[k].shape != a.shape]
+    if missing or extra or shapes:
+        raise CheckpointError(f"{path}: missing tensors {missing}, extra tensors {extra}, "
+                              f"wrong shapes {shapes}")
+    for k, a in live.items():
+        a[...] = saved[k]
 
 
 def read_state(directory) -> tuple[dict, TrainConfig, Vocabulary]:
@@ -221,7 +231,7 @@ def load_checkpoint(directory
     directory = Path(directory)
     _, config, vocab = read_state(directory)
     model, evaluator = _build_networks(config, vocab.size, np.random.default_rng(config.seed))
-    _load_params(directory, model, evaluator)
+    _read_into(directory / "params.bin", _checkpoint_arrays(model, evaluator)["params.bin"])
     return model, evaluator, vocab, config
 
 
@@ -629,23 +639,14 @@ class Trainer:
         return directory
 
     def _write_checkpoint(self, directory: Path) -> None:
-        params = {k: p.data for k, p in self.model.named_parameters().items()}
-        params.update({k: p.data for k, p in self.evaluator.named_parameters().items()})
-        save_tensors(directory / "params.bin", params)
-        optim = {f"gen.{k}": v for k, v in self.opt_gen.state_arrays().items()}
-        optim.update({f"eval.{k}": v for k, v in self.opt_eval.state_arrays().items()})
-        save_tensors(directory / "optim.bin", optim)
-        index_arrays = {}
-        index_meta = {}
-        index_corpora = {}
-        for lang, name in ((SRC, "src"), (TGT, "tgt")):
-            idx = self.indexes.get(lang)
-            if idx is not None:
-                index_arrays[f"index.{name}"] = idx.rows
-                index_meta[name] = idx.episode
-                index_corpora[name] = _corpus_digest(self.corpora[lang])
-        if index_arrays:
-            save_tensors(directory / "index.bin", index_arrays)
+        for name, live in _checkpoint_arrays(self.model, self.evaluator,
+                                             self.opt_gen, self.opt_eval).items():
+            save_tensors(directory / name, live)
+        indexed = [(lang, name) for lang, name in ((SRC, "src"), (TGT, "tgt"))
+                   if lang in self.indexes]
+        if indexed:
+            save_tensors(directory / "index.bin",
+                         {f"index.{name}": self.indexes[lang].rows for lang, name in indexed})
         save_json(directory / STATE_FILE, {
             "format": STATE_FORMAT,
             "step": self.state.step,
@@ -656,8 +657,9 @@ class Trainer:
             "metric_rows": self.state.metric_rows,
             "config": asdict(self.config),
             "vocab_content": self.vocab.id_to_token[len(RESERVED_TOKENS):],
-            "index_episodes": index_meta,
-            "index_corpus_sha256": index_corpora,
+            "index_episodes": {name: self.indexes[lang].episode for lang, name in indexed},
+            "index_corpus_sha256": {name: _corpus_digest(self.corpora[lang])
+                                    for lang, name in indexed},
         })
 
     def restore(self, directory, require_same_config: bool = True) -> None:
@@ -665,12 +667,15 @@ class Trainer:
 
         With ``require_same_config`` (the default) the checkpoint must have
         been written under an identical TrainConfig; sweeps that share a
-        pretrained initialization across k values disable the check (array
-        shapes are still validated by the parameter load).
+        pretrained initialization across k values disable the check.
+        ``params.bin`` and ``optim.bin`` must hold exactly this trainer's
+        arrays (``_read_into``), and ``state.json`` its run state.
 
         An index snapshot whose corpus digest differs from this trainer's
         corpus is dropped, so the next ``_ensure_indexes`` builds it anew; a
-        checkpoint that records no digests restores every snapshot.
+        checkpoint that records no digests restores every snapshot. A kept one
+        must be (corpus rows, ``hidden_size``). Each fault is a CheckpointError
+        naming its file.
         """
         directory = Path(directory)
         meta, config, vocab = read_state(directory)
@@ -680,29 +685,29 @@ class Trainer:
             raise ValueError(f"checkpoint config mismatch on keys: {sorted(mismatch)}")
         if vocab.id_to_token != self.vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match the loaded corpora")
-        _load_params(directory, self.model, self.evaluator)
-        optim = load_tensors(directory / "optim.bin")
-        self.opt_gen.load_state_arrays(
-            {k[len("gen."):]: v for k, v in optim.items() if k.startswith("gen.")},
-            step_count=meta["opt_gen_steps"])
-        self.opt_eval.load_state_arrays(
-            {k[len("eval."):]: v for k, v in optim.items() if k.startswith("eval.")},
-            step_count=meta["opt_eval_steps"])
+        try:
+            state = TrainState(meta["step"], meta["episode"],
+                               [list(r) for r in meta["metric_rows"]])
+            self.rng.bit_generator.state = meta["rng"]
+            self.opt_gen.step_count = meta["opt_gen_steps"]
+            self.opt_eval.step_count = meta["opt_eval_steps"]
+            episodes = meta["index_episodes"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise CheckpointError(f"{directory / STATE_FILE}: bad run state: {e!r}") from e
+        for name, live in _checkpoint_arrays(self.model, self.evaluator,
+                                             self.opt_gen, self.opt_eval).items():
+            _read_into(directory / name, live)
         self.indexes = {}
         self._index_built_at = {}  # a restored index counts as stale
-        if (directory / "index.bin").exists():
-            arrays = load_tensors(directory / "index.bin")
-            digests = meta.get("index_corpus_sha256")
-            for lang, name in ((SRC, "src"), (TGT, "tgt")):
-                if f"index.{name}" in arrays and (
-                        digests is None or digests[name] == _corpus_digest(self.corpora[lang])):
-                    self.indexes[lang] = EmbeddingIndex(
-                        rows=arrays[f"index.{name}"],
-                        episode=meta["index_episodes"][name],
-                    )
-        self.rng.bit_generator.state = meta["rng"]
-        self.state = TrainState(
-            step=meta["step"],
-            episode=meta["episode"],
-            metric_rows=[list(r) for r in meta["metric_rows"]],
-        )
+        path = directory / "index.bin"
+        arrays = load_tensors(path) if path.exists() else {}
+        digests = meta.get("index_corpus_sha256")
+        for lang, name in ((SRC, "src"), (TGT, "tgt")):
+            rows = arrays.get(f"index.{name}")
+            if rows is None or (digests and digests[name] != _corpus_digest(self.corpora[lang])):
+                continue  # no snapshot, or one over another corpus
+            if rows.shape != (len(self.corpora[lang]), self.config.hidden_size):
+                raise CheckpointError(f"{path}: index.{name} has shape {rows.shape}, not "
+                                      f"({len(self.corpora[lang])}, {self.config.hidden_size})")
+            self.indexes[lang] = EmbeddingIndex(rows=rows, episode=episodes[name])
+        self.state = state

@@ -8,6 +8,7 @@ import json
 import re
 import shlex
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +590,19 @@ def rewrite_json(edit):
     return damage
 
 
+def rewrite_tensors(edit):
+    """Damage that applies ``edit`` to a tensor file's dict of arrays."""
+    def damage(b: bytes) -> bytes:
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "t.bin"
+            path.write_bytes(b)
+            tensors = load_tensors(path)
+            edit(tensors)
+            save_tensors(path, tensors)
+            return path.read_bytes()
+    return damage
+
+
 # a damaged file, the command that reads it, and the damage
 DAMAGED_FILES = [
     pytest.param("state.json", "extract", lambda b: b[:len(b) // 2], id="state.json"),
@@ -606,13 +620,33 @@ DAMAGED_FILES = [
     pytest.param("corpus_manifest.json", "train",
                  rewrite_json(lambda m: m["spec"].update(foo=1)),
                  id="corpus_manifest.json-spec-key"),
+    pytest.param("corpus_manifest.json", "train",
+                 rewrite_json(lambda m: m["spec"].update(vocab_size="30")),
+                 id="corpus_manifest.json-string-vocab-size"),
+    pytest.param("corpus_manifest.json", "train",
+                 rewrite_json(lambda m: m["spec"].update(len_min=9, len_max=5)),
+                 id="corpus_manifest.json-inverted-lengths"),
+    pytest.param("state.json", "extract", rewrite_json(lambda s: s.pop("opt_gen_steps")),
+                 id="state.json-no-opt-steps"),
+    pytest.param("params.bin", "extract",
+                 rewrite_tensors(lambda t: t.update({"decoder.proj.b": np.zeros(3)})),
+                 id="params.bin-shape"),
+    pytest.param("optim.bin", "extract", rewrite_tensors(lambda t: t.pop("gen.m.embedding")),
+                 id="optim.bin-missing"),
+    pytest.param("optim.bin", "extract",
+                 rewrite_tensors(lambda t: t.update({"eval.v.evaluator.b3": np.zeros(5)})),
+                 id="optim.bin-shape"),
+    pytest.param("index.bin", "extract",
+                 rewrite_tensors(lambda t: t.update({"index.tgt": t["index.tgt"][:, :5]})),
+                 id="index.bin-narrow"),
 ]
 
 
 @pytest.mark.parametrize("name, command, damage", DAMAGED_FILES)
 def test_damaged_file_is_named(name, command, damage, tmp_path, corpus_dir, run_dir, capsys):
-    """A truncated JSON file, a JSON file of the wrong shape, or a tensor
-    file whose header holds no format version, exits 1 naming the file."""
+    """A truncated JSON file, a JSON file of the wrong shape or content, a
+    tensor file whose header holds no format version, or one whose tensors
+    are not the live arrays' names and shapes, exits 1 naming the file."""
     data, ckpt = tmp_path / "data", tmp_path / "ck"
     shutil.copytree(corpus_dir, data)
     shutil.copytree(checkpoint_of(run_dir), ckpt)

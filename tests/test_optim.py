@@ -122,16 +122,3 @@ def test_moment_shapes_match_parameters():
     assert opt.m["p"].shape == (3, 4)
     assert opt.v["q"].shape == (7,)
 
-
-def test_state_roundtrip():
-    p = Tensor([1.0, 2.0], requires_grad=True)
-    opt = Adam({"p": p}, lr=0.01)
-    p.grad = np.array([0.5, -0.5])
-    opt.step()
-    arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
-
-    opt2 = Adam({"p": p}, lr=0.01)
-    opt2.load_state_arrays(arrays, step_count=opt.step_count)
-    np.testing.assert_array_equal(opt2.m["p"], opt.m["p"])
-    np.testing.assert_array_equal(opt2.v["p"], opt.v["p"])
-    assert opt2.step_count == 1

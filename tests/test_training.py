@@ -9,7 +9,8 @@ import pytest
 
 from extractedit import tensor as T
 from extractedit import training
-from extractedit.checkpoint import CheckpointError, load_json, save_json
+from extractedit.checkpoint import (CheckpointError, load_json, load_tensors, save_json,
+                                    save_tensors)
 from extractedit.cipher import CipherSpec, full_vocab_dictionary, generate_cipher_pair
 from extractedit.engine import (
     EvaluationNetwork,
@@ -593,6 +594,33 @@ class TestDeterminismAndResume:
             with pytest.raises(CheckpointError, match="checkpoint format 2 is not supported"):
                 read(ckpt)
         assert other.state.step == 0
+
+    @pytest.mark.parametrize("name", ["params.bin", "optim.bin"])
+    def test_misshapen_tensor_changes_no_array_of_its_file(self, pair, tmp_path, name):
+        """A tensor file whose last tensor has another shape is refused,
+        naming the file and the tensor, before any array it holds changes."""
+        tr = micro_trainer(pair, pretrain_steps=2, main_steps=0)
+        tr.pretrain_step()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        tensors = load_tensors(ckpt / name)
+        last = list(tensors)[-1]
+        tensors[last] = np.zeros(1)
+        save_tensors(ckpt / name, tensors)
+        other = micro_trainer(pair, pretrain_steps=2, main_steps=0)
+
+        def live():
+            if name == "params.bin":
+                return [p.data for net in (other.model, other.evaluator)
+                        for p in net.named_parameters().values()]
+            return [*other.opt_gen.state_arrays().values(),
+                    *other.opt_eval.state_arrays().values()]
+
+        before = [a.copy() for a in live()]
+        message = rf"{name}: missing tensors \[\], extra tensors \[\], wrong shapes \['{last} "
+        with pytest.raises(CheckpointError, match=message):
+            other.restore(ckpt)
+        for a, b in zip(live(), before, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
     @pytest.mark.parametrize("other", ["fewer sentences", "same size, reordered"])
