@@ -125,20 +125,27 @@ class TranslationModel:
 
     # -- decoding -------------------------------------------------------------
 
-    def _decoder_step(self, tok_ids: np.ndarray, step: int, hiddens: list[Tensor],
-                      lang: int, h_enc: Tensor | None, enc_mask: np.ndarray | None) -> Tensor:
+    def _decoder_input(self, tok_ids: np.ndarray, step: int, lang: int) -> Tensor:
+        """The embedded decoder input; step 0 adds the language tag."""
         x = T.take_rows(self.embedding, tok_ids)
         if step == 0:
             x = x + T.take_rows(self.lang_emb, np.full(len(tok_ids), lang))
-        inp = x
+        return x
+
+    def _decoder_step(self, x: Tensor, hiddens: list[Tensor], h_enc: Tensor | None,
+                      enc_mask: np.ndarray | None, projected: bool = False) -> Tensor:
+        """One decoder step from layer 0's input ``x``: the embedded input, or
+        with ``projected`` its layer-0 input projection (see ``gru_step``)."""
         for i, layer in enumerate(self.dec_layers):
-            hiddens[i] = T.gru_step(inp, hiddens[i], *layer.values())
-            inp = hiddens[i]
-        top = hiddens[-1]
+            w_ih, b_ih, w_hh, b_hh = layer.values()
+            if projected and i == 0:
+                w_ih = b_ih = None
+            hiddens[i] = T.gru_step(x, hiddens[i], w_ih, b_ih, w_hh, b_hh)
+            x = hiddens[i]
         if h_enc is not None:
-            ctx = T.attend(top, h_enc, enc_mask)
-            top = T.tanh(T.matmul(T.concat([top, ctx], axis=-1), self.w_att) + self.b_att)
-        return T.matmul(top, self.w_out) + self.b_out
+            ctx = T.attend(x, h_enc, enc_mask)
+            x = T.tanh(T.matmul(T.concat([x, ctx], axis=-1), self.w_att) + self.b_att)
+        return T.matmul(x, self.w_out) + self.b_out
 
     def nll_batch(self, src_sentences, tgt_sentences, out_lang: int) -> Tensor:
         """Token-averaged teacher-forced negative log-likelihood of targets.
@@ -161,7 +168,8 @@ class TranslationModel:
         hiddens = [pooled for _ in self.dec_layers]
         logits = []
         for t in range(t_out):
-            logits.append(self._decoder_step(inputs[:, t], t, hiddens, out_lang, h_enc, enc_mask))
+            x = self._decoder_input(inputs[:, t], t, out_lang)
+            logits.append(self._decoder_step(x, hiddens, h_enc, enc_mask))
         logp = T.log_softmax(T.stack(logits, axis=1))
         tok_logp = T.gather(logp, targets[:, :, None])
         picked = T.reshape(tok_logp, (b, t_out)) * Tensor(loss_mask.astype(np.float64))
@@ -179,31 +187,51 @@ class TranslationModel:
         at least one token. Decoding runs at most ``config.max_len`` steps.
         Returns the decoded sentences and a per-sentence flag marking
         max-length truncation.
+
+        Only the rows still decoding are computed: a row that emits EOS
+        leaves the batch with its hidden states and its ``h_enc`` and
+        ``enc_mask`` rows (``h_enc`` keeps its padded length). Step 0's layer-0
+        input projection is that of the one row of BOS plus the language tag.
+        When the vocabulary has fewer tokens than the ``rows × max_len``
+        row-steps the call may decode, later steps read it from a table of
+        every token's ``x @ w_ih + b_ih``, made once per call; otherwise they
+        project their embedding rows. No row's products depend on how many
+        rows its batch has (see ``tensor._mm``), so a row decodes to the same
+        bits alone, in any batch, with or without the table, and as in a loop
+        that multiplies every row's embedding at every step.
         """
-        b = init.data.shape[0]
+        b, max_len = init.data.shape[0], self.config.max_len
+        grid = np.empty((b, max_len), dtype=np.int64)  # row i emits grid[i, :lengths[i]]
+        lengths = np.full(b, max_len)
+        rows = np.arange(b)  # the batch rows still decoding
+        layer0 = self.dec_layers[0]
         with T.no_grad():
+            first = T.matmul(self._decoder_input(np.array([BOS]), 0, lang), layer0["w_ih"])
+            x, projected = T.take_rows(first + layer0["b_ih"], np.zeros(b, dtype=np.int64)), True
+            table = self.embedding.data.shape[0] < b * max_len  # fewer tokens than row-steps
+            tokens = self.embedding  # layer 0's input per token id after step 0
+            if table:
+                tokens = T.matmul(tokens, layer0["w_ih"]) + layer0["b_ih"]
             hiddens = [init for _ in self.dec_layers]
-            tok = np.full(b, BOS, dtype=np.int64)
-            done = np.zeros(b, dtype=bool)
-            steps = []
-            for t in range(self.config.max_len):
-                logits = self._decoder_step(tok, t, hiddens, lang, h_enc, enc_mask).data.copy()
+            for t in range(max_len):
+                logits = self._decoder_step(x, hiddens, h_enc, enc_mask, projected).data
                 logits[:, PAD] = -np.inf
                 logits[:, BOS] = -np.inf
                 if t == 0:
                     logits[:, EOS] = -np.inf
                 tok = logits.argmax(axis=1)
-                tok[done] = PAD
-                done |= tok == EOS
-                steps.append(tok.copy())
-                if done.all():
+                grid[rows, t] = tok
+                going = tok != EOS
+                if not going.all():
+                    lengths[rows[~going]] = t
+                    rows, tok = rows[going], tok[going]
+                    hiddens = [Tensor(h.data[going]) for h in hiddens]
+                    if h_enc is not None:
+                        h_enc, enc_mask = Tensor(h_enc.data[going]), enc_mask[going]
+                if rows.size == 0:
                     break
-        grid = np.stack(steps, axis=1)
-        sentences = []
-        for row in grid:
-            ids = row[(row != PAD) & (row != EOS)]
-            sentences.append(ids.astype(np.int64))
-        return sentences, ~done
+                x, projected = T.take_rows(tokens, tok), table
+        return [row[:n] for row, n in zip(grid, lengths.tolist())], lengths == max_len
 
     def translate_batch(self, sentences, out_lang: int
                         ) -> tuple[list[np.ndarray], np.ndarray]:

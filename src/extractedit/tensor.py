@@ -470,6 +470,12 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
     they run at full height on gate gradients that are zero on the frozen
     rows; only the element-wise gate work is restricted to the live rows.
 
+    With ``w_ih`` and ``b_ih`` both None, ``x`` is the input already
+    projected, ``x @ w_ih + b_ih`` (B, 3d), for example rows gathered from a
+    table of every token's projection; a row gets the same bits either way.
+    That form has no backward (it needs ``x`` and ``w_ih``), so a step
+    that would be recorded on the active tape refuses it.
+
     A recorded step keeps, per live row, ``rz`` (both gates), a copy of the
     candidate third of ``h @ w_hh + b_hh`` and the candidate ``n``: 4 × d
     floats. The backward gathers the live rows of ``h`` again and
@@ -478,15 +484,23 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
     """
     x, h = _wrap(x), _wrap(h)
     d = h.data.shape[-1]
-    if w_ih.data.shape[1] != 3 * d or w_hh.data.shape != (d, 3 * d):
+    projected = w_ih is None
+    if projected != (b_ih is None):
+        raise DimensionError("gru_step takes w_ih and b_ih together, or neither")
+    if projected and _recording((x, h, w_hh, b_hh)):
+        raise RuntimeError("gru_step cannot record a step on an already projected input")
+    if w_hh.data.shape != (d, 3 * d) or not (projected or w_ih.data.shape[1] == 3 * d):
         raise DimensionError("gru_step weight shapes do not match the hidden size")
-    if x.data.shape[-1] != w_ih.data.shape[0]:
+    if x.data.shape[-1] != (3 * d if projected else w_ih.data.shape[0]):
         raise DimensionError("gru_step input width does not match w_ih")
     rows = slice(None) if live is None else live  # basic slice: views, no copy
     xl = x.data[rows]
     hl = h.data[rows]
-    gi = _mm(xl, w_ih.data)
-    gi += b_ih.data
+    if projected:
+        gi = xl  # read only below
+    else:
+        gi = _mm(xl, w_ih.data)
+        gi += b_ih.data
     gh = _mm(hl, w_hh.data)
     gh += b_hh.data
     # sigmoid(a) = 0.5 * (1 + tanh(0.5 * a)) for both gates in one pass:
@@ -512,7 +526,7 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
     out = Tensor(h_new)
     _check_finite(out.data, "gru_step")
     inputs = (x, h, w_ih, b_ih, w_hh, b_hh)
-    if not _recording(inputs):
+    if projected or not _recording(inputs):
         return out
     gh_n = gh_n.copy()  # the backward reads this third of gh, and none of gi
 

@@ -189,10 +189,10 @@ def _checkpoint_arrays(model: TranslationModel, evaluator: EvaluationNetwork,
     }
 
 
-def _read_into(path: Path, live: dict[str, np.ndarray]) -> None:
-    """Copy the tensor file at ``path`` into the ``live`` arrays, in place. A
-    file without exactly their names and shapes is a CheckpointError naming
-    it and every missing, extra and misshapen tensor, before any array changes."""
+def _read_checked(path: Path, live: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The tensor file at ``path``, which must hold exactly the names and
+    shapes of the ``live`` arrays; otherwise a CheckpointError naming it and
+    every missing, extra and misshapen tensor. No array changes."""
     saved = load_tensors(path)
     missing, extra = sorted(live.keys() - saved.keys()), sorted(saved.keys() - live.keys())
     shapes = [f"{k} {saved[k].shape} vs {a.shape}" for k, a in live.items()
@@ -200,8 +200,7 @@ def _read_into(path: Path, live: dict[str, np.ndarray]) -> None:
     if missing or extra or shapes:
         raise CheckpointError(f"{path}: missing tensors {missing}, extra tensors {extra}, "
                               f"wrong shapes {shapes}")
-    for k, a in live.items():
-        a[...] = saved[k]
+    return saved
 
 
 def read_state(directory) -> tuple[dict, TrainConfig, Vocabulary]:
@@ -231,7 +230,10 @@ def load_checkpoint(directory
     directory = Path(directory)
     _, config, vocab = read_state(directory)
     model, evaluator = _build_networks(config, vocab.size, np.random.default_rng(config.seed))
-    _read_into(directory / "params.bin", _checkpoint_arrays(model, evaluator)["params.bin"])
+    live = _checkpoint_arrays(model, evaluator)["params.bin"]
+    saved = _read_checked(directory / "params.bin", live)
+    for k, a in live.items():
+        a[...] = saved[k]
     return model, evaluator, vocab, config
 
 
@@ -669,13 +671,14 @@ class Trainer:
         been written under an identical TrainConfig; sweeps that share a
         pretrained initialization across k values disable the check.
         ``params.bin`` and ``optim.bin`` must hold exactly this trainer's
-        arrays (``_read_into``), and ``state.json`` its run state.
+        arrays (``_read_checked``), and ``state.json`` its run state.
 
         An index snapshot whose corpus digest differs from this trainer's
         corpus is dropped, so the next ``_ensure_indexes`` builds it anew; a
         checkpoint that records no digests restores every snapshot. A kept one
         must be (corpus rows, ``hidden_size``). Each fault is a CheckpointError
-        naming its file.
+        naming its file, raised after every file is read and before any
+        trainer state changes: a refused restore leaves the trainer as it was.
         """
         directory = Path(directory)
         meta, config, vocab = read_state(directory)
@@ -685,29 +688,39 @@ class Trainer:
             raise ValueError(f"checkpoint config mismatch on keys: {sorted(mismatch)}")
         if vocab.id_to_token != self.vocab.id_to_token:
             raise ValueError("checkpoint vocabulary does not match the loaded corpora")
+        path = directory / "index.bin"
+        snapshots = load_tensors(path) if path.exists() else {}
         try:
             state = TrainState(meta["step"], meta["episode"],
                                [list(r) for r in meta["metric_rows"]])
-            self.rng.bit_generator.state = meta["rng"]
-            self.opt_gen.step_count = meta["opt_gen_steps"]
-            self.opt_eval.step_count = meta["opt_eval_steps"]
+            type(self.rng.bit_generator)().state = meta["rng"]  # checked here, set below
+            opt_steps = meta["opt_gen_steps"], meta["opt_eval_steps"]
             episodes = meta["index_episodes"]
+            digests = meta.get("index_corpus_sha256")
+            kept = {}
+            for lang, name in ((SRC, "src"), (TGT, "tgt")):
+                key = f"index.{name}"
+                if key not in snapshots or (digests and digests[name]
+                                            != _corpus_digest(self.corpora[lang])):
+                    continue  # no snapshot, or one over another corpus
+                kept[key] = lang, episodes[name]
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{directory / STATE_FILE}: bad run state: {e!r}") from e
-        for name, live in _checkpoint_arrays(self.model, self.evaluator,
-                                             self.opt_gen, self.opt_eval).items():
-            _read_into(directory / name, live)
-        self.indexes = {}
-        self._index_built_at = {}  # a restored index counts as stale
-        path = directory / "index.bin"
-        arrays = load_tensors(path) if path.exists() else {}
-        digests = meta.get("index_corpus_sha256")
-        for lang, name in ((SRC, "src"), (TGT, "tgt")):
-            rows = arrays.get(f"index.{name}")
-            if rows is None or (digests and digests[name] != _corpus_digest(self.corpora[lang])):
-                continue  # no snapshot, or one over another corpus
+        indexes = {}
+        for key, (lang, episode) in kept.items():
+            rows = snapshots[key]
             if rows.shape != (len(self.corpora[lang]), self.config.hidden_size):
-                raise CheckpointError(f"{path}: index.{name} has shape {rows.shape}, not "
+                raise CheckpointError(f"{path}: {key} has shape {rows.shape}, not "
                                       f"({len(self.corpora[lang])}, {self.config.hidden_size})")
-            self.indexes[lang] = EmbeddingIndex(rows=rows, episode=episodes[name])
+            indexes[lang] = EmbeddingIndex(rows=rows, episode=episode)
+        files = _checkpoint_arrays(self.model, self.evaluator, self.opt_gen, self.opt_eval)
+        arrays = {name: _read_checked(directory / name, live) for name, live in files.items()}
+        # every file is checked: from here on nothing fails
+        for name, live in files.items():
+            for k, a in live.items():
+                a[...] = arrays[name][k]
+        self.rng.bit_generator.state = meta["rng"]
+        self.opt_gen.step_count, self.opt_eval.step_count = opt_steps
+        self.indexes = indexes
+        self._index_built_at = {}  # a restored index counts as stale
         self.state = state

@@ -639,6 +639,11 @@ DAMAGED_FILES = [
     pytest.param("index.bin", "extract",
                  rewrite_tensors(lambda t: t.update({"index.tgt": t["index.tgt"][:, :5]})),
                  id="index.bin-narrow"),
+    pytest.param("state.json", "extract", rewrite_json(lambda s: s["index_episodes"].pop("tgt")),
+                 id="state.json-no-index-episode"),
+    pytest.param("state.json", "extract",
+                 rewrite_json(lambda s: s["index_corpus_sha256"].pop("tgt")),
+                 id="state.json-no-index-digest"),
 ]
 
 

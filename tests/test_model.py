@@ -207,6 +207,67 @@ class TestPackedEncoder:
         assert sum(rows) == 2 * sum(lengths)
 
 
+def full_height_decode(m: TranslationModel, init: Tensor, h_enc: Tensor | None,
+                       enc_mask: np.ndarray | None, lang: int
+                       ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Reference greedy decoder that runs every row at every step, feeding a
+    finished row PAD, and projects each step's embedding rows through w_ih,
+    until every row has emitted EOS or max_len steps have run."""
+    b = init.data.shape[0]
+    hiddens = [init for _ in m.dec_layers]
+    tok = np.full(b, BOS)
+    done = np.zeros(b, dtype=bool)
+    steps = []
+    with T.no_grad():
+        for t in range(m.config.max_len):
+            x = T.take_rows(m.embedding, tok)
+            if t == 0:
+                x = x + T.take_rows(m.lang_emb, np.full(b, lang))
+            for i, layer in enumerate(m.dec_layers):
+                hiddens[i] = x = T.gru_step(x, hiddens[i], *layer.values())
+            if h_enc is not None:
+                ctx = T.attend(x, h_enc, enc_mask)
+                x = T.tanh(T.matmul(T.concat([x, ctx]), m.w_att) + m.b_att)
+            logits = (T.matmul(x, m.w_out) + m.b_out).data
+            logits[:, [PAD, BOS]] = -np.inf
+            if t == 0:
+                logits[:, EOS] = -np.inf
+            tok = logits.argmax(axis=1)
+            tok[done] = PAD
+            done |= tok == EOS
+            steps.append(tok)
+            if done.all():
+                break
+    grid = np.stack(steps, axis=1)
+    return [row[(row != PAD) & (row != EOS)] for row in grid], ~done
+
+
+def ragged_decode_inputs(attention: bool, d: int, vocab: int, rows: int):
+    """A model whose greedy rows stop at many different steps (a larger EOS
+    output column), with the arguments of one decode_greedy_batch call over
+    ``rows`` encoded sentences: on the attention path or the edit path."""
+    m = tiny_model(d=d, vocab=vocab, seed=1, max_len=14)
+    m.w_out.data[:, EOS] *= 3.0
+    r = np.random.default_rng(0)
+    sents = [r.integers(4, vocab, size=r.integers(1, 10)) for _ in range(rows)]
+    with T.no_grad():
+        h_enc, pooled, mask = m.encode_batch(sents)
+    return m, (pooled, h_enc, mask) if attention else (pooled, None, None)
+
+
+def rows_of(args, idx) -> tuple:
+    """The decode arguments of the batch rows ``idx``; ``h_enc`` keeps its
+    padded length."""
+    init, h_enc, mask = args
+    if h_enc is None:
+        return Tensor(init.data[idx]), None, None
+    return Tensor(init.data[idx]), Tensor(h_enc.data[idx]), mask[idx]
+
+
+DECODE_CASES = [pytest.param(a, d, v, n, id=f"{'attention' if a else 'edit'}-d{d}")
+                for a in (True, False) for d, v, n in ((8, 20, 24), (64, 100, 64))]
+
+
 class TestGreedyDecode:
     def test_deterministic(self):
         m = tiny_model()
@@ -248,6 +309,79 @@ class TestGreedyDecode:
         b, _ = m.decode_greedy_batch(v, None, None, TGT)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("attention, d, vocab, rows", DECODE_CASES)
+    def test_rows_stopping_at_different_steps_decode_as_alone(self, attention, d, vocab,
+                                                              rows):
+        """Each row's tokens and truncation flag equal its one-row decode's,
+        and the batch equals the full-height reference, bit for bit."""
+        m, args = ragged_decode_inputs(attention, d, vocab, rows)
+        out, truncated = m.decode_greedy_batch(*args, TGT)
+        stopped = {len(s) for s, cut in zip(out, truncated) if not cut}
+        assert len(stopped) >= 4 and truncated.any()
+        ref, ref_truncated = full_height_decode(m, *args, TGT)
+        np.testing.assert_array_equal(truncated, ref_truncated)
+        for i in range(rows):
+            np.testing.assert_array_equal(out[i], ref[i])
+            alone, cut = m.decode_greedy_batch(*rows_of(args, [i]), TGT)
+            np.testing.assert_array_equal(alone[0], out[i])
+            assert cut[0] == truncated[i]
+
+    @pytest.mark.parametrize("attention, d, vocab, rows", DECODE_CASES)
+    def test_batch_collapsing_to_one_live_row(self, attention, d, vocab, rows, monkeypatch):
+        """Rows that stop early and the one that runs longest: once the others
+        leave, the steps run one row high, and each step computes only the
+        rows still decoding; the outputs equal the reference's."""
+        m, args = ragged_decode_inputs(attention, d, vocab, rows)
+        out, truncated = m.decode_greedy_batch(*args, TGT)
+        lengths = np.array([len(s) for s in out])
+        longest = int(np.argmax(lengths))
+        pick = [longest, *np.flatnonzero(lengths < lengths[longest] - 1)[:6]]
+        assert len(pick) > 2
+        sub = rows_of(args, pick)
+        heights = []
+        real_step = T.gru_step
+
+        def spy(x, h, *weights, **kwargs):
+            heights.append(x.data.shape[0])
+            return real_step(x, h, *weights, **kwargs)
+
+        monkeypatch.setattr(T, "gru_step", spy)
+        got, cut = m.decode_greedy_batch(*sub, TGT)
+        monkeypatch.undo()
+        assert heights[-1] == 1
+        steps = [m.config.max_len if truncated[i] else lengths[i] + 1 for i in pick]
+        assert sum(heights) == m.config.layers * sum(steps)
+        ref, ref_cut = full_height_decode(m, *sub, TGT)
+        np.testing.assert_array_equal(cut, ref_cut)
+        np.testing.assert_array_equal(cut, truncated[pick])
+        for a, b, i in zip(got, ref, pick):
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, out[i])
+
+    @pytest.mark.parametrize("rows, table", [(7, False), (8, True)])
+    def test_token_table_only_below_the_row_steps(self, rows, table, monkeypatch):
+        """Layer 0 reads a token table after step 0 only when the vocabulary
+        (100) has fewer tokens than rows × max_len (14); step 0 is always the
+        one projected BOS row. Either way the outputs equal the reference's."""
+        m, args = ragged_decode_inputs(True, 8, 100, rows)
+        projected = []
+        real_step = T.gru_step
+
+        def spy(x, h, w_ih, *weights, **kwargs):
+            if w_ih is None or w_ih is m.dec_layers[0]["w_ih"]:
+                projected.append(w_ih is None)
+            return real_step(x, h, w_ih, *weights, **kwargs)
+
+        monkeypatch.setattr(T, "gru_step", spy)
+        got, cut = m.decode_greedy_batch(*args, TGT)
+        monkeypatch.undo()
+        assert len(projected) > 2
+        assert projected == [True] + [table] * (len(projected) - 1)
+        ref, ref_cut = full_height_decode(m, *args, TGT)
+        np.testing.assert_array_equal(cut, ref_cut)
+        for a, b in zip(got, ref):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestNLL:

@@ -281,6 +281,38 @@ class TestFusedKernels:
         np.testing.assert_array_equal(out.data[1], h.data[1])
         assert not np.allclose(out.data[0], h.data[0])
 
+    @pytest.mark.parametrize("rows, d", [(1, 4), (7, 4), (48, 64)])
+    def test_gru_projected_input_same_bits(self, rng, rows, d):
+        """Rows of a table of every token's x @ w_ih + b_ih, passed with w_ih
+        and b_ih None, give the bits of the step that projects x itself, with
+        and without live rows."""
+        w_ih, b_ih, w_hh, b_hh = [Tensor(rng.normal(size=s) * 0.3) for s in
+                                  [(d, 3 * d), (3 * d,), (d, 3 * d), (3 * d,)]]
+        emb = Tensor(rng.normal(size=(30, d)))
+        table = T.matmul(emb, w_ih) + b_ih
+        ids = rng.integers(0, 30, size=rows)
+        h = Tensor(rng.normal(size=(rows, d)))
+        for live in (None, np.arange(0, rows, 2)):
+            own = T.gru_step(T.take_rows(emb, ids), h, w_ih, b_ih, w_hh, b_hh, live=live)
+            projected = T.gru_step(T.take_rows(table, ids), h, None, None, w_hh, b_hh, live=live)
+            np.testing.assert_array_equal(projected.data, own.data)
+
+    def test_gru_projected_input_refused_on_a_recording_tape(self, rng):
+        """The projected form has no backward: a step the tape would record
+        raises, and one with only w_ih or only b_ih is refused too."""
+        d = 3
+        w_hh = Tensor(rng.normal(size=(d, 3 * d)), requires_grad=True)
+        b_hh = Tensor(np.zeros(3 * d), requires_grad=True)
+        gi, h = Tensor(rng.normal(size=(2, 3 * d))), Tensor(rng.normal(size=(2, d)))
+        with Tape() as tape:
+            with pytest.raises(RuntimeError, match="already projected"):
+                T.gru_step(gi, h, None, None, w_hh, b_hh)
+            with T.no_grad():
+                T.gru_step(gi, h, None, None, w_hh, b_hh)
+        assert len(tape) == 0
+        with pytest.raises(DimensionError, match="together"):
+            T.gru_step(gi, h, None, b_hh, w_hh, b_hh)
+
     def test_attend_gradient(self, rng):
         q = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
         k = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)

@@ -622,6 +622,37 @@ class TestDeterminismAndResume:
         for a, b in zip(live(), before, strict=True):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("name", ["state.json", "optim.bin", "index.bin"])
+    def test_refused_restore_changes_no_trainer_state(self, pair, tmp_path, name):
+        """A checkpoint refused for any one of its files leaves the trainer as
+        it was: its embedding, RNG state, optimizer step counts, indexes and
+        run state; ``state.json`` lacks an index's episode, ``optim.bin`` a
+        moment, ``index.bin`` the width of a snapshot."""
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.run()
+        assert tr.opt_gen.step_count > 0 and tr.opt_eval.step_count > 0
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        if name == "state.json":
+            state = load_json(ckpt / name)
+            del state["index_episodes"]["tgt"]
+            save_json(ckpt / name, state)
+        else:
+            tensors = load_tensors(ckpt / name)
+            if name == "optim.bin":
+                del tensors["gen.m.embedding"]
+            else:
+                tensors["index.tgt"] = tensors["index.tgt"][:, :5]
+            save_tensors(ckpt / name, tensors)
+        other = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        embedding = other.model.embedding.data.copy()
+        rng_state = other.rng.bit_generator.state
+        with pytest.raises(CheckpointError, match=f"{name}: "):
+            other.restore(ckpt)
+        np.testing.assert_array_equal(other.model.embedding.data, embedding)
+        assert other.rng.bit_generator.state == rng_state
+        assert other.opt_gen.step_count == other.opt_eval.step_count == 0
+        assert other.indexes == {} and other.state.step == 0
+
 
     @pytest.mark.parametrize("other", ["fewer sentences", "same size, reordered"])
     def test_restore_drops_an_index_built_over_another_corpus(self, pair, tmp_path, other):
