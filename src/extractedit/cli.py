@@ -302,14 +302,14 @@ def _sweep_row(arm: str, k, trainer: Trainer, gold) -> dict:
             "token_accuracy": acc}
 
 
-def _run_arm(tc: TrainConfig, data_dir: Path, pre_dir: Path) -> tuple[str, dict]:
-    """One sweep-k arm, as a worker process runs it: a Trainer forked from
-    the pretrained checkpoint ``pre_dir``, run, then graded. Returns the
-    arm's metrics.csv text and its sweep.csv row."""
-    trainer = _make_trainer(tc, _load_data(data_dir, tc.max_len))
+def _run_arm(tc: TrainConfig, data, gold, pre_dir: Path) -> tuple[str, dict]:
+    """One sweep-k arm, as a worker process runs it: a Trainer over
+    ``_load_data``'s result ``data``, forked from the pretrained checkpoint
+    ``pre_dir``, run, then graded on the ``gold`` pairs. Returns the arm's
+    metrics.csv text and its sweep.csv row."""
+    trainer = _make_trainer(tc, data)
     trainer.restore(pre_dir, require_same_config=False)
     trainer.run()
-    gold = read_gold_pairs(data_dir / "gold.test.tsv", trainer.vocab)
     return trainer.metrics_csv(), _sweep_row(tc.mode, tc.k, trainer, gold)
 
 
@@ -321,9 +321,11 @@ def cmd_sweep_k(args, cfg: dict) -> int:
 
     The arms run side by side in worker processes, at most one per CPU,
     each with one BLAS thread (the package sets it as a worker imports
-    it). Workers return their results, and this process writes them and
-    prints the rows in arm order, so the outputs do not depend on the
-    number of workers."""
+    it). Each worker takes the corpora and gold pairs this process read,
+    so every arm trains and is graded on the bytes that were checked and
+    pretrained on. Workers return their results, and this process writes
+    them and prints the rows in arm order, so the outputs do not depend
+    on the number of workers."""
     with RunManifest(args, cfg, f"{args.command}-seed{cfg['seed']}") as manifest:
         out = manifest.out_dir
         data_dir = Path(args.data)
@@ -352,7 +354,7 @@ def cmd_sweep_k(args, cfg: dict) -> int:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(min(len(arms), _cpu_count()), mp_context=spawn) as pool:
             results = pool.map(_run_arm, [arm_tc for arm_tc, _ in arms],
-                               repeat(data_dir), repeat(pre_dir))
+                               repeat(data), repeat(gold), repeat(pre_dir))
             for (_, metrics_name), (metrics, row) in zip(arms, results):
                 report(row)
                 (out / metrics_name).write_text(metrics, encoding="utf-8")

@@ -94,17 +94,18 @@ class TranslationModel:
     def encode_batch(self, sentences) -> tuple[Tensor, Tensor, np.ndarray]:
         """Encode padded sentences into per-token states and pooled embeddings.
 
-        Returns (H (B,T,d), pooled (B,d), valid mask (B,T)). The pooled
-        embedding is invariant to PAD suffixes by construction.
+        Returns (H (B,T,d), pooled (B,d), valid mask (B,T)).
 
         Time step t runs the GRU on the live rows only, those with
         length > t (``None`` when all are); a finished row carries its last
         hidden state forward, so H at a PAD position repeats the state of
-        the sentence's last token. Each live row gets the bits it would get
-        in a full-height step, so a sentence encodes the same alone or in
-        any batch; the backward's matrix products stay full height, because
-        OpenBLAS rounds their rows differently at other heights (see
-        ``tensor.gru_step``).
+        the sentence's last token. The pooled row is H's max over all steps:
+        it equals the max over the sentence's own, and its gradient goes to
+        the first argmax, never a PAD step. Each live row gets the bits it
+        would get in a full-height step, so a sentence encodes the same
+        alone or in any batch; the backward's matrix products stay full
+        height, because OpenBLAS rounds their rows differently at other
+        heights (see ``tensor.gru_step``).
         """
         ids, lengths, mask = pad_batch(sentences)
         b, t_max = ids.shape
@@ -120,7 +121,7 @@ class TranslationModel:
                 outs.append(h)
             xs = outs
         h_seq = T.stack(xs, axis=1)
-        pooled = T.masked_max(h_seq, mask)
+        pooled = T.max_over_time(h_seq)
         return h_seq, pooled, mask
 
     # -- decoding -------------------------------------------------------------

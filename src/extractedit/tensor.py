@@ -9,11 +9,11 @@ forward state and never all of its gradients on top. A node's closure
 keeps only what its backward reads. Parameters are plain ``Tensor``
 objects with ``requires_grad=True`` that outlive any tape, and they and
 the other leaves keep their gradients. Fused kernels (``gru_step``,
-``attend``, ``masked_max``, the softmax family) keep tapes short enough
+``attend``, ``max_over_time``, the softmax family) keep tapes short enough
 for pure-Python dispatch to stay off the critical path.
 
 ``add``, ``mul``, ``matmul``, ``log``, ``cosine``, ``gru_step``,
-``attend`` and ``masked_max`` check that their output is finite (NaN/Inf
+``attend`` and ``max_over_time`` check that their output is finite (NaN/Inf
 raises ``NonFiniteError``); the other ops do not.
 
 The module sets no thread policy; the package sets one BLAS thread per
@@ -589,18 +589,12 @@ def attend(query: Tensor, keys: Tensor, mask: np.ndarray) -> Tensor:
     return _record(out, (query, keys), bwd)
 
 
-def masked_max(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Max over the time axis of (B, T, d), restricted to valid positions.
-
-    mask (B, T) boolean; every row must have at least one valid position.
-    Gradient flows to the first (lowest-t) argmax of each coordinate.
-    """
-    if not mask.any(axis=1).all():
-        raise DegenerateInputError("masked_max row with no valid positions")
-    neg = np.where(mask[:, :, None], x.data, -np.inf)
-    arg = neg.argmax(axis=1)
-    out = Tensor(np.take_along_axis(neg, arg[:, None, :], axis=1)[:, 0, :])
-    _check_finite(out.data, "masked_max")
+def max_over_time(x: Tensor) -> Tensor:
+    """Max over the time axis of (B, T, d). Gradient flows to the first
+    (lowest-t) argmax of each coordinate."""
+    arg = x.data.argmax(axis=1)
+    out = Tensor(np.take_along_axis(x.data, arg[:, None, :], axis=1)[:, 0, :])
+    _check_finite(out.data, "max_over_time")
 
     def bwd(og):
         g = np.zeros_like(x.data)

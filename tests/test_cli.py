@@ -17,7 +17,8 @@ import pytest
 from extractedit import cli
 from extractedit.checkpoint import load_json, load_tensors, save_tensors
 from extractedit.cli import _load_data, _make_trainer, build_parser, main
-from extractedit.config import COMMAND_KEYS, format_value, load_config
+from extractedit.cipher import read_gold_pairs
+from extractedit.config import COMMAND_KEYS, dataclass_from, format_value, load_config
 from extractedit.model import SRC, TGT
 from extractedit.training import TrainConfig, load_checkpoint
 
@@ -551,6 +552,7 @@ TEXT_INPUTS = {
 TEXT_FAULTS = {
     "malformed UTF-8": lambda line: b"\xff" + line,
     "reserved token": lambda line: line + b" <unk>",
+    "reserved token after a form feed": lambda line: line.replace(b" ", b"\x0c", 1) + b" <unk>",
     "no token": lambda line: b" \t",
 }
 
@@ -792,6 +794,23 @@ class TestSweepK:
         assert pools == [1, 2]
         assert len(digests[0]) > 5 and "metrics_back-translation.csv" in digests[0]
         assert digests[0] == digests[1]
+
+    def test_arm_reads_no_corpus_file(self, tmp_path, corpus_dir, fork_dir):
+        """An arm trains and is graded on the corpora and gold pairs it is
+        handed: with the directory they were read from gone, it returns the
+        metrics text and sweep.csv row of the sweep over that directory."""
+        data_dir = tmp_path / "data"
+        shutil.copytree(corpus_dir, data_dir)
+        cfg = {**load_json(fork_dir / "manifest.json")["config"], "mode": "extract-edit"}
+        tc = dataclass_from(TrainConfig, cfg)
+        data = _load_data(data_dir, tc.max_len)
+        gold = read_gold_pairs(data_dir / "gold.test.tsv", data[0])
+        shutil.rmtree(data_dir)
+        metrics, row = cli._run_arm(tc, data, gold, fork_dir / "pretrained")
+        assert metrics == (fork_dir / "metrics_k3.csv").read_text(encoding="utf-8")
+        with open(fork_dir / "sweep.csv", encoding="utf-8") as f:
+            (want,) = [r for r in csv.DictReader(f) if r["arm"] == "extract-edit"]
+        assert {key: str(value) for key, value in row.items()} == want
 
     @pytest.mark.parametrize("mode,metrics_name", [
         ("extract-edit", "metrics_k3.csv"),

@@ -109,7 +109,8 @@ def unpacked_encode(m: TranslationModel, sentences) -> tuple[Tensor, Tensor]:
             outs.append(h)
         xs = outs
     h_seq = T.stack(xs, axis=1)
-    return h_seq, T.masked_max(h_seq, mask)
+    pad = Tensor(np.where(mask, 0.0, -1e30)[:, :, None])  # pool over valid steps only
+    return h_seq, T.max_over_time(h_seq + pad)
 
 
 class TestPackedEncoder:
@@ -128,6 +129,35 @@ class TestPackedEncoder:
 
         check_grad(loss, list(encoder_params(m).values()), tol=1e-4,
                    max_coords=8, rng=rng)
+
+    def test_pooling_sees_only_valid_steps(self, rng):
+        """Pooling takes no mask: a padded step holds its row's last valid
+        state, so the max over all steps is the max over the valid ones,
+        and the gradient of the pooled row reaches no padded step."""
+        m = tiny_model(d=16, layers=2, vocab=30)
+        lengths = rng.integers(1, 9, size=24)
+        lengths[:2] = 1, 8
+        sents = [rng.integers(4, 30, size=n) for n in lengths]
+        with Tape() as tape:
+            h_seq, pooled, mask = m.encode_batch(sents)
+            loss = T.tsum(pooled * Tensor(rng.normal(size=pooled.data.shape)))
+        (node,) = [n for n in tape.nodes if n.out is pooled]
+        bwd, seen = node.bwd, []
+
+        def spy(og):  # the gradient the pooling hands to the (B, T, d) states
+            grads = bwd(og)
+            seen.extend(grads)
+            return grads
+
+        node.bwd = spy
+        tape.backward(loss)
+        (g,) = seen
+        for i, n in enumerate(lengths):
+            valid, padded = h_seq.data[i, :n], h_seq.data[i, n:]
+            np.testing.assert_array_equal(padded, np.broadcast_to(valid[-1], padded.shape))
+            np.testing.assert_array_equal(pooled.data[i], valid.max(axis=0))
+            assert not g[i, n:].any() and g[i, :n].any()
+        assert not mask.all()
 
     @pytest.mark.parametrize("rows, d", [(48, 32), (400, 64)])
     def test_bit_exact_against_unpacked_oracle(self, rng, rows, d):

@@ -329,17 +329,21 @@ class TestFusedKernels:
         out2 = T.attend(q, Tensor(k2), mask)
         np.testing.assert_array_equal(out1.data, out2.data)
 
-    def test_masked_max_matches_manual(self, rng):
-        x = rng.normal(size=(2, 5, 3))
-        mask = np.array([[True] * 3 + [False] * 2, [True] * 5])
-        out = T.masked_max(Tensor(x), mask)
-        np.testing.assert_array_equal(out.data[0], x[0, :3].max(axis=0))
-        np.testing.assert_array_equal(out.data[1], x[1].max(axis=0))
-
-    def test_masked_max_gradient(self, rng):
+    def test_max_over_time_gradient(self, rng):
+        """Central differences away from ties; at a tie, as where a finished
+        row's carried state repeats its last one, the gradient goes to the
+        first of the equal steps only."""
         x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        mask = np.ones((2, 4), dtype=bool)
-        check_grad(lambda: T.tsum(T.masked_max(x, mask)), [x], tol=1e-5)
+        check_grad(lambda: T.tsum(T.max_over_time(x)), [x], tol=1e-5)
+        x.data[:, 2:] = x.data[:, 1:2] + 10.0
+        x.grad = None
+        with Tape() as tape:
+            out = T.max_over_time(x)
+            loss = T.tsum(out)
+        tape.backward(loss)
+        np.testing.assert_array_equal(out.data, x.data[:, 2])
+        np.testing.assert_array_equal(x.grad[:, 2], 1.0)
+        assert not x.grad[:, [0, 1, 3]].any()
 
 
 class TestGradientSweep:
