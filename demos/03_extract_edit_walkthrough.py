@@ -56,7 +56,7 @@ for t_new in edited:
 t_star, _ = trainer.model.translate_batch([source], TGT)
 print("\nmodel translation t*:", " ".join(vocab.decode(t_star[0])))
 _, cands, _ = trainer.model.encode_batch(edited + [t_star[0]])
-probs = score_candidates_batch(e_s, Tensor(cands.data[None]), trainer.evaluator, 0.5)
-print("ranking distribution over M' + {t*}:",
-      np.array2string(probs.data[0], precision=3))
-print(f"P(t*) = {probs.data[0, -1]:.3f}")
+logp = score_candidates_batch(e_s, Tensor(cands.data[None]), trainer.evaluator, 0.5)
+probs = np.exp(logp.data[0])
+print("ranking distribution over M' + {t*}:", np.array2string(probs, precision=3))
+print(f"P(t*) = {probs[-1]:.3f}")

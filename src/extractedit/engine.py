@@ -13,9 +13,9 @@ since the index was built), and the trainer encodes the decoded sentences
 with its other ranking candidates, so all of them live in the same
 representation space. Scoring projects embeddings through a
 shared MLP into a joint space, measures cosine similarity to the source
-there, and turns the similarities into a ranking distribution with a
-scaled softmax. Every function takes a batch of rows; a single query is
-a batch of one.
+there, and returns the log-probabilities of the ranking distribution, a
+log-softmax of the similarities times an inverse temperature. Every
+function takes a batch of rows; a single query is a batch of one.
 """
 
 from __future__ import annotations
@@ -173,20 +173,26 @@ def edit_batch(e_src: np.ndarray, e_extracted: np.ndarray,
 def score_candidates_batch(e_src: Tensor, candidates: Tensor,
                            evaluator: EvaluationNetwork,
                            inv_temperature: float) -> Tensor:
-    """Ranking distribution over candidates for each source row.
+    """Log-probabilities (B, C) of the ranking distribution over the
+    candidates of each source row.
 
     e_src (B, d), candidates (B, C, d). Projects everything through the
     evaluation network, takes cosine similarity in the joint space, and
-    normalizes with a scaled softmax over the C candidates jointly.
-    Differentiable with respect to the evaluator and the embeddings.
+    normalizes ``inv_temperature`` times the similarities with a
+    log-softmax over the C candidates jointly; a positive
+    ``inv_temperature`` sharpens (large) or flattens (small) the
+    distribution. Differentiable with respect to the evaluator and the
+    embeddings.
     """
+    if not inv_temperature > 0:
+        raise ValueError(f"inv_temperature must be positive, got {inv_temperature}")
     if candidates.data.shape[-2] < 1:
         raise DegenerateInputError("need at least one candidate")
     r_src = evaluator.forward(e_src)
     r_cand = evaluator.forward(candidates)
     b, d_out = r_src.data.shape
     alpha = T.cosine(T.reshape(r_src, (b, 1, d_out)), r_cand)
-    return T.scaled_softmax(alpha, inv_temperature, axis=-1)
+    return T.log_softmax(alpha * inv_temperature)
 
 
 # ---------------------------------------------------------------------------

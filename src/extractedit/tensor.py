@@ -9,12 +9,12 @@ forward state and never all of its gradients on top. A node's closure
 keeps only what its backward reads. Parameters are plain ``Tensor``
 objects with ``requires_grad=True`` that outlive any tape, and they and
 the other leaves keep their gradients. Fused kernels (``gru_step``,
-``attend``, ``max_over_time``, the softmax family) keep tapes short enough
+``attend``, ``max_over_time``, ``log_softmax``) keep tapes short enough
 for pure-Python dispatch to stay off the critical path.
 
-``add``, ``mul``, ``matmul``, ``log``, ``cosine``, ``gru_step``,
-``attend`` and ``max_over_time`` check that their output is finite (NaN/Inf
-raises ``NonFiniteError``); the other ops do not.
+``add``, ``mul``, ``matmul``, ``cosine``, ``gru_step``, ``attend`` and
+``max_over_time`` check that their output is finite (NaN/Inf raises
+``NonFiniteError``); the other ops do not.
 
 The module sets no thread policy; the package sets one BLAS thread per
 process unless the caller chose a count (see ``extractedit``'s docstring).
@@ -297,17 +297,6 @@ def tmean(x: Tensor) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def log(x: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = Tensor(np.log(x.data))
-    _check_finite(out.data, "log")
-
-    def bwd(og):
-        return (og / x.data,)
-
-    return _record(out, (x,), bwd)
-
-
 def tanh(x: Tensor) -> Tensor:
     out = Tensor(np.tanh(x.data))
 
@@ -379,7 +368,7 @@ def gather(x: Tensor, idx: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax family
+# log-softmax and cosine
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -392,30 +381,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         return (og - np.exp(out.data) * og.sum(axis=axis, keepdims=True),)
 
     return _record(out, (x,), bwd)
-
-
-def scaled_softmax(scores: Tensor, inv_temperature: float, axis: int = -1) -> Tensor:
-    """Softmax of ``inv_temperature * scores`` with max-subtraction.
-
-    ``inv_temperature`` sharpens (large) or flattens (small) the
-    distribution; it must be positive. Output rows sum to 1 within 1e-12.
-    """
-    if not inv_temperature > 0:
-        raise ValueError(f"inv_temperature must be positive, got {inv_temperature}")
-    scores = _wrap(scores)
-    if scores.data.shape[axis] < 1:
-        raise DimensionError("scaled_softmax needs at least one score")
-    lam = float(inv_temperature)
-    z = lam * scores.data
-    m = z.max(axis=axis, keepdims=True)
-    e = np.exp(z - m)
-    out = Tensor(e / e.sum(axis=axis, keepdims=True))
-
-    def bwd(og):
-        s = out.data
-        return (lam * s * (og - (og * s).sum(axis=axis, keepdims=True)),)
-
-    return _record(out, (scores,), bwd)
 
 
 def cosine(a: Tensor, b: Tensor) -> Tensor:

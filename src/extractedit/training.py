@@ -116,6 +116,14 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _count(value, name: str, least: int) -> int:
+    """``value``, a run-state count read from STATE_FILE, if it is an
+    integer of at least ``least``; otherwise a ValueError naming it."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"{name} {value!r} is not an integer >= {least}")
+    return value
+
+
 def _corpus_digest(corpus: list[np.ndarray]) -> str:
     """sha256 of a corpus's sentence lengths and token ids, in order."""
     lengths = np.array([len(s) for s in corpus], dtype=np.int64)
@@ -133,12 +141,12 @@ def comparative_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
 
     e_s (B, d) source embeddings, cand (B, k+1, d) candidate embeddings
     with the k edited sentences first and the translation t* in the last
-    slot. Returns the batch mean of -log of t*'s ranking probability among
+    slot. Returns the batch mean of minus t*'s ranking log-probability among
     the edited candidates plus itself; gradients reach the evaluator and
     whatever produced the embeddings.
     """
     b, k = e_s.data.shape[0], cand.data.shape[1] - 1
-    logp = T.log(score_candidates_batch(e_s, cand, evaluator, lam))
+    logp = score_candidates_batch(e_s, cand, evaluator, lam)
     return -T.tmean(T.gather(logp, np.full((b, 1), k)))
 
 
@@ -146,14 +154,14 @@ def evaluator_loss(e_s: Tensor, cand: Tensor, evaluator: EvaluationNetwork,
                    lam: float) -> Tensor:
     """Evaluation-network loss over a batch of sources.
 
-    Same inputs as ``comparative_loss``. Returns the mean of -log of the
-    ranking probability of each of the k edited candidates; t* stays in
+    Same inputs as ``comparative_loss``. Returns the mean of minus the
+    ranking log-probability of each of the k edited candidates; t* stays in
     the denominator. The trainer passes detached embeddings (the encoder
     is frozen in this pass), so gradients reach the evaluation network
     alone.
     """
     b, k = e_s.data.shape[0], cand.data.shape[1] - 1
-    logp = T.log(score_candidates_batch(e_s, cand, evaluator, lam))
+    logp = score_candidates_batch(e_s, cand, evaluator, lam)
     return -T.tmean(T.gather(logp, np.broadcast_to(np.arange(k), (b, k))))
 
 
@@ -518,7 +526,7 @@ class Trainer:
             with T.no_grad():
                 batch = self._prepare_direction(corpus[start : start + 64], out_lang)
                 (e_s, cand), = self._encode_directions([batch])
-                logp = T.log(score_candidates_batch(e_s, cand, self.evaluator, cfg.lam))
+                logp = score_candidates_batch(e_s, cand, self.evaluator, cfg.lam)
             total += float(logp.data[:, cfg.k].sum())
         return total / max(len(corpus), 1)
 
@@ -671,7 +679,10 @@ class Trainer:
         been written under an identical TrainConfig; sweeps that share a
         pretrained initialization across k values disable the check.
         ``params.bin`` and ``optim.bin`` must hold exactly this trainer's
-        arrays (``_read_checked``), and ``state.json`` its run state.
+        arrays (``_read_checked``), and ``state.json`` its run state: an
+        integer step, optimizer step counts and kept index episodes of at
+        least 0, an episode of at least -1, and metric rows of
+        ``len(METRIC_COLUMNS)`` strings.
 
         An index snapshot whose corpus digest differs from this trainer's
         corpus is dropped, so the next ``_ensure_indexes`` builds it anew; a
@@ -691,10 +702,17 @@ class Trainer:
         path = directory / "index.bin"
         snapshots = load_tensors(path) if path.exists() else {}
         try:
-            state = TrainState(meta["step"], meta["episode"],
-                               [list(r) for r in meta["metric_rows"]])
+            rows = meta["metric_rows"]
+            if not isinstance(rows, list) or not all(
+                    isinstance(r, list) and len(r) == len(METRIC_COLUMNS)
+                    and all(isinstance(c, str) for c in r) for r in rows):
+                raise ValueError("metric_rows is not a list of rows of "
+                                 f"{len(METRIC_COLUMNS)} strings")
+            state = TrainState(_count(meta["step"], "step", 0),
+                               _count(meta["episode"], "episode", -1), rows)
             type(self.rng.bit_generator)().state = meta["rng"]  # checked here, set below
-            opt_steps = meta["opt_gen_steps"], meta["opt_eval_steps"]
+            opt_steps = (_count(meta["opt_gen_steps"], "opt_gen_steps", 0),
+                         _count(meta["opt_eval_steps"], "opt_eval_steps", 0))
             episodes = meta["index_episodes"]
             digests = meta.get("index_corpus_sha256")
             kept = {}
@@ -703,7 +721,7 @@ class Trainer:
                 if key not in snapshots or (digests and digests[name]
                                             != _corpus_digest(self.corpora[lang])):
                     continue  # no snapshot, or one over another corpus
-                kept[key] = lang, episodes[name]
+                kept[key] = lang, _count(episodes[name], f"index_episodes.{name}", 0)
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{directory / STATE_FILE}: bad run state: {e!r}") from e
         indexes = {}

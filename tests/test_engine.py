@@ -213,35 +213,55 @@ class TestEdit:
 
 
 class TestScoreCandidates:
-    def test_singleton_probability_one(self, rng):
+    def test_singleton_log_probability_zero(self, rng):
         ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
-        probs = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
-                                       Tensor(rng.normal(size=(1, 1, 6))),
-                                       ev, inv_temperature=0.5)
-        np.testing.assert_allclose(probs.data, [[1.0]], atol=1e-15)
+        logp = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
+                                      Tensor(rng.normal(size=(1, 1, 6))),
+                                      ev, inv_temperature=0.5)
+        np.testing.assert_array_equal(logp.data, [[0.0]])
 
     def test_identical_candidates_uniform(self, rng):
         ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         c = rng.normal(size=6)
-        probs = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
-                                       Tensor(np.tile(c, (1, 4, 1))), ev, 0.5)
-        np.testing.assert_allclose(probs.data, 0.25, atol=1e-12)
+        logp = score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
+                                      Tensor(np.tile(c, (1, 4, 1))), ev, 0.5)
+        np.testing.assert_allclose(logp.data, -np.log(4), atol=1e-12)
 
     def test_matches_direct_formula(self, rng):
-        """Scaled softmax of joint-space cosines computed by hand."""
+        """Log-softmax of scaled joint-space cosines computed by hand."""
         ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
         e_s = rng.normal(size=6)
         cands = rng.normal(size=(3, 6))
-        probs = score_candidates_batch(Tensor(e_s[None, :]), Tensor(cands[None]), ev,
-                                       inv_temperature=0.5)
+        logp = score_candidates_batch(Tensor(e_s[None, :]), Tensor(cands[None]), ev,
+                                      inv_temperature=0.5)
         with T.no_grad():
             r_s = ev.forward(Tensor(e_s[None, :])).data[0]
             alphas = []
             for c in cands:
                 r_c = ev.forward(Tensor(c[None, :])).data[0]
                 alphas.append(np.dot(r_s, r_c) / (np.linalg.norm(r_s) * np.linalg.norm(r_c)))
-        z = np.exp(0.5 * np.array(alphas))
-        np.testing.assert_allclose(probs.data[0], z / z.sum(), atol=1e-12)
+        z = 0.5 * np.array(alphas)
+        np.testing.assert_allclose(logp.data[0], z - np.log(np.exp(z).sum()), atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [1e-8, 0.5, 10.0, 1000.0])
+    def test_rows_exp_sum_to_one(self, rng, lam):
+        """At any positive scale, down to the uniform limit and up to where
+        every probability but the largest underflows, the log-probabilities
+        are finite and each row's exponentials sum to 1."""
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
+        logp = score_candidates_batch(Tensor(rng.normal(size=(3, 6))),
+                                      Tensor(rng.normal(size=(3, 5, 6))), ev, lam).data
+        assert np.all(np.isfinite(logp)) and np.all(logp <= 0)
+        np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        if lam == 1e-8:
+            np.testing.assert_allclose(logp, -np.log(5), atol=1e-6)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, float("nan")])
+    def test_nonpositive_scale_refused(self, rng, lam):
+        ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
+        with pytest.raises(ValueError, match="inv_temperature must be positive"):
+            score_candidates_batch(Tensor(rng.normal(size=(1, 6))),
+                                   Tensor(rng.normal(size=(1, 2, 6))), ev, lam)
 
     def test_permutation_equivariance(self, rng):
         ev = EvaluationNetwork(6, rng, hidden=64, d_out=64)
@@ -269,8 +289,8 @@ class TestScoreCandidates:
         params = list(ev.named_parameters().values()) + [e_s, cands]
 
         def loss():
-            probs = score_candidates_batch(e_s, cands, ev, 0.5)
-            return -T.tsum(T.log(T.gather(probs, np.array([[0], [1]]))))
+            logp = score_candidates_batch(e_s, cands, ev, 0.5)
+            return -T.tsum(T.gather(logp, np.array([[0], [1]])))
 
         check_grad(loss, params, tol=1e-4, max_coords=4, rng=rng)
 

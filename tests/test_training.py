@@ -330,6 +330,17 @@ class TestAdversarialStep:
             np.testing.assert_array_equal(p.data, b.model.named_parameters()[k].data,
                                           err_msg=k)
 
+    def test_sharp_ranking_stays_finite(self, pair):
+        """At lam=1000 every ranking probability but the largest underflows to
+        zero; the ranking is read as log-probabilities, so extract-edit steps
+        and validation still give finite losses and D."""
+        tr = micro_trainer(pair, lam=1000.0, pretrain_steps=5, main_steps=5)
+        tr.run()
+        main = tr.state.metric_rows[5:]
+        assert [r[1] for r in main] == ["extract-edit"] * 5
+        assert np.all(np.isfinite([[float(x) for x in r[2:6]] for r in main]))
+        assert np.all(np.isfinite(tr.validate()))
+
     def test_zero_comparative_weight_logs_the_comparative_loss(self, pair, tmp_path):
         """The LM-only arm logs the comparative loss it does not optimize:
         from one restored state, an omega_com=0 step and an omega_com=1 step
@@ -457,12 +468,14 @@ class TestBackTranslation:
 
 class TestModelSelection:
     def test_uniform_anchor_minus_log_k_plus_1(self, pair):
-        """Identical candidates make D exactly -ln(k+1)."""
+        """With the evaluator's w3 zeroed every candidate projects to b3, so
+        all k+1 cosines are equal and D is -ln(k+1) in both directions."""
         tr = micro_trainer(pair, k=10)
-        e = Tensor(np.ones((2, 16)))
-        cand = Tensor(np.ones((2, 11, 16)))
-        d = float(T.log(score_candidates_batch(e, cand, tr.evaluator, 0.5)).data[:, 10].mean())
-        assert d == pytest.approx(-math.log(11), abs=1e-9)
+        tr.evaluator.w3.data[...] = 0.0
+        tr.evaluator.b3.data[...] = 1.0  # a zero b3 has no cosine
+        for out_lang in (TGT, SRC):
+            d = tr.model_selection_score(out_lang)
+            assert d == pytest.approx(-math.log(11), abs=1e-12)
 
     def test_order_invariance(self, pair):
         tr = micro_trainer(pair, pretrain_steps=3, main_steps=0)
@@ -517,7 +530,7 @@ class TestModelSelection:
         assert [s.tobytes() for s in calls[1]] == list(distinct)
         with T.no_grad():
             (e_s, cand), = tr._encode_directions([batch])
-            logp = T.log(score_candidates_batch(e_s, cand, tr.evaluator, tr.config.lam))
+            logp = score_candidates_batch(e_s, cand, tr.evaluator, tr.config.lam)
         assert d == float(logp.data[:, tr.config.k].sum()) / len(sources)
 
 
@@ -570,6 +583,32 @@ class TestDeterminismAndResume:
         resumed.restore(ckpt)
         resumed.run()
         assert resumed.metrics_csv() == full.metrics_csv()
+
+    @pytest.mark.parametrize("key, value", [
+        ("step", "3"), ("step", -1), ("step", 2.0), ("episode", -2),
+        ("opt_gen_steps", -1), ("opt_eval_steps", True),
+        ("metric_rows", [[1, 2]]), ("metric_rows", [["1", "pretrain"]]),
+        ("metric_rows", "rows"), ("index_episodes", {"src": 0, "tgt": "0"}),
+    ])
+    def test_malformed_run_state_refused(self, pair, tmp_path, key, value):
+        """A run state of the wrong type or range is refused naming
+        state.json, before any trainer state changes; the step, the optimizer
+        step counts, the kept indexes' episodes and the episode are integers
+        of at least 0, 0, 0 and -1, and each metric row is len(METRIC_COLUMNS)
+        strings."""
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.run()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        state = load_json(ckpt / training.STATE_FILE)
+        state[key] = value
+        save_json(ckpt / training.STATE_FILE, state)
+        other = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        embedding = other.model.embedding.data.copy()
+        with pytest.raises(CheckpointError, match=f"{training.STATE_FILE}: bad run state"):
+            other.restore(ckpt)
+        np.testing.assert_array_equal(other.model.embedding.data, embedding)
+        assert other.opt_gen.step_count == other.opt_eval.step_count == 0
+        assert other.state.step == 0 and other.state.metric_rows == []
 
     def test_restore_rejects_config_mismatch(self, pair, tmp_path):
         tr = micro_trainer(pair, pretrain_steps=1, main_steps=0)
