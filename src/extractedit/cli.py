@@ -295,9 +295,11 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _sweep_row(arm: str, k, trainer: Trainer, gold) -> dict:
-    """A sweep.csv row: the arm's BLEU and token accuracy on the gold set."""
+def _sweep_row(arm: str, trainer: Trainer, gold) -> dict:
+    """A sweep.csv row: the arm's BLEU and token accuracy on the gold set,
+    and its ``k``, blank unless the arm extracts."""
     bleu, acc = grade(trainer.model, gold)
+    k = trainer.config.k if arm == "extract-edit" else ""
     return {"arm": arm, "k": k, "seed": trainer.config.seed, "bleu": bleu.bleu,
             "token_accuracy": acc}
 
@@ -310,7 +312,7 @@ def _run_arm(tc: TrainConfig, data, gold, pre_dir: Path) -> tuple[str, dict]:
     trainer = _make_trainer(tc, data)
     trainer.restore(pre_dir, require_same_config=False)
     trainer.run()
-    return trainer.metrics_csv(), _sweep_row(tc.mode, tc.k, trainer, gold)
+    return trainer.metrics_csv(), _sweep_row(tc.mode, trainer, gold)
 
 
 def cmd_sweep_k(args, cfg: dict) -> int:
@@ -350,7 +352,7 @@ def cmd_sweep_k(args, cfg: dict) -> int:
             print(f"{row['arm']}{k}: BLEU {row['bleu']:.2f}, "
                   f"token accuracy {row['token_accuracy']:.4f}")
 
-        report(_sweep_row("pretrain-only", "", pre_trainer, gold))
+        report(_sweep_row("pretrain-only", pre_trainer, gold))
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(min(len(arms), _cpu_count()), mp_context=spawn) as pool:
             results = pool.map(_run_arm, [arm_tc for arm_tc, _ in arms],

@@ -20,7 +20,8 @@ class BleuReport:
     """Corpus-level BLEU on the 0-100 scale with its ingredients.
 
     bleu = brevity_penalty * exp(mean of log precisions) * 100; zero when
-    any n-gram precision is zero and smoothing is off.
+    a precision is zero, which smoothing leaves only to an n with no
+    candidate n-grams.
     """
 
     bleu: float
@@ -28,7 +29,6 @@ class BleuReport:
     brevity_penalty: float
     candidate_length: int
     reference_length: int
-    smoothed: bool
 
     def rows(self) -> list[dict]:
         return [{
@@ -37,7 +37,6 @@ class BleuReport:
             "brevity_penalty": self.brevity_penalty,
             "candidate_length": self.candidate_length,
             "reference_length": self.reference_length,
-            "smoothed": int(self.smoothed),
         }]
 
 
@@ -46,14 +45,13 @@ def _ngrams(ids, n: int) -> Counter:
     return Counter(seq[i : i + n] for i in range(len(seq) - n + 1))
 
 
-def corpus_bleu(candidates, references, max_n: int = 4,
-                smoothing: bool = True, epsilon: float = 0.01) -> BleuReport:
-    """Corpus BLEU with clipped n-gram counts and brevity penalty.
+def corpus_bleu(candidates, references) -> BleuReport:
+    """Smoothed corpus BLEU-4 with clipped n-gram counts and brevity
+    penalty (Papineni et al. 2002).
 
-    Counts are pooled over the corpus before taking precisions. With
-    ``smoothing`` on, zero clipped-match totals are replaced by
-    ``epsilon`` (short desk-scale sentences rarely share 4-grams);
-    with it off, any zero precision makes the score exactly 0.
+    Counts are pooled over the corpus before taking precisions. A zero
+    clipped-match total counts as 0.01 matches (short desk-scale
+    sentences rarely share 4-grams).
     """
     if len(candidates) != len(references):
         raise ValueError(
@@ -61,40 +59,32 @@ def corpus_bleu(candidates, references, max_n: int = 4,
         )
     if not references:
         raise ValueError("empty corpus")
-    matches = [0] * max_n
-    totals = [0] * max_n
+    matches = [0] * 4
+    totals = [0] * 4
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, max_n + 1):
+        for n in range(1, 5):
             cn = _ngrams(cand, n)
             rn = _ngrams(ref, n)
             totals[n - 1] += sum(cn.values())
             matches[n - 1] += sum(min(c, rn[g]) for g, c in cn.items())
 
-    precisions = []
-    for m, t in zip(matches, totals):
-        if t == 0:
-            precisions.append(0.0)
-        elif m == 0 and smoothing:
-            precisions.append(epsilon / t)
-        else:
-            precisions.append(m / t)
+    precisions = [(m or 0.01) / t if t else 0.0 for m, t in zip(matches, totals)]
 
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / max(cand_len, 1))
     if any(p == 0.0 for p in precisions):
         score = 0.0
     else:
-        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / max_n)
+        score = 100.0 * bp * math.exp(sum(math.log(p) for p in precisions) / 4)
     return BleuReport(
         bleu=score,
         precisions=precisions,
         brevity_penalty=bp,
         candidate_length=cand_len,
         reference_length=ref_len,
-        smoothed=smoothing,
     )
 
 
@@ -153,7 +143,8 @@ def hits_at_k(gold_pairs, distractor_pool, noise_ratios,
     cosine similarity, and a query hits at k when its own gold target ranks
     within the top k. Ties break toward the lower pool index. Every ratio
     is checked before any sentence is embedded, and each sentence is
-    embedded once for all ratios.
+    embedded once for all ratios. A query or candidate whose joint-space
+    vector is zero has no cosine and raises ``DegenerateInputError``.
     """
     if not gold_pairs:
         raise ValueError("gold pair set is empty")
@@ -174,8 +165,11 @@ def hits_at_k(gold_pairs, distractor_pool, noise_ratios,
         r_query = evaluator.forward(
             Tensor(embed_sentences([s for s, _ in gold_pairs], model))).data
         r_cand = evaluator.forward(Tensor(embed_sentences(candidates, model))).data
-    r_query /= np.linalg.norm(r_query, axis=1, keepdims=True)
-    r_cand /= np.linalg.norm(r_cand, axis=1, keepdims=True)
+    for side, r in (("query", r_query), ("candidate", r_cand)):
+        norms = np.linalg.norm(r, axis=1, keepdims=True)
+        if np.any(norms == 0.0):
+            raise T.DegenerateInputError(f"hits_at_k: a {side} has a zero joint-space vector")
+        r /= norms
 
     reports = []
     for ratio, n in zip(noise_ratios, n_distract):

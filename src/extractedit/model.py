@@ -120,7 +120,7 @@ class TranslationModel:
                 h = T.gru_step(xs[t], h, *layer.values(), live=live[t])
                 outs.append(h)
             xs = outs
-        h_seq = T.stack(xs, axis=1)
+        h_seq = T.stack(xs)
         pooled = T.max_over_time(h_seq)
         return h_seq, pooled, mask
 
@@ -145,7 +145,7 @@ class TranslationModel:
             x = hiddens[i]
         if h_enc is not None:
             ctx = T.attend(x, h_enc, enc_mask)
-            x = T.tanh(T.matmul(T.concat([x, ctx], axis=-1), self.w_att) + self.b_att)
+            x = T.tanh(T.matmul(T.concat([x, ctx]), self.w_att) + self.b_att)
         return T.matmul(x, self.w_out) + self.b_out
 
     def nll_batch(self, src_sentences, tgt_sentences, out_lang: int) -> Tensor:
@@ -171,7 +171,7 @@ class TranslationModel:
         for t in range(t_out):
             x = self._decoder_input(inputs[:, t], t, out_lang)
             logits.append(self._decoder_step(x, hiddens, h_enc, enc_mask))
-        logp = T.log_softmax(T.stack(logits, axis=1))
+        logp = T.log_softmax(T.stack(logits))
         tok_logp = T.gather(logp, targets[:, :, None])
         picked = T.reshape(tok_logp, (b, t_out)) * Tensor(loss_mask.astype(np.float64))
         return -(T.tsum(picked) * (1.0 / float(loss_mask.sum())))

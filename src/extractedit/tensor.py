@@ -10,7 +10,7 @@ keeps only what its backward reads. Parameters are plain ``Tensor``
 objects with ``requires_grad=True`` that outlive any tape, and they and
 the other leaves keep their gradients. Fused kernels (``gru_step``,
 ``attend``, ``max_over_time``, ``log_softmax``) keep tapes short enough
-for pure-Python dispatch to stay off the critical path.
+for pure-Python dispatch to stay off the critical path. No op takes an axis.
 
 ``add``, ``mul``, ``matmul``, ``cosine``, ``gru_step``, ``attend`` and
 ``max_over_time`` check that their output is finite (NaN/Inf raises
@@ -319,24 +319,25 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _record(out, (x,), bwd)
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join along the last axis."""
     tensors = tuple(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1))
+    splits = np.cumsum([t.data.shape[-1] for t in tensors])[:-1]
 
     def bwd(og):
-        return tuple(np.split(og, splits, axis=axis))
+        return tuple(np.split(og, splits, axis=-1))
 
     return _record(out, tensors, bwd)
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
+def stack(tensors) -> Tensor:
+    """Stack per-step (B, ...) tensors along axis 1, the time axis."""
     tensors = tuple(tensors)
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis))
+    out = Tensor(np.stack([t.data for t in tensors], axis=1))
 
     def bwd(og):
-        return tuple(np.moveaxis(og, axis, 0))
+        return tuple(np.moveaxis(og, 1, 0))
 
     return _record(out, tensors, bwd)
 
@@ -371,14 +372,15 @@ def gather(x: Tensor, idx: np.ndarray) -> Tensor:
 # log-softmax and cosine
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    m = x.data.max(axis=axis, keepdims=True)
+def log_softmax(x: Tensor) -> Tensor:
+    """Log-softmax along the last axis."""
+    m = x.data.max(axis=-1, keepdims=True)
     s = x.data - m
-    lse = np.log(np.exp(s).sum(axis=axis, keepdims=True))
+    lse = np.log(np.exp(s).sum(axis=-1, keepdims=True))
     out = Tensor(s - lse)
 
     def bwd(og):
-        return (og - np.exp(out.data) * og.sum(axis=axis, keepdims=True),)
+        return (og - np.exp(out.data) * og.sum(axis=-1, keepdims=True),)
 
     return _record(out, (x,), bwd)
 

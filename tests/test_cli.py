@@ -705,7 +705,7 @@ class TestSweepK:
         assert rows[0] == "arm,k,seed,bleu,token_accuracy"
         arms = [r.split(",")[:3] for r in rows[1:]]
         assert arms == [["pretrain-only", "", "0"], ["extract-edit", "1", "0"],
-                        ["extract-edit", "3", "0"], ["back-translation", "3", "0"]]
+                        ["extract-edit", "3", "0"], ["back-translation", "", "0"]]
         for name in ("metrics_k1.csv", "metrics_k3.csv", "metrics_back-translation.csv"):
             assert (out / name).exists(), name
 

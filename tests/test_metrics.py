@@ -36,8 +36,19 @@ class TestBleu:
         assert report.bleu == pytest.approx(100.0, abs=1e-12)
         assert report.brevity_penalty == 1.0
 
-    def test_zero_overlap_unsmoothed_is_0(self):
-        report = corpus_bleu([toks("a b c")], [toks("x y z")], smoothing=False)
+    def test_zero_overlap_scores_the_smoothed_floor(self):
+        """Every clipped-match total is zero, so each counts as 0.01
+        matches: p_n = 0.01 / (5 - n) and BLEU = 100 * 0.01 / 24^(1/4)."""
+        report = corpus_bleu([toks("a b c d")], [toks("w x y z")])
+        assert report.precisions == [0.01 / 4, 0.01 / 3, 0.01 / 2, 0.01]
+        assert report.bleu == pytest.approx(1.0 / 24 ** 0.25, abs=1e-12)
+
+    def test_no_candidate_4gram_is_0(self):
+        """Smoothing needs a candidate n-gram to divide by: a corpus of
+        3-token sentences has no 4-gram, and scores 0 even against itself."""
+        corpus = [toks("a b c"), toks("d e")]
+        report = corpus_bleu(corpus, corpus)
+        assert report.precisions == [1.0, 1.0, 1.0, 0.0]
         assert report.bleu == 0.0
 
     def test_hand_computed_three_pair_case(self):
@@ -55,7 +66,7 @@ class TestBleu:
                  toks("hello world")]
         refs = [toks("the cat sat on a mat"), toks("the quick brown fox jumps"),
                 toks("hello world")]
-        report = corpus_bleu(cands, refs, smoothing=False)
+        report = corpus_bleu(cands, refs)
         assert report.precisions == pytest.approx([10 / 12, 6 / 9, 3 / 6, 1 / 4])
         assert report.brevity_penalty == pytest.approx(math.exp(-1 / 12), abs=1e-15)
         expect = 100.0 * math.exp(-1 / 12) * (5 / 72) ** 0.25
@@ -69,12 +80,15 @@ class TestBleu:
         b = corpus_bleu([cands[i] for i in perm], [refs[i] for i in perm])
         assert a.bleu == b.bleu
 
-    def test_unigram_only_equal_lengths_is_precision(self):
-        """max_n=1 with equal lengths: BLEU = unigram precision * 100."""
-        cands = [toks("a b c d")]
-        refs = [toks("a b x y")]
-        report = corpus_bleu(cands, refs, max_n=1, smoothing=False)
-        assert report.bleu == pytest.approx(50.0, abs=1e-12)
+    def test_smoothing_replaces_only_the_zero_order(self):
+        """Equal lengths (BP = 1) and one order without a match: p1..p3 are
+        the clipped ratios 3/5, 2/4, 1/3, p4 = 0.01/2, and BLEU is 100 times
+        their geometric mean, 100 * 0.0005^(1/4)."""
+        report = corpus_bleu([toks("a b c d e")], [toks("a b c x y")])
+        assert report.precisions == pytest.approx([3 / 5, 2 / 4, 1 / 3, 0.01 / 2],
+                                                  abs=1e-15)
+        assert report.brevity_penalty == 1.0
+        assert report.bleu == pytest.approx(100.0 * 0.0005 ** 0.25, abs=1e-12)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +197,25 @@ class TestHitsAtK:
         gold = [(s, s) for s in sents]  # query embedding == target embedding
         report = hits_at_k(gold, [], (0.0,), model, ev, ks=(1, 3))[0]
         assert report.hits[1] == 1.0
+
+    def test_zero_joint_space_vector_refused(self, monkeypatch):
+        """A zero joint-space vector has no cosine: with the evaluator's w3
+        and b3 zeroed every query projects to zero, and an evaluator that
+        zeroes the candidates' vectors fails on that side. Unchecked, the
+        zero norms would make every similarity NaN, and each query a hit."""
+        model, ev, rng = tiny_setup(seed=9)
+        gold = [(rng.integers(4, 40, size=4), rng.integers(4, 40, size=4))
+                for _ in range(6)]
+        pool = [rng.integers(4, 40, size=4) for _ in range(6)]
+        forward, scale = ev.forward, iter((1.0, 0.0))  # queries kept, candidates zeroed
+        monkeypatch.setattr(ev, "forward", lambda e: forward(e) * next(scale))
+        with pytest.raises(T.DegenerateInputError, match="candidate"):
+            hits_at_k(gold, pool, (0.0, 0.5), model, ev, ks=(1, 3))
+        monkeypatch.undo()
+        ev.w3.data[...] = 0.0
+        ev.b3.data[...] = 0.0
+        with pytest.raises(T.DegenerateInputError, match="query"):
+            hits_at_k(gold, pool, (0.0, 0.5), model, ev, ks=(1, 3))
 
     def test_monotone_in_k(self):
         model, ev, rng = tiny_setup(seed=3)

@@ -108,7 +108,7 @@ def unpacked_encode(m: TranslationModel, sentences) -> tuple[Tensor, Tensor]:
             h = Tensor(keep) * T.gru_step(xs[t], h, *layer.values()) + Tensor(1.0 - keep) * h
             outs.append(h)
         xs = outs
-    h_seq = T.stack(xs, axis=1)
+    h_seq = T.stack(xs)
     pad = Tensor(np.where(mask, 0.0, -1e30)[:, :, None])  # pool over valid steps only
     return h_seq, T.max_over_time(h_seq + pad)
 

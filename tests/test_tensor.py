@@ -362,8 +362,8 @@ class TestGradientSweep:
             "tanh": lambda: T.tsum(T.tanh(a)),
             "mean": lambda: T.tmean(a * a),
             "reshape": lambda: T.tsum(T.reshape(a, (d, 3)) * 0.5),
-            "concat": lambda: T.tsum(T.concat([a, b], axis=1) * 0.7),
-            "stack": lambda: T.tsum(T.stack([a, b], axis=0) * 0.7),
+            "concat": lambda: T.tsum(T.concat([a, b]) * 0.7),
+            "stack": lambda: T.tsum(T.stack([a, b]) * 0.7),
             "log_softmax": lambda: T.tsum(T.log_softmax(a) * 0.3),
         }
         for name, fn in cases.items():

@@ -1088,8 +1088,7 @@ def encode_every_slot(tr, directions):
         b = len(d.t_star)
         e_edit = T.take_rows(pooled, np.arange(start, start + b * k))
         e_star = T.take_rows(pooled, np.arange(start + b * k, start + b * (k + 1)))
-        cand = T.concat([T.reshape(e_edit, (b, k, d_h)), T.reshape(e_star, (b, 1, d_h))],
-                        axis=1)
+        cand = T.reshape(T.concat([T.reshape(e_edit, (b, k * d_h)), e_star]), (b, k + 1, d_h))
         out.append((d.e_src, cand))
     return out
 
