@@ -6,7 +6,7 @@ each following line is ``name<TAB>comma-separated-shape<TAB>byte-offset``
 (offset into the binary section); a single blank line terminates the
 manifest. Tensors are raw little-endian float64, row-major, stored back
 to back in manifest order; the payload holds nothing else, and a manifest
-that does not tile it exactly is rejected on load.
+that does not tile it exactly, or lists a name twice, is rejected on load.
 
 A checkpoint directory holds ``params.bin`` and ``optim.bin`` (the arrays
 of ``training._checkpoint_arrays``: weights, Adam moments), ``index.bin``
@@ -75,6 +75,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         if len(fields) != 3:
             raise CheckpointError(f"{path}: bad manifest line {line!r}")
         name, shape_s, offset_s = fields
+        if name in out:
+            raise CheckpointError(f"{path}: tensor {name!r} is listed twice")
         try:
             shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
             offset = int(offset_s)

@@ -127,7 +127,13 @@ class RunManifest:
 def _load_data(data_dir: Path, max_len: int):
     """Load a corpus directory: vocabulary, corpora and oracle dictionary.
     A gen-corpus directory's vocabulary and dictionary follow from the spec
-    in its manifest; other directories have no dictionary."""
+    in its manifest; other directories have no dictionary. Validation sets
+    are optional, but criterion D needs both: a directory with only one is
+    refused, naming the missing one."""
+    src_valid, tgt_valid = (data_dir / f"{side}.valid.txt" for side in ("src", "tgt"))
+    if src_valid.exists() != tgt_valid.exists():
+        missing = tgt_valid if src_valid.exists() else src_valid
+        raise CliError(f"{missing}: missing; criterion D needs both validation sets")
     manifest_path = data_dir / "corpus_manifest.json"
     dictionary = None
     if manifest_path.exists():

@@ -4,21 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import NonFiniteError, Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the published Adam constants
-
-
-class TrainingDivergenceError(RuntimeError):
-    """Non-finite gradient or loss; carries the optimizer step index. Its
-    arguments are its ``args``, so it pickles, as a sweep-k worker sends it."""
-
-    def __init__(self, message: str, step: int):
-        super().__init__(message, step)
-        self.step = step
-
-    def __str__(self) -> str:
-        return f"{self.args[0]} (step {self.step})"
 
 
 class Adam:
@@ -38,12 +26,13 @@ class Adam:
 
     def step(self) -> None:
         """One bias-corrected update of every parameter and its moments, in
-        place. A non-finite gradient raises before anything changes."""
-        t = self.step_count + 1
+        place. A non-finite gradient raises NonFiniteError, naming its
+        parameter, before anything changes."""
         for name, p in self.params.items():
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise TrainingDivergenceError(f"non-finite gradient for {name}", t)
-        self.step_count = t
+                raise NonFiniteError(f"non-finite gradient for {name}")
+        self.step_count += 1
+        t = self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:

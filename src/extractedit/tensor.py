@@ -36,7 +36,8 @@ class DegenerateInputError(ValueError):
 
 
 class NonFiniteError(FloatingPointError):
-    """A forward operation produced NaN or Inf."""
+    """NaN or Inf, made by a forward operation or met in a gradient by
+    ``optim.Adam.step``."""
 
 
 def _as_f64(x) -> np.ndarray:

@@ -44,7 +44,7 @@ from .engine import (
     score_candidates_batch,
 )
 from .model import SRC, TGT, ModelConfig, TranslationModel
-from .optim import Adam, TrainingDivergenceError
+from .optim import Adam
 from .tensor import Tape, Tensor
 from .text import RESERVED_TOKENS, Vocabulary, apply_noise
 
@@ -197,10 +197,19 @@ def _checkpoint_arrays(model: TranslationModel, evaluator: EvaluationNetwork,
     }
 
 
+def _refuse_non_finite(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """A CheckpointError naming ``path`` and each of ``arrays`` that holds
+    NaN or Inf."""
+    bad = [k for k, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise CheckpointError(f"{path}: non-finite values in tensors {bad}")
+
+
 def _read_checked(path: Path, live: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The tensor file at ``path``, which must hold exactly the names and
-    shapes of the ``live`` arrays; otherwise a CheckpointError naming it and
-    every missing, extra and misshapen tensor. No array changes."""
+    shapes of the ``live`` arrays, all finite; otherwise a CheckpointError
+    naming it and every missing, extra, misshapen or non-finite tensor. No
+    array changes."""
     saved = load_tensors(path)
     missing, extra = sorted(live.keys() - saved.keys()), sorted(saved.keys() - live.keys())
     shapes = [f"{k} {saved[k].shape} vs {a.shape}" for k, a in live.items()
@@ -208,6 +217,7 @@ def _read_checked(path: Path, live: dict[str, np.ndarray]) -> dict[str, np.ndarr
     if missing or extra or shapes:
         raise CheckpointError(f"{path}: missing tensors {missing}, extra tensors {extra}, "
                               f"wrong shapes {shapes}")
+    _refuse_non_finite(path, saved)
     return saved
 
 
@@ -556,23 +566,29 @@ class Trainer:
         the checkpoint directories saved, in step order.
 
         ``until`` stops early at a global step (for interrupt/resume
-        exercises) without changing any per-step behavior.
+        exercises) without changing any per-step behavior. A NonFiniteError
+        raised while step n is made or validated reaches the caller as one
+        whose message begins ``step n: ``, the step's row in the metrics.
         """
         cfg = self.config
         true_end = cfg.pretrain_steps + cfg.main_steps
         total_steps = true_end if until is None else min(true_end, until)
         saved = []
         while self.state.step < total_steps:
-            if self.state.step < cfg.pretrain_steps:
-                self.pretrain_step()
-            else:
-                self.main_step()
-            at_end = self.state.step == true_end
-            want_valid = cfg.valid_interval and (
-                self.state.step % cfg.valid_interval == 0 or at_end)
-            if want_valid and self.valid[SRC] is not None and self.valid[TGT] is not None \
-                    and self.state.step >= cfg.pretrain_steps:
-                self.validate()
+            n = self.state.step + 1
+            try:
+                if self.state.step < cfg.pretrain_steps:
+                    self.pretrain_step()
+                else:
+                    self.main_step()
+                at_end = self.state.step == true_end
+                want_valid = cfg.valid_interval and (
+                    self.state.step % cfg.valid_interval == 0 or at_end)
+                if want_valid and self.valid[SRC] is not None and self.valid[TGT] is not None \
+                        and self.state.step >= cfg.pretrain_steps:
+                    self.validate()
+            except T.NonFiniteError as e:
+                raise T.NonFiniteError(f"step {n}: {e}") from e
             want_ckpt = at_end or (cfg.checkpoint_interval
                                    and self.state.step % cfg.checkpoint_interval == 0)
             if checkpoint_dir is not None and want_ckpt:
@@ -586,18 +602,17 @@ class Trainer:
 
     def _update(self, opt: Adam, losses) -> dict[str, Tensor]:
         """One optimizer update, and the only code that makes one: zero
-        ``opt``'s gradients, record ``losses()`` on a fresh tape, check that
-        its ``"total"`` is finite, backpropagate it and step ``opt``.
+        ``opt``'s gradients, record ``losses()`` on a fresh tape,
+        backpropagate its ``"total"`` and step ``opt``.
 
         ``losses`` returns named scalar terms, which come back as they are;
         an update run inside another's ``losses`` records on its own tape
-        only.
+        only. The total needs no finiteness check here: it is made by ``add``
+        or ``mul``, which refuse non-finite values.
         """
         opt.zero_grad()
         with Tape() as tape:
             terms = losses()
-        if not np.isfinite(terms["total"].data).all():
-            raise TrainingDivergenceError("non-finite training loss", self.state.step + 1)
         tape.backward(terms["total"])
         opt.step()
         return terms
@@ -687,9 +702,10 @@ class Trainer:
         An index snapshot whose corpus digest differs from this trainer's
         corpus is dropped, so the next ``_ensure_indexes`` builds it anew; a
         checkpoint that records no digests restores every snapshot. A kept one
-        must be (corpus rows, ``hidden_size``). Each fault is a CheckpointError
-        naming its file, raised after every file is read and before any
-        trainer state changes: a refused restore leaves the trainer as it was.
+        must be (corpus rows, ``hidden_size``) and finite. Each fault is a
+        CheckpointError naming its file, raised after every file is read and
+        before any trainer state changes: a refused restore leaves the trainer
+        as it was.
         """
         directory = Path(directory)
         meta, config, vocab = read_state(directory)
@@ -731,6 +747,7 @@ class Trainer:
                 raise CheckpointError(f"{path}: {key} has shape {rows.shape}, not "
                                       f"({len(self.corpora[lang])}, {self.config.hidden_size})")
             indexes[lang] = EmbeddingIndex(rows=rows, episode=episode)
+        _refuse_non_finite(path, {key: snapshots[key] for key in kept})
         files = _checkpoint_arrays(self.model, self.evaluator, self.opt_gen, self.opt_eval)
         arrays = {name: _read_checked(directory / name, live) for name, live in files.items()}
         # every file is checked: from here on nothing fails

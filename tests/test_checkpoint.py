@@ -122,6 +122,14 @@ def test_overlapping_offset_rejected(two_tensors):
         load_tensors(two_tensors)
 
 
+def test_name_listed_twice_rejected(two_tensors):
+    """A manifest that lists ``a`` twice tiles the payload exactly, but the
+    second entry would silently replace the first: refused by name."""
+    rewrite_manifest(two_tensors, lambda ls: [ls[0], ls[1], "a\t2\t48"])
+    with pytest.raises(CheckpointError, match=r"t\.bin: tensor 'a' is listed twice"):
+        load_tensors(two_tensors)
+
+
 def test_trailing_bytes_rejected(two_tensors):
     rewrite_manifest(two_tensors, payload=lambda body: body + bytes(8))
     with pytest.raises(CheckpointError, match=r"t\.bin.*8 trailing bytes"):

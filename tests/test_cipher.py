@@ -175,6 +175,17 @@ class TestGeneration:
         assert "CipherSpecError: n_test=999 distinct gold sources not drawn in 99900" in (
             done.stderr)
 
+    def test_gold_draw_budget_is_100_per_gold_source(self):
+        """At Zipf exponent 50 one of the ten one-token sentences takes all but
+        ~1e-15 of the mass, so 200 draws give one distinct gold source of
+        the two asked for: the spec passes validate, and generation refuses it."""
+        spec = CipherSpec(vocab_size=10, seed=0, n_train=100, n_valid=1, n_test=2,
+                          len_min=1, len_max=1, zipf_exponent=50.0, bigram_weight=0.0)
+        spec.validate()
+        with pytest.raises(CipherSpecError,
+                           match="n_test=2 distinct gold sources not drawn in 200 draws"):
+            generate_cipher_pair(spec)
+
     def test_gold_sources_unique(self):
         pair = generate_cipher_pair(small_spec(n_test=100))
         keys = {tuple(s.tolist()) for s, _ in pair.gold}

@@ -269,6 +269,18 @@ class TestTrain:
         assert "oracle dictionary" in capsys.readouterr().err
         assert load_json(out / "manifest.json")["success"] is False
 
+    def test_divergence_names_the_training_step(self, tmp_path, corpus_dir, capsys):
+        """A loss weight that overflows the first pretraining loss fails the
+        run naming step 1, and writes no metrics."""
+        out = tmp_path / "diverged"
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert run("train", "--data", corpus_dir, "--out", out, *ov(TRAIN),
+                       "--omega_lm=1e308") == 1
+        assert "train failed: step 1: mul produced non-finite values" in capsys.readouterr().err
+        assert load_json(out / "manifest.json")["success"] is False
+        assert not (out / "metrics.csv").exists()
+
     def test_resume_matches_uninterrupted(self, tmp_path, corpus_dir, run_dir):
         ckpt = checkpoint_of(run_dir)  # saved at step 12 (pretrain boundary)
         out = tmp_path / "resumed"
@@ -605,6 +617,20 @@ def rewrite_tensors(edit):
     return damage
 
 
+def rewrite_manifest(edit):
+    """Damage that applies ``edit`` to a tensor file's list of manifest lines."""
+    def damage(b: bytes) -> bytes:
+        head, body = b.split(b"\n\n", 1)
+        lines = edit(head.decode("utf-8").split("\n"))
+        return "\n".join(lines).encode("utf-8") + b"\n\n" + body
+    return damage
+
+
+def non_finite(name: str, value: float):
+    """Damage that fills tensor ``name`` of a tensor file with ``value``."""
+    return rewrite_tensors(lambda t: t.update({name: np.full(t[name].shape, value)}))
+
+
 # a damaged file, the command that reads it, and the damage
 DAMAGED_FILES = [
     pytest.param("state.json", "extract", lambda b: b[:len(b) // 2], id="state.json"),
@@ -646,14 +672,37 @@ DAMAGED_FILES = [
     pytest.param("state.json", "extract",
                  rewrite_json(lambda s: s["index_corpus_sha256"].pop("tgt")),
                  id="state.json-no-index-digest"),
+    pytest.param("params.bin", "translate", lambda b: b[:b.index(b"\n\n")],
+                 id="params.bin-no-terminator"),
+    pytest.param("optim.bin", "extract",
+                 rewrite_manifest(lambda ls: [ls[0].replace("tensors 1 ", "tensors 2 "),
+                                              *ls[1:]]),
+                 id="optim.bin-version"),
+    pytest.param("index.bin", "extract", rewrite_manifest(lambda ls: ls[:-1]),
+                 id="index.bin-count"),
+    pytest.param("params.bin", "evaluate",
+                 rewrite_manifest(lambda ls: [*ls[:-1], ls[-1].replace("\t", " ")]),
+                 id="params.bin-manifest-line"),
+    pytest.param("params.bin", "extract",
+                 rewrite_manifest(lambda ls: [ls[0], ls[1].rsplit("\t", 1)[0] + "\tx",
+                                              *ls[2:]]),
+                 id="params.bin-offset"),
+    pytest.param("params.bin", "translate", non_finite("embedding", np.nan),
+                 id="params.bin-nan-translate"),
+    pytest.param("params.bin", "extract", non_finite("embedding", np.nan),
+                 id="params.bin-nan-extract"),
+    pytest.param("optim.bin", "extract", non_finite("gen.v.embedding", np.inf),
+                 id="optim.bin-inf"),
+    pytest.param("index.bin", "extract", non_finite("index.tgt", np.nan), id="index.bin-nan"),
 ]
 
 
 @pytest.mark.parametrize("name, command, damage", DAMAGED_FILES)
 def test_damaged_file_is_named(name, command, damage, tmp_path, corpus_dir, run_dir, capsys):
     """A truncated JSON file, a JSON file of the wrong shape or content, a
-    tensor file whose header holds no format version, or one whose tensors
-    are not the live arrays' names and shapes, exits 1 naming the file."""
+    tensor file with a malformed manifest, or one whose tensors are not the
+    live arrays' names and shapes or hold NaN or Inf, exits 1 naming the
+    file."""
     data, ckpt = tmp_path / "data", tmp_path / "ck"
     shutil.copytree(corpus_dir, data)
     shutil.copytree(checkpoint_of(run_dir), ckpt)
@@ -668,6 +717,24 @@ def test_damaged_file_is_named(name, command, damage, tmp_path, corpus_dir, run_
     capsys.readouterr()
     assert run(command, *argv) == 1
     assert f"{command} failed: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, missing", [("train", "tgt.valid.txt"),
+                                              ("sweep-k", "src.valid.txt")])
+def test_half_a_validation_set_fails_naming_it_before_any_work(command, missing, tmp_path,
+                                                              corpus_dir, capsys):
+    """Criterion D translates both validation sets, so a directory with only
+    one is refused, naming the other, before any work."""
+    data = tmp_path / "data"
+    shutil.copytree(corpus_dir, data)
+    (data / missing).unlink()
+    out = tmp_path / "out"
+    argv = {"train": [], "sweep-k": ["--sweep_ks=1"]}[command]
+    capsys.readouterr()
+    assert run(command, "--data", data, "--out", out, *ov(TRAIN), "--init_mode=random",
+               "--valid_interval=2", *argv) == 1
+    assert f"{command} failed: {data / missing}: missing" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("command", ["sweep-k", "evaluate"])
@@ -735,6 +802,20 @@ class TestSweepK:
                          "--sweep_ks=3,1,3") == 2
         assert "--sweep_ks" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_worker_divergence_reaches_the_parent_naming_the_step(self, tmp_path,
+                                                                  corpus_dir, capsys):
+        """An evaluator learning rate that blows up the first extract-edit step
+        in a worker process fails the sweep naming step 13, the step after
+        pretraining, and writes no sweep.csv."""
+        out = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run("sweep-k", "--data", corpus_dir, "--out", out, *ov(TRAIN),
+                   "--sweep_ks=1", "--lr_evaluator=1e300") == 1
+        assert ("sweep-k failed: step 13: cosine produced non-finite values"
+                in capsys.readouterr().err)
+        assert load_json(out / "manifest.json")["success"] is False
+        assert not (out / "sweep.csv").exists()
 
     def test_overwrite_removes_an_earlier_runs_arms(self, tmp_path, corpus_dir):
         out = tmp_path / "sweep"
@@ -875,6 +956,16 @@ class TestCommandLine:
         capsys.readouterr()
         assert run("train", "--data", corpus_dir, "--out", out, "--config", cfg) == 2
         assert "run.cfg: line 2: malformed UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_line_without_equals_exits_2_naming_its_line(self, tmp_path, corpus_dir,
+                                                                capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3\nlr 0.1\n", encoding="utf-8")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run("train", "--data", corpus_dir, "--out", out, "--config", cfg) == 2
+        assert "run.cfg: line 2 is not key = value" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-corpus", "train", "evaluate", "sweep-k"])

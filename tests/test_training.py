@@ -22,6 +22,7 @@ from extractedit.engine import (
 from extractedit.model import SRC, TGT, TranslationModel
 from extractedit.optim import Adam
 from extractedit.tensor import Tape, Tensor
+from extractedit.text import RESERVED_TOKENS, Vocabulary
 from extractedit.training import (
     METRIC_COLUMNS,
     TrainConfig,
@@ -95,6 +96,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             TrainConfig(**{key: -1}).validate()
         TrainConfig(**{key: 0}).validate()  # an interval of 0 turns it off
+
+    @pytest.mark.parametrize("key, bad, message", [
+        ("pretrain_steps", -1, "step counts must be >= 0"),
+        ("main_steps", -1, "step counts must be >= 0"),
+        ("init_mode", "dictionary", "init_mode must be oracle or random, got 'dictionary'"),
+        ("episode_len", 0, "episode_len must be >= 1"),
+    ], ids=["pretrain_steps", "main_steps", "init_mode", "episode_len"])
+    def test_step_counts_init_mode_and_episode_length_checked(self, key, bad, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{key: bad}).validate()
 
     @pytest.mark.parametrize("mode", ["extract-edit", "back-translation"])
     def test_k_beyond_either_training_corpus_rejected_at_construction(self, pair, mode):
@@ -405,6 +416,39 @@ class TestAdversarialStep:
         assert float(row[4]) == sum(seen["comparative_loss"])
         assert float(row[5]) == sum(seen["evaluator_loss"])
 
+    def test_poisoned_evaluator_gradient_names_the_training_step(self, pair, monkeypatch):
+        """A NaN in an evaluator gradient while step 8 is made (the evaluator
+        optimizer's second step) raises before any parameter moves, naming
+        training step 8, whose metrics row is not written."""
+        tr = micro_trainer(pair, pretrain_steps=6, main_steps=4)
+        w3 = tr.evaluator.named_parameters()["evaluator.w3"]
+        real_step = tr.opt_eval.step
+
+        def poisoned_step():
+            if tr.state.step == 7:
+                w3.grad[0, 0] = np.nan
+            real_step()
+
+        monkeypatch.setattr(tr.opt_eval, "step", poisoned_step)
+        with pytest.raises(T.NonFiniteError,
+                           match=r"^step 8: non-finite gradient for evaluator\.w3$"):
+            tr.run()
+        assert tr.state.step == 7 and len(tr.state.metric_rows) == 7
+        assert tr.opt_eval.step_count == 1
+
+    def test_non_finite_validation_names_the_training_step(self, pair, monkeypatch):
+        """A NaN met while validating step 10 names step 10."""
+        tr = micro_trainer(pair, pretrain_steps=6, main_steps=4, valid_interval=5)
+
+        def validate():
+            if tr.state.step == 10:
+                raise T.NonFiniteError("cosine produced non-finite values")
+
+        monkeypatch.setattr(tr, "validate", validate)
+        with pytest.raises(T.NonFiniteError,
+                           match="^step 10: cosine produced non-finite values$"):
+            tr.run()
+
     def test_loss_decomposition_row(self, pair):
         """Logged total equals omega_lm * lm + omega_com * com to 1e-12."""
         tr = micro_trainer(pair, omega_lm=0.7, omega_com=1.3, pretrain_steps=2,
@@ -618,6 +662,18 @@ class TestDeterminismAndResume:
         with pytest.raises(ValueError, match="config mismatch"):
             other.restore(ckpt)
 
+    def test_restore_rejects_another_vocabulary(self, pair, tmp_path):
+        """A checkpoint over another vocabulary of the same size is refused
+        before any trainer state changes."""
+        tr = micro_trainer(pair, init_mode="random", pretrain_steps=1, main_steps=0)
+        tr.pretrain_step()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        tokens = pair.vocab.id_to_token[len(RESERVED_TOKENS):]
+        other = Trainer(tr.config, Vocabulary(tokens[::-1]), pair.src_train, pair.tgt_train)
+        with pytest.raises(ValueError, match="checkpoint vocabulary does not match"):
+            other.restore(ckpt)
+        assert other.state.step == 0
+
     def test_state_format_other_than_1_refused(self, pair, tmp_path):
         """A checkpoint whose state.json records format 2 is refused by
         ``load_checkpoint`` and ``restore`` alike, naming the format."""
@@ -692,6 +748,32 @@ class TestDeterminismAndResume:
         assert other.opt_gen.step_count == other.opt_eval.step_count == 0
         assert other.indexes == {} and other.state.step == 0
 
+    @pytest.mark.parametrize("name, tensor, value", [
+        ("params.bin", "embedding", np.nan),
+        ("optim.bin", "eval.v.evaluator.b3", np.inf),
+        ("index.bin", "index.tgt", np.nan),
+    ])
+    def test_non_finite_array_refused_by_name(self, pair, tmp_path, name, tensor, value):
+        """A NaN or Inf in a checkpoint array is refused, naming the file and
+        the tensor, before any trainer state changes; ``load_checkpoint``
+        refuses one in params.bin too."""
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.run()
+        ckpt = tr.save_checkpoint(tmp_path / "ck")
+        tensors = load_tensors(ckpt / name)
+        tensors[tensor] = tensors[tensor].copy()
+        tensors[tensor].flat[3] = value
+        save_tensors(ckpt / name, tensors)
+        other = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        embedding = other.model.embedding.data.copy()
+        message = rf"{name}: non-finite values in tensors \['{tensor}'\]"
+        with pytest.raises(CheckpointError, match=message):
+            other.restore(ckpt)
+        np.testing.assert_array_equal(other.model.embedding.data, embedding)
+        assert other.indexes == {} and other.state.step == 0
+        if name == "params.bin":
+            with pytest.raises(CheckpointError, match=message):
+                training.load_checkpoint(ckpt)
 
     @pytest.mark.parametrize("other", ["fewer sentences", "same size, reordered"])
     def test_restore_drops_an_index_built_over_another_corpus(self, pair, tmp_path, other):
