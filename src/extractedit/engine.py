@@ -7,9 +7,11 @@ batches). One GEMM per query block screens every row, and the few rows
 that pass are re-ranked with the exact distance, so the result equals a
 brute-force scan bit for bit. Editing max-pools the source embedding
 with an extracted sentence's embedding and greedily decodes the pooled
-vector; callers supply both embeddings (the trainer takes the extracted
-ones straight from the index rows while the generator has made no update
-since the index was built), and the trainer encodes the decoded sentences
+vector in float32; callers supply both embeddings (the trainer takes the
+extracted ones straight from the index rows while the generator has made
+no update since the index was built: fresh encodes to the bit where a
+row's products do not depend on the batch height, as at hidden 64, see
+``tensor._mm``), and the trainer encodes the decoded sentences
 with its other ranking candidates, so all of them live in the same
 representation space. Scoring projects embeddings through a
 shared MLP into a joint space, measures cosine similarity to the source
@@ -94,8 +96,9 @@ def embed_sentences(sentences, model: TranslationModel) -> np.ndarray:
     of at most ``_INDEX_CHUNK`` rows, so a chunk carries little padding
     and its per-token states stay small; each pooled row is scattered back
     to its input position. Rows are bit-identical to one-sentence
-    ``encode_batch`` calls, because ``tensor`` computes a row's products
-    the same way in every batch.
+    ``encode_batch`` calls where a row's products do not depend on the batch
+    height, as at hidden 64; at other widths their last bits can differ
+    (see ``tensor._mm``).
     """
     order = np.argsort([len(s) for s in sentences], kind="stable")
     rows = np.empty((len(sentences), model.config.hidden_size))

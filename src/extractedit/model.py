@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import DegenerateInputError, Tensor
+from .tensor import DegenerateInputError, NonFiniteError, Tensor
 from .text import BOS, EOS, PAD
 
 SRC, TGT = 0, 1
@@ -57,6 +57,17 @@ def _gru_layer(rng: np.random.Generator, d_in: int, d_h: int) -> dict[str, Tenso
         "w_hh": glorot(rng, (d_h, 3 * d_h)),
         "b_hh": Tensor(np.zeros(3 * d_h), requires_grad=True),
     }
+
+
+def _float32(name: str, t: Tensor) -> Tensor:
+    """A float32 copy of ``t``; a value outside float32's range raises
+    ``NonFiniteError`` naming ``name``, and numpy's overflow warning is not
+    emitted."""
+    with np.errstate(over="ignore"):
+        data = t.data.astype(np.float32)
+    if not np.isfinite(data).all():
+        raise NonFiniteError(f"{name} is not finite in float32")
+    return Tensor(data)
 
 
 class TranslationModel:
@@ -101,11 +112,13 @@ class TranslationModel:
         hidden state forward, so H at a PAD position repeats the state of
         the sentence's last token. The pooled row is H's max over all steps:
         it equals the max over the sentence's own, and its gradient goes to
-        the first argmax, never a PAD step. Each live row gets the bits it
-        would get in a full-height step, so a sentence encodes the same
-        alone or in any batch; the backward's matrix products stay full
-        height, because OpenBLAS rounds their rows differently at other
-        heights (see ``tensor.gru_step``).
+        the first argmax, never a PAD step. Where a row's products do not
+        depend on the batch height, as at hidden 64 (see ``tensor._mm``), a
+        live row gets the bits it would get in a full-height step, and a
+        sentence encodes the same alone or in any batch; at other widths,
+        hidden 100 among them, its last bits can change with the batch. The
+        backward's matrix products stay full height, because OpenBLAS rounds
+        their rows differently at other heights (see ``tensor.gru_step``).
         """
         ids, lengths, mask = pad_batch(sentences)
         b, t_max = ids.shape
@@ -126,27 +139,38 @@ class TranslationModel:
 
     # -- decoding -------------------------------------------------------------
 
-    def _decoder_input(self, tok_ids: np.ndarray, step: int, lang: int) -> Tensor:
-        """The embedded decoder input; step 0 adds the language tag."""
-        x = T.take_rows(self.embedding, tok_ids)
+    def _decoder_params(self) -> dict[str, Tensor]:
+        """The parameters the decoder reads, under their ``named_parameters``
+        names: the shared embedding and every ``decoder.`` tensor."""
+        return {k: p for k, p in self.named_parameters().items()
+                if k == "embedding" or k.startswith("decoder.")}
+
+    def _decoder_input(self, w: dict[str, Tensor], tok_ids: np.ndarray, step: int,
+                       lang: int) -> Tensor:
+        """The embedded decoder input; step 0 adds the language tag. ``w`` holds
+        the weights under ``_decoder_params``' names."""
+        x = T.take_rows(w["embedding"], tok_ids)
         if step == 0:
-            x = x + T.take_rows(self.lang_emb, np.full(len(tok_ids), lang))
+            x = x + T.take_rows(w["decoder.lang_tag"], np.full(len(tok_ids), lang))
         return x
 
-    def _decoder_step(self, x: Tensor, hiddens: list[Tensor], h_enc: Tensor | None,
-                      enc_mask: np.ndarray | None, projected: bool = False) -> Tensor:
+    def _decoder_step(self, w: dict[str, Tensor], x: Tensor, hiddens: list[Tensor],
+                      h_enc: Tensor | None, enc_mask: np.ndarray | None,
+                      projected: bool = False) -> Tensor:
         """One decoder step from layer 0's input ``x``: the embedded input, or
         with ``projected`` its layer-0 input projection (see ``gru_step``)."""
-        for i, layer in enumerate(self.dec_layers):
-            w_ih, b_ih, w_hh, b_hh = layer.values()
+        for i in range(len(hiddens)):
+            layer = f"decoder.l{i}."
+            w_ih, b_ih = w[layer + "w_ih"], w[layer + "b_ih"]
             if projected and i == 0:
                 w_ih = b_ih = None
-            hiddens[i] = T.gru_step(x, hiddens[i], w_ih, b_ih, w_hh, b_hh)
+            hiddens[i] = T.gru_step(x, hiddens[i], w_ih, b_ih, w[layer + "w_hh"],
+                                    w[layer + "b_hh"])
             x = hiddens[i]
         if h_enc is not None:
             ctx = T.attend(x, h_enc, enc_mask)
-            x = T.tanh(T.matmul(T.concat([x, ctx]), self.w_att) + self.b_att)
-        return T.matmul(x, self.w_out) + self.b_out
+            x = T.tanh(T.matmul(T.concat([x, ctx]), w["decoder.attn.w"]) + w["decoder.attn.b"])
+        return T.matmul(x, w["decoder.proj.w"]) + w["decoder.proj.b"]
 
     def nll_batch(self, src_sentences, tgt_sentences, out_lang: int) -> Tensor:
         """Token-averaged teacher-forced negative log-likelihood of targets.
@@ -166,11 +190,12 @@ class TranslationModel:
         targets[np.arange(b), tgt_len] = EOS
         loss_mask = np.arange(t_out)[None, :] <= tgt_len[:, None]
 
+        w = self._decoder_params()
         hiddens = [pooled for _ in self.dec_layers]
         logits = []
         for t in range(t_out):
-            x = self._decoder_input(inputs[:, t], t, out_lang)
-            logits.append(self._decoder_step(x, hiddens, h_enc, enc_mask))
+            x = self._decoder_input(w, inputs[:, t], t, out_lang)
+            logits.append(self._decoder_step(w, x, hiddens, h_enc, enc_mask))
         logp = T.log_softmax(T.stack(logits))
         tok_logp = T.gather(logp, targets[:, :, None])
         picked = T.reshape(tok_logp, (b, t_out)) * Tensor(loss_mask.astype(np.float64))
@@ -189,6 +214,14 @@ class TranslationModel:
         Returns the decoded sentences and a per-sentence flag marking
         max-length truncation.
 
+        The decode runs in float32. Once per call it rounds ``init``,
+        ``h_enc`` and the parameters ``_decoder_params`` names to float32;
+        the parameters themselves stay float64, and only token ids leave
+        the call. A value float32 cannot hold raises ``NonFiniteError``
+        naming its tensor. The tokens are those a float64 decode gives,
+        except where a step's two best logits are closer than float32
+        rounding.
+
         Only the rows still decoding are computed: a row that emits EOS
         leaves the batch with its hidden states and its ``h_enc`` and
         ``enc_mask`` rows (``h_enc`` keeps its padded length). Step 0's layer-0
@@ -196,26 +229,33 @@ class TranslationModel:
         When the vocabulary has fewer tokens than the ``rows × max_len``
         row-steps the call may decode, later steps read it from a table of
         every token's ``x @ w_ih + b_ih``, made once per call; otherwise they
-        project their embedding rows. No row's products depend on how many
-        rows its batch has (see ``tensor._mm``), so a row decodes to the same
-        bits alone, in any batch, with or without the table, and as in a loop
-        that multiplies every row's embedding at every step.
+        project their embedding rows. Where no row's products depend on how
+        many rows its batch has, a row decodes to the same bits alone, in
+        any batch, with or without the table, and as in a loop that
+        multiplies every row's embedding at every step. Not every shape
+        has that (see ``tensor._mm``; in float32, a 64-input output
+        projection to 100 or 104 tokens does not), and there a row's tokens
+        can change with its batch at the same near ties.
         """
         b, max_len = init.data.shape[0], self.config.max_len
         grid = np.empty((b, max_len), dtype=np.int64)  # row i emits grid[i, :lengths[i]]
         lengths = np.full(b, max_len)
         rows = np.arange(b)  # the batch rows still decoding
-        layer0 = self.dec_layers[0]
+        w = {k: _float32(k, p) for k, p in self._decoder_params().items()}
+        init = _float32("init", init)
+        if h_enc is not None:
+            h_enc = _float32("h_enc", h_enc)
+        w_ih0, b_ih0 = w["decoder.l0.w_ih"], w["decoder.l0.b_ih"]
         with T.no_grad():
-            first = T.matmul(self._decoder_input(np.array([BOS]), 0, lang), layer0["w_ih"])
-            x, projected = T.take_rows(first + layer0["b_ih"], np.zeros(b, dtype=np.int64)), True
-            table = self.embedding.data.shape[0] < b * max_len  # fewer tokens than row-steps
-            tokens = self.embedding  # layer 0's input per token id after step 0
+            first = T.matmul(self._decoder_input(w, np.array([BOS]), 0, lang), w_ih0)
+            x, projected = T.take_rows(first + b_ih0, np.zeros(b, dtype=np.int64)), True
+            tokens = w["embedding"]  # layer 0's input per token id after step 0
+            table = tokens.data.shape[0] < b * max_len  # fewer tokens than row-steps
             if table:
-                tokens = T.matmul(tokens, layer0["w_ih"]) + layer0["b_ih"]
+                tokens = T.matmul(tokens, w_ih0) + b_ih0
             hiddens = [init for _ in self.dec_layers]
             for t in range(max_len):
-                logits = self._decoder_step(x, hiddens, h_enc, enc_mask, projected).data
+                logits = self._decoder_step(w, x, hiddens, h_enc, enc_mask, projected).data
                 logits[:, PAD] = -np.inf
                 logits[:, BOS] = -np.inf
                 if t == 0:

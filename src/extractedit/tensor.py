@@ -1,4 +1,10 @@
-"""Dense float64 tensors with reverse-mode autodiff on an explicit tape.
+"""Dense float tensors with reverse-mode autodiff on an explicit tape.
+
+A ``Tensor`` keeps a float32 array as float32 and turns anything else into
+float64, and each op computes in its operands' dtype. Training, its tape
+and its gradients are float64; ``model.TranslationModel.decode_greedy_batch``
+runs on float32 copies of its inputs and weights, since its only output is
+argmax token ids.
 
 The tape is rebuilt every training step: ops executed while a ``Tape`` is
 active append one node each, and ``Tape.backward`` replays the nodes in
@@ -40,8 +46,9 @@ class NonFiniteError(FloatingPointError):
     ``optim.Adam.step``."""
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
+def _as_float(x) -> np.ndarray:
+    x = np.asarray(x)
+    return x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
 
 
 def _check_finite(data: np.ndarray, op: str) -> None:
@@ -50,12 +57,16 @@ def _check_finite(data: np.ndarray, op: str) -> None:
 
 
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product whose rows do not depend on how many rows ``a`` has.
+    """Matrix product that gives a 1-row ``a`` the matrix-matrix path.
 
     BLAS sends a 1-row product down its matrix-vector path, which rounds
-    differently from the matrix-matrix path every larger batch takes; a
-    1-row ``a`` is therefore computed as a 2-row product and trimmed, so a
-    sentence encodes to the same bits alone or inside any batch.
+    differently from the matrix-matrix path larger batches take, so a 1-row
+    ``a`` is computed as a 2-row product and trimmed. Whether a row's bits
+    then depend on how many rows ``a`` has is up to BLAS and the shape: the
+    tests pin that they do not for the encoder's float64 GRU products at
+    hidden 64, (B, 64) @ (64, 192), at heights 1 to 320. On OpenBLAS 0.3.31
+    they do at other shapes, such as hidden 100's (B, 100) @ (100, 300)
+    below a few hundred rows.
     """
     if a.shape[0] == 1:
         return (np.concatenate((a, a)) @ b)[:1]
@@ -63,15 +74,17 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Tensor:
-    """Dense float64 array that can participate in gradient recording.
+    """Dense array that can participate in gradient recording.
 
-    ``grad`` is allocated lazily by the backward pass.
+    A float32 array stays float32; Python numbers, lists, and arrays of
+    every other dtype (ints and bools among them) become float64. ``grad``
+    is allocated lazily by the backward pass.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_f64(data)
+        self.data = _as_float(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
 
@@ -430,13 +443,14 @@ def gru_step(x, h, w_ih, b_ih, w_hh, b_hh, live: np.ndarray | None = None) -> Te
     so padded positions contribute exactly zero to every parameter
     gradient. ``None`` means every row is live.
 
-    A live row gets the same bits as in a full-height step: the forward
+    A live row gets the same bits as in a full-height step where the forward
     products ``x @ w_ih`` and ``h @ w_hh`` do not depend on how many rows
-    they have (see ``_mm``). The backward's four products do on OpenBLAS
-    (``dgi @ w_hh.T`` rounds differently in a short product than in a tall
-    one, and ``x.T @ dgi`` changes once the frozen rows are dropped), so
-    they run at full height on gate gradients that are zero on the frozen
-    rows; only the element-wise gate work is restricted to the live rows.
+    they have (see ``_mm`` for the shapes tested). The backward's four
+    products do on OpenBLAS (``dgi @ w_hh.T`` rounds differently in a short
+    product than in a tall one, and ``x.T @ dgi`` changes once the frozen
+    rows are dropped), so they run at full height on gate gradients that are
+    zero on the frozen rows; only the element-wise gate work is restricted
+    to the live rows.
 
     With ``w_ih`` and ``b_ih`` both None, ``x`` is the input already
     projected, ``x @ w_ih + b_ih`` (B, 3d), for example rows gathered from a

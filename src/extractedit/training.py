@@ -393,9 +393,11 @@ class Trainer:
         distances (B, k), B*k edited sentences, row-major).
 
         The edits start from the index rows of the extracted sentences while
-        the generator has made no update since the index was built: those
-        rows are then the current encodes bit for bit. Otherwise each
-        distinct extracted sentence is encoded again.
+        the generator has made no update since the index was built. Those
+        rows are then the current encodes bit for bit where a row's
+        products do not depend on the batch height, as at hidden 64 (see
+        ``tensor._mm``); at other widths their last bits can differ.
+        Otherwise each distinct extracted sentence is encoded again.
         """
         k = self.config.k
         index = self.indexes[out_lang]
@@ -422,8 +424,9 @@ class Trainer:
         updates of a step share this encode (the evaluator update detaches
         it, the generator update backprops it).
 
-        The embeddings are those of encoding every slot, bit for bit,
-        because a sentence encodes the same in any batch. With no repeated
+        The embeddings are those of encoding every slot, bit for bit, where
+        a sentence encodes the same in any batch (see ``encode_batch``; the
+        tests check it at hidden 16 and 64). With no repeated
         candidate the batch is that full list, so the gradients are the
         same bits too. A repeated candidate's slot gradients are summed by
         the gather's backward before the encoder backward, which then runs

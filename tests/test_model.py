@@ -393,25 +393,95 @@ class TestGreedyDecode:
     def test_token_table_only_below_the_row_steps(self, rows, table, monkeypatch):
         """Layer 0 reads a token table after step 0 only when the vocabulary
         (100) has fewer tokens than rows × max_len (14); step 0 is always the
-        one projected BOS row. Either way the outputs equal the reference's."""
+        one projected BOS row, and no other layer reads a projected input.
+        Either way the outputs equal the reference's."""
         m, args = ragged_decode_inputs(True, 8, 100, rows)
-        projected = []
+        projected = []  # per gru_step call: whether its input came projected
         real_step = T.gru_step
 
         def spy(x, h, w_ih, *weights, **kwargs):
-            if w_ih is None or w_ih is m.dec_layers[0]["w_ih"]:
-                projected.append(w_ih is None)
+            projected.append(w_ih is None)
             return real_step(x, h, w_ih, *weights, **kwargs)
 
         monkeypatch.setattr(T, "gru_step", spy)
         got, cut = m.decode_greedy_batch(*args, TGT)
         monkeypatch.undo()
-        assert len(projected) > 2
-        assert projected == [True] + [table] * (len(projected) - 1)
+        layers = m.config.layers  # each step calls the layers in order
+        layer0, others = projected[::layers], projected[1::layers]
+        assert len(layer0) > 2 and len(projected) == layers * len(layer0)
+        assert layer0 == [True] + [table] * (len(layer0) - 1)
+        assert not any(others)
         ref, ref_cut = full_height_decode(m, *args, TGT)
         np.testing.assert_array_equal(cut, ref_cut)
         for a, b in zip(got, ref):
             np.testing.assert_array_equal(a, b)
+
+
+class TestDecodeDtype:
+    """The greedy decode computes in float32; every path that keeps,
+    compares or differentiates numbers stays float64."""
+
+    @staticmethod
+    def spy_dtypes(monkeypatch, names=("gru_step", "attend", "matmul", "add")):
+        """Patch the ``tensor`` ops ``names`` to record the dtypes of the
+        Tensor arguments each call receives and of the Tensor it returns."""
+        seen = []
+        for name in names:
+            real = getattr(T, name)
+
+            def spy(*args, _real=real, _name=name, **kwargs):
+                out = _real(*args, **kwargs)
+                ins = {a.data.dtype for a in args if isinstance(a, Tensor)}
+                seen.append((_name, ins, out.data.dtype))
+                return out
+
+            monkeypatch.setattr(T, name, spy)
+        return seen
+
+    @pytest.mark.parametrize("attention, d, vocab, rows", DECODE_CASES)
+    def test_decode_ops_take_and_give_float32(self, attention, d, vocab, rows,
+                                              monkeypatch):
+        m, args = ragged_decode_inputs(attention, d, vocab, rows)
+        assert all(a.data.dtype == np.float64 for a in args if isinstance(a, Tensor))
+        seen = self.spy_dtypes(monkeypatch)
+        m.decode_greedy_batch(*args, TGT)
+        monkeypatch.undo()
+        names = {name for name, _, _ in seen}
+        assert names == ({"gru_step", "attend", "matmul", "add"} if attention
+                         else {"gru_step", "matmul", "add"})
+        for name, ins, out in seen:
+            assert ins == {np.dtype(np.float32)} and out == np.float32, name
+        for p in m.named_parameters().values():
+            assert p.data.dtype == np.float64
+
+    def test_nll_and_encode_stay_float64(self, rng, monkeypatch):
+        m = tiny_model()
+        sents = [rng.integers(4, 20, size=n) for n in (3, 1, 5)]
+        seen = self.spy_dtypes(monkeypatch)
+        with Tape() as tape:
+            h_enc, pooled, _ = m.encode_batch(sents)
+            loss = m.nll_batch(sents, sents[::-1], TGT)
+        tape.backward(loss)
+        monkeypatch.undo()
+        assert {name for name, _, _ in seen} == {"gru_step", "attend", "matmul", "add"}
+        for name, ins, out in seen:
+            assert ins == {np.dtype(np.float64)} and out == np.float64, name
+        assert h_enc.data.dtype == pooled.data.dtype == loss.data.dtype == np.float64
+        for p in m.named_parameters().values():
+            assert p.grad.dtype == np.float64
+
+    @pytest.mark.parametrize("name", ["init", "h_enc", "embedding", "decoder.lang_tag",
+                                      "decoder.l1.w_hh", "decoder.attn.b",
+                                      "decoder.proj.w"])
+    def test_value_beyond_float32_range_refused_by_name(self, name):
+        """Finite in float64 but outside float32's range: the decode raises
+        NonFiniteError naming the tensor, and numpy's overflow warning (an
+        error under the suite's warning policy) is not emitted."""
+        m, (init, h_enc, mask) = ragged_decode_inputs(True, 8, 20, 4)
+        tensors = {"init": init, "h_enc": h_enc, **m.named_parameters()}
+        tensors[name].data.reshape(-1)[1] = 1e39
+        with pytest.raises(T.NonFiniteError, match=f"^{name} is not finite in float32$"):
+            m.decode_greedy_batch(init, h_enc, mask, TGT)
 
 
 class TestNLL:

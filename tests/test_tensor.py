@@ -31,6 +31,37 @@ class TestTensorBasics:
         assert t.data.dtype == np.float64
         assert t.shape == (2, 2)
 
+    @pytest.mark.parametrize("data", [
+        [1, 2], [0.5, 1.5], 3, 2.5, True, np.arange(4), np.array([True, False]),
+        np.ones(2, dtype=np.float16), np.ones(2, dtype=np.float64),
+    ], ids=["int-list", "float-list", "int", "float", "bool", "int-array",
+            "bool-array", "float16-array", "float64-array"])
+    def test_everything_but_float32_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64
+
+    def test_float32_array_kept_as_float32(self):
+        a = np.ones((2, 3), dtype=np.float32)
+        assert Tensor(a).data is a
+        assert Tensor(np.float32(2.0)).data.dtype == np.float32
+
+    def test_ops_compute_in_their_operands_dtype(self, rng):
+        """Float32 operands give float32 results: the greedy decode's ops."""
+        d, b, t = 4, 3, 5
+        f32 = lambda *shape: Tensor(rng.normal(size=shape).astype(np.float32))
+        x, h, keys = f32(b, d), f32(b, d), f32(b, t, d)
+        mask = np.ones((b, t), dtype=bool)
+        outs = [
+            T.add(x, h), T.mul(x, h), T.tanh(x), T.matmul(x, f32(d, 2)),
+            T.concat([x, h]), T.take_rows(f32(9, d), np.array([0, 8])),
+            T.gru_step(x, h, f32(d, 3 * d), f32(3 * d), f32(d, 3 * d), f32(3 * d)),
+            T.gru_step(f32(b, 3 * d), h, None, None, f32(d, 3 * d), f32(3 * d)),
+            T.gru_step(x, h, f32(d, 3 * d), f32(3 * d), f32(d, 3 * d), f32(3 * d),
+                       live=np.array([0, 2])),
+            T.attend(x, keys, mask),
+        ]
+        for out in outs:
+            assert out.data.dtype == np.float32
+
     def test_grad_lazy_and_same_shape(self):
         p = Tensor(np.ones((3, 2)), requires_grad=True)
         assert p.grad is None
@@ -73,6 +104,19 @@ class TestMatmul:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+
+    @pytest.mark.parametrize("height", [1, 2, 32, 64, 256, 320])
+    def test_rows_independent_of_height_at_hidden_64(self, rng, height):
+        """At hidden 64 a row of the encoder's float64 GRU products,
+        (B, 64) @ (64, 192), has the same bits at every batch height; the
+        trainer's reuse of index rows and the kNN re-check rely on it. BLAS
+        does not give this at every shape (hidden 100's products, 100 × 300,
+        fail), so only the tested shapes may rely on it."""
+        a = rng.normal(size=(600, 64))
+        w = rng.uniform(-0.18, 0.18, size=(64, 192))
+        full = T._mm(a, w)
+        np.testing.assert_array_equal(T._mm(a[:height], w), full[:height])
+        np.testing.assert_array_equal(T._mm(a[-height:], w), full[-height:])
 
     def test_gradient(self, rng):
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)

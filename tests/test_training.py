@@ -1261,6 +1261,23 @@ class TestEncodeDirections:
         tr._encode_directions(directions)
         assert rows == [n_distinct]
 
+    def test_candidate_encode_stays_float64(self, pair, tr):
+        """Translations and edits leave the float32 decode as token ids; the
+        index, the sources' encode, the candidate encode, the ranking loss
+        and every gradient it reaches stay float64."""
+        tr._ensure_indexes()
+        params = {**tr.model.named_parameters(), **tr.evaluator.named_parameters()}
+        with Tape() as tape:
+            d = tr._prepare_direction(tr._sample_batch(SRC), TGT)
+            (e_s, cand), = tr._encode_directions([d])
+            loss = comparative_loss(e_s, cand, tr.evaluator, tr.config.lam)
+        tape.backward(loss)
+        assert all(s.dtype == np.int64 for s in (*d.edited, *d.t_star))
+        assert tr.indexes[TGT].rows.dtype == np.float64
+        assert e_s.data.dtype == cand.data.dtype == loss.data.dtype == np.float64
+        grads = [p.grad for p in params.values() if p.grad is not None]
+        assert grads and all(g.dtype == np.float64 for g in grads)
+
     def test_trainer_directions_encoded_once(self, pair, tr, monkeypatch):
         """On the trainer's own directions, whose edits repeat."""
         tr._ensure_indexes()
