@@ -6,17 +6,19 @@ and its gradients are float64; ``model.TranslationModel.decode_greedy_batch``
 runs on float32 copies of its inputs and weights, since its only output is
 argmax token ids.
 
-The tape is rebuilt every training step: ops executed while a ``Tape`` is
-active append one node each, and ``Tape.backward`` replays the nodes in
-exact reverse append order. A tape is single-use: as the backward pass
-goes, it releases each node's closure, inputs and output, and the
-gradient of every intermediate output, so a step holds at most its
-forward state and never all of its gradients on top. A node's closure
-keeps only what its backward reads. Parameters are plain ``Tensor``
-objects with ``requires_grad=True`` that outlive any tape, and they and
-the other leaves keep their gradients. Fused kernels (``gru_step``,
-``attend``, ``max_over_time``, ``log_softmax``) keep tapes short enough
-for pure-Python dispatch to stay off the critical path. No op takes an axis.
+A tape holds one part of an optimizer update, not a whole training step
+(``training.Trainer._update`` records each independent loss part on its own
+tape): ops executed while a ``Tape`` is active append one node each, and
+``Tape.backward`` replays the nodes in exact reverse append order. A tape
+is single-use: as the backward pass goes, it releases each node's closure,
+inputs and output, and the gradient of every intermediate output, so an
+update holds at most one part's forward state and never all of its
+gradients on top. A node's closure keeps only what its backward reads.
+Parameters are plain ``Tensor`` objects with ``requires_grad=True`` that
+outlive any tape, and they and the other leaves keep their gradients.
+Fused kernels (``gru_step``, ``attend``, ``max_over_time``,
+``log_softmax``) keep tapes short enough for pure-Python dispatch to stay
+off the critical path. No op takes an axis.
 
 ``add``, ``mul``, ``matmul``, ``cosine``, ``gru_step``, ``attend`` and
 ``max_over_time`` check that their output is finite (NaN/Inf raises

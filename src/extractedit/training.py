@@ -311,7 +311,8 @@ class Trainer:
         self.opt_eval = Adam(self.evaluator.named_parameters(), lr=config.lr_evaluator)
         self.state = TrainState()
         self.indexes: dict[int, EmbeddingIndex] = {}
-        # opt_gen.step_count when _ensure_indexes built each index; a restored one has none
+        # opt_gen.step_count when each index was built; a restored one has one
+        # only if its checkpoint lists it in index_current
         self._index_built_at: dict[int, int] = {}
 
     # -- batching ------------------------------------------------------------
@@ -453,34 +454,36 @@ class Trainer:
     def adversarial_step(self) -> None:
         """One 1:1 alternation, both directions handled symmetrically.
 
-        The evaluator update ranks the edited candidates above the
-        translation on detached embeddings (the encoder is frozen in it).
-        It nests inside the encoder/decoder update, after the source and
-        candidate encodes both share. That update records each source's
-        one encode, which also feeds its translation, extraction and edits,
-        and backpropagates language modeling plus the comparative ranking
-        loss through the encoder, while the evaluator takes part in the
-        forward pass only (frozen in this pass), and the decoder gets
-        gradient from the language-modeling term alone since every decode
-        in the candidate pipeline is non-differentiable.
+        The encoder/decoder update has two parts. The first backpropagates
+        the language-modeling term. The second records each source's one
+        encode, which also feeds its translation, extraction and edits, and
+        the candidate encode; runs the evaluator update on detached copies
+        of those embeddings; and backpropagates the comparative ranking loss
+        through the encoder. The decoder gets gradient from the
+        language-modeling term alone, since every decode in the candidate
+        pipeline is non-differentiable. The evaluator's parameters receive
+        the comparative gradient too, which ``opt_gen`` never reads and the
+        next evaluator update zeroes.
         """
         cfg = self.config
         self._ensure_indexes()
         batches, noised = self._draw_lm_batches()
 
-        def losses():
+        def lm_part():
+            lm = self._lm_loss(batches, noised)
+            return {"total": lm * cfg.omega_lm, "lm": lm}
+
+        def candidate_part():
             embeds = self._encode_directions([self._prepare_direction(batches[SRC], TGT),
                                               self._prepare_direction(batches[TGT], SRC)])
             loss_r = self._update(self.opt_eval, lambda: {"total": reduce(add, (
                 evaluator_loss(e_s.detach(), cand.detach(), self.evaluator, cfg.lam)
                 for e_s, cand in embeds))})["total"]
-            lm = self._lm_loss(batches, noised)
             com = reduce(add, (comparative_loss(e_s, cand, self.evaluator, cfg.lam)
                                for e_s, cand in embeds))
-            return {"total": lm * cfg.omega_lm + com * cfg.omega_com, "lm": lm, "com": com,
-                    "loss_r": loss_r}
+            return {"total": com * cfg.omega_com, "com": com, "loss_r": loss_r}
 
-        self._finish_step("extract-edit", **self._update(self.opt_gen, losses))
+        self._finish_step("extract-edit", **self._update(self.opt_gen, lm_part, candidate_part))
 
     # -- back-translation baseline ----------------------------------------------
 
@@ -491,13 +494,17 @@ class Trainer:
         t_hat, _ = self.model.translate_batch(batches[SRC], TGT)
         s_hat, _ = self.model.translate_batch(batches[TGT], SRC)
 
-        def losses():
-            lm = self._lm_loss(batches, noised)
+        def reconstruction_part():
             bt = (self.model.nll_batch(t_hat, batches[SRC], SRC)
                   + self.model.nll_batch(s_hat, batches[TGT], TGT))
-            return {"total": lm * cfg.omega_lm + bt * cfg.omega_com, "lm": lm, "com": bt}
+            return {"total": bt * cfg.omega_com, "com": bt}
 
-        self._finish_step("back-translation", **self._update(self.opt_gen, losses))
+        def lm_part():
+            lm = self._lm_loss(batches, noised)
+            return {"total": lm * cfg.omega_lm, "lm": lm}
+
+        self._finish_step("back-translation",
+                          **self._update(self.opt_gen, reconstruction_part, lm_part))
 
     # -- extraction dumps ----------------------------------------------------------
 
@@ -528,7 +535,10 @@ class Trainer:
         """Criterion D for translation into ``out_lang`` (TGT or SRC): the
         mean log ranking probability of greedy translations of the other
         language's held-out sentences, 64 per batch; higher is better.
-        Order-invariant."""
+        Invariant to the sentences' order up to float rounding: a row's
+        translation and encodes can differ in their last bits with the
+        padded length of its 64-sentence batch (see
+        ``TranslationModel.translate``)."""
         corpus = self.valid[{TGT: SRC, SRC: TGT}[out_lang]]
         if corpus is None:
             raise ValueError(f"no validation corpus to translate into language {out_lang}")
@@ -603,22 +613,33 @@ class Trainer:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def _update(self, opt: Adam, losses) -> dict[str, Tensor]:
+    def _update(self, opt: Adam, *parts) -> dict[str, Tensor]:
         """One optimizer update, and the only code that makes one: zero
-        ``opt``'s gradients, record ``losses()`` on a fresh tape,
-        backpropagate its ``"total"`` and step ``opt``.
+        ``opt``'s gradients; for each of ``parts`` in order, record its named
+        scalar terms on a fresh tape and backpropagate its ``"total"``; then
+        step ``opt`` once.
 
-        ``losses`` returns named scalar terms, which come back as they are;
-        an update run inside another's ``losses`` records on its own tape
-        only. The total needs no finiteness check here: it is made by ``add``
-        or ``mul``, which refuse non-finite values.
+        The terms come back merged, with ``"total"`` the sum of the part
+        totals in order. Parts share parameters but no recorded value, so
+        only one part's graph is alive at a time. A parameter's gradient is
+        summed in part order, so the parts of a loss go in the order in which
+        one backward over all of them would reach each parameter: then every
+        gradient keeps its bits. Pretraining keeps one part, because its
+        logged total ``(LM + oracle) * omega_lm`` would round differently as
+        a sum of part totals. An update run inside a part records on its own
+        tape only. The total needs no finiteness check here: it is made by
+        ``add`` or ``mul``, which refuse non-finite values.
         """
         opt.zero_grad()
-        with Tape() as tape:
-            terms = losses()
-        tape.backward(terms["total"])
+        terms, totals = {}, []
+        for part in parts:
+            with Tape() as tape:
+                named = part()
+            tape.backward(named["total"])
+            totals.append(named.pop("total"))
+            terms.update(named)
         opt.step()
-        return terms
+        return {"total": reduce(add, totals), **terms}
 
     def _finish_step(self, mode: str, total: Tensor, lm: Tensor | None = None,
                      com: Tensor | None = None, loss_r: Tensor | None = None) -> None:
@@ -686,6 +707,9 @@ class Trainer:
             "config": asdict(self.config),
             "vocab_content": self.vocab.id_to_token[len(RESERVED_TOKENS):],
             "index_episodes": {name: self.indexes[lang].episode for lang, name in indexed},
+            # built since the generator's last update: restore may reuse their rows
+            "index_current": [name for lang, name in indexed
+                              if self._index_built_at.get(lang) == self.opt_gen.step_count],
             "index_corpus_sha256": {name: _corpus_digest(self.corpora[lang])
                                     for lang, name in indexed},
         })
@@ -705,7 +729,11 @@ class Trainer:
         An index snapshot whose corpus digest differs from this trainer's
         corpus is dropped, so the next ``_ensure_indexes`` builds it anew; a
         checkpoint that records no digests restores every snapshot. A kept one
-        must be (corpus rows, ``hidden_size``) and finite. Each fault is a
+        must be (corpus rows, ``hidden_size``) and finite. One that
+        ``index_current`` lists (a list of ``"src"`` and ``"tgt"``) was built
+        after the generator's last update, and counts as built at the restored
+        generator step, so extraction reuses its rows as the uninterrupted run
+        does; without the key every restored index is stale. Each fault is a
         CheckpointError naming its file, raised after every file is read and
         before any trainer state changes: a refused restore leaves the trainer
         as it was.
@@ -734,13 +762,18 @@ class Trainer:
                          _count(meta["opt_eval_steps"], "opt_eval_steps", 0))
             episodes = meta["index_episodes"]
             digests = meta.get("index_corpus_sha256")
-            kept = {}
+            current = meta.get("index_current", [])
+            if not isinstance(current, list) or any(c not in ("src", "tgt") for c in current):
+                raise ValueError(f"index_current {current!r} is not a list of 'src' and 'tgt'")
+            kept, fresh = {}, []
             for lang, name in ((SRC, "src"), (TGT, "tgt")):
                 key = f"index.{name}"
                 if key not in snapshots or (digests and digests[name]
                                             != _corpus_digest(self.corpora[lang])):
                     continue  # no snapshot, or one over another corpus
                 kept[key] = lang, _count(episodes[name], f"index_episodes.{name}", 0)
+                if name in current:
+                    fresh.append(lang)
         except (KeyError, TypeError, ValueError) as e:
             raise CheckpointError(f"{directory / STATE_FILE}: bad run state: {e!r}") from e
         indexes = {}
@@ -760,5 +793,5 @@ class Trainer:
         self.rng.bit_generator.state = meta["rng"]
         self.opt_gen.step_count, self.opt_eval.step_count = opt_steps
         self.indexes = indexes
-        self._index_built_at = {}  # a restored index counts as stale
+        self._index_built_at = dict.fromkeys(fresh, self.opt_gen.step_count)
         self.state = state

@@ -383,8 +383,8 @@ class TestAdversarialStep:
         after = []
         update = Trainer._update
 
-        def spy(self, opt, losses):
-            terms = update(self, opt, losses)
+        def spy(self, opt, *parts):
+            terms = update(self, opt, *parts)
             after.append((opt, snapshot()))
             return terms
 
@@ -510,6 +510,101 @@ class TestBackTranslation:
         assert header == ",".join(METRIC_COLUMNS)
 
 
+def one_tape_main_step(tr: Trainer) -> None:
+    """A main step whose generator update records every loss term on one
+    tape and backpropagates their weighted sum once: the extract-edit step
+    records the source and candidate encodes (and runs the evaluator update)
+    before the LM term, the back-translation step records the LM term before
+    the reconstruction NLL."""
+    cfg = tr.config
+    if cfg.mode == "extract-edit":
+        tr._ensure_indexes()
+    batches, noised = tr._draw_lm_batches()
+    if cfg.mode == "back-translation":
+        t_hat, _ = tr.model.translate_batch(batches[SRC], TGT)
+        s_hat, _ = tr.model.translate_batch(batches[TGT], SRC)
+    tr.opt_gen.zero_grad()
+    with Tape() as tape:
+        loss_r = None
+        if cfg.mode == "extract-edit":
+            (e1, c1), (e2, c2) = tr._encode_directions([
+                tr._prepare_direction(batches[SRC], TGT),
+                tr._prepare_direction(batches[TGT], SRC)])
+            loss_r = tr._update(tr.opt_eval, lambda: {"total": (
+                evaluator_loss(e1.detach(), c1.detach(), tr.evaluator, cfg.lam)
+                + evaluator_loss(e2.detach(), c2.detach(), tr.evaluator, cfg.lam))})["total"]
+            lm = tr._lm_loss(batches, noised)
+            com = (comparative_loss(e1, c1, tr.evaluator, cfg.lam)
+                   + comparative_loss(e2, c2, tr.evaluator, cfg.lam))
+        else:
+            lm = tr._lm_loss(batches, noised)
+            com = (tr.model.nll_batch(t_hat, batches[SRC], SRC)
+                   + tr.model.nll_batch(s_hat, batches[TGT], TGT))
+        total = lm * cfg.omega_lm + com * cfg.omega_com
+    tape.backward(total)
+    tr.opt_gen.step()
+    tr._finish_step(cfg.mode, total, lm, com, loss_r)
+
+
+class TestPartedUpdate:
+    @pytest.mark.parametrize("mode", ["extract-edit", "back-translation"])
+    def test_same_bits_as_one_tape(self, pair, mode):
+        """From identical states, main steps whose updates backpropagate one
+        part at a time leave every parameter, every Adam moment, the RNG and
+        the metrics rows byte-identical to steps that record all terms on
+        one tape; the first extract-edit step builds the indexes, the
+        second edits from their rows."""
+        kw = dict(mode=mode, pretrain_steps=3, main_steps=2, omega_lm=0.7, omega_com=1.3)
+        parted, reference = micro_trainer(pair, **kw), micro_trainer(pair, **kw)
+        for tr in (parted, reference):
+            tr.run(until=3)
+        for _ in range(2):
+            parted.main_step()
+            one_tape_main_step(reference)
+        assert parted.state.metric_rows == reference.state.metric_rows
+        assert parted.rng.bit_generator.state == reference.rng.bit_generator.state
+        # both networks' parameters, then both optimizers' moments
+        files, want = (training._checkpoint_arrays(t.model, t.evaluator, t.opt_gen, t.opt_eval)
+                       for t in (parted, reference))
+        for name, arrays in files.items():
+            assert arrays.keys() == want[name].keys()
+            for k, x in arrays.items():
+                assert x.tobytes() == want[name][k].tobytes(), k
+
+    def test_lm_tape_spent_before_the_candidate_tape_records(self, pair, monkeypatch):
+        """The extract-edit generator update records the LM term on one tape
+        and backpropagates it, releasing every node, before a second tape
+        is entered for the source and candidate encodes; the evaluator
+        update nests in that second tape on a third."""
+        events = []
+
+        class SpyTape(Tape):
+            def __enter__(self):
+                events.append(("enter", self))
+                return super().__enter__()
+
+            def backward(self, root):
+                events.append(("backward", self))
+                return super().backward(root)
+
+        active_at = {}
+        for name in ("_lm_loss", "_encode_directions"):
+            def spy(self, *args, _inner=getattr(Trainer, name), _name=name):
+                active_at[_name] = T._ACTIVE
+                return _inner(self, *args)
+            monkeypatch.setattr(Trainer, name, spy)
+        tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
+        tr.pretrain_step()
+        monkeypatch.setattr(training, "Tape", SpyTape)
+        tr.adversarial_step()
+        lm_tape, candidate_tape, evaluator_tape = (t for kind, t in events if kind == "enter")
+        assert events == [("enter", lm_tape), ("backward", lm_tape),
+                          ("enter", candidate_tape), ("enter", evaluator_tape),
+                          ("backward", evaluator_tape), ("backward", candidate_tape)]
+        assert active_at == {"_lm_loss": lm_tape, "_encode_directions": candidate_tape}
+        assert len(lm_tape) > 0 and all(n.out is None and n.bwd is None for n in lm_tape.nodes)
+
+
 class TestModelSelection:
     def test_uniform_anchor_minus_log_k_plus_1(self, pair):
         """With the evaluator's w3 zeroed every candidate projects to b3, so
@@ -609,6 +704,42 @@ class TestDeterminismAndResume:
             np.testing.assert_array_equal(
                 p.data, resumed.evaluator.named_parameters()[k].data, err_msg=k)
 
+    def test_resume_reuses_index_rows_where_the_run_does(self, pair, tmp_path, monkeypatch):
+        """Step 6 validates at an episode boundary, building both indexes
+        after the generator's last update, and the checkpoint records them as
+        current: step 7 then edits from their rows resumed as uninterrupted,
+        encoding no extracted sentence. A state.json without the key (an
+        older checkpoint) still restores, with both indexes stale: step 7
+        encodes each direction's extracted sentences again, to the same row."""
+        kw = dict(pretrain_steps=4, main_steps=4, episode_len=2, valid_interval=2)
+        calls = []
+        monkeypatch.setattr(training, "embed_sentences",
+                            lambda sents, model: calls.append(len(sents))
+                            or embed_sentences(sents, model))
+        full = micro_trainer(pair, **kw)
+        full.run(until=6)
+        ckpt = full.save_checkpoint(tmp_path / "ck")
+        calls.clear()
+        full.run(until=7)
+        assert calls == []
+
+        resumed = micro_trainer(pair, **kw)
+        resumed.restore(ckpt)
+        resumed.run(until=7)
+        assert calls == []
+        assert resumed.state.metric_rows == full.state.metric_rows
+
+        state = load_json(ckpt / training.STATE_FILE)
+        assert state["index_current"] == ["src", "tgt"]
+        del state["index_current"]
+        save_json(ckpt / training.STATE_FILE, state)
+        older = micro_trainer(pair, **kw)
+        older.restore(ckpt)
+        assert sorted(older.indexes) == [SRC, TGT]
+        older.run(until=7)
+        assert len(calls) == 2
+        assert older.state.metric_rows == full.state.metric_rows
+
     def test_restore_accepts_state_keys_of_older_versions(self, pair, tmp_path):
         """A checkpoint whose state.json still carries keys that older
         versions wrote (best_step, best_d, skipped_total) restores and
@@ -633,13 +764,14 @@ class TestDeterminismAndResume:
         ("opt_gen_steps", -1), ("opt_eval_steps", True),
         ("metric_rows", [[1, 2]]), ("metric_rows", [["1", "pretrain"]]),
         ("metric_rows", "rows"), ("index_episodes", {"src": 0, "tgt": "0"}),
+        ("index_current", "tgt"), ("index_current", ["tgt", "both"]),
     ])
     def test_malformed_run_state_refused(self, pair, tmp_path, key, value):
         """A run state of the wrong type or range is refused naming
         state.json, before any trainer state changes; the step, the optimizer
         step counts, the kept indexes' episodes and the episode are integers
-        of at least 0, 0, 0 and -1, and each metric row is len(METRIC_COLUMNS)
-        strings."""
+        of at least 0, 0, 0 and -1, each metric row is len(METRIC_COLUMNS)
+        strings, and the current indexes are a list of "src" and "tgt"."""
         tr = micro_trainer(pair, pretrain_steps=1, main_steps=1)
         tr.run()
         ckpt = tr.save_checkpoint(tmp_path / "ck")
